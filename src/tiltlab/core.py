@@ -22,6 +22,7 @@ with denominators e (for t) and var_den (for the variables).
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -218,6 +219,9 @@ class LayerRing:
                 f"ideal exponent {Fraction(ideal_num, e)} must lie in [0, 1]"
             )
         self._zero_vt = (0,) * num_vars
+        # Variable parts are integer index sums, so sum / var_den > var_cap
+        # exactly when sum > floor(var_cap * var_den).
+        self._var_cap_index = math.floor(self.var_cap * var_den)
         self._var_monomials = None
         self._basis = None
         self._quotient = None
@@ -240,6 +244,8 @@ class LayerRing:
         )
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return isinstance(other, LayerRing) and self._key() == other._key()
 
     def __hash__(self):
@@ -271,7 +277,7 @@ class LayerRing:
         """True when the variable part overflows the total-degree cap."""
         if not self.num_vars:
             return False
-        return Fraction(sum(vt), self.var_den) > self.var_cap
+        return sum(vt) > self._var_cap_index
 
     def _from_items(self, items, lossy=False) -> "LayerElem":
         acc: dict = {}
@@ -297,6 +303,38 @@ class LayerRing:
             c %= mod
             if c:
                 terms[key] = c
+        return LayerElem(self, terms, lossy)
+
+    def _from_t_dict(self, acc: dict, lossy: bool) -> "LayerElem":
+        """Canonical element from {t-index: coeff} on a ring without variables.
+
+        The monogenic counterpart of _from_items: t-indices past the ring
+        fold through t^e = p (MIXED) or drop off the window (CHAR_P).
+        """
+        vt = self._zero_vt
+        mod = self.coeff_mod
+        terms = {}
+        if self.mode == MIXED:
+            e = self.e
+            if acc and max(acc) >= e:
+                folded: dict = {}
+                for k, c in acc.items():
+                    if k >= e:
+                        q, k = divmod(k, e)
+                        c *= self.p**q
+                    folded[k] = folded.get(k, 0) + c
+                acc = folded
+            for k, c in acc.items():
+                c %= mod
+                if c:
+                    terms[(k, vt)] = c
+        else:
+            window = self.window
+            for k, c in acc.items():
+                if k < window:
+                    c %= mod
+                    if c:
+                        terms[(k, vt)] = c
         return LayerElem(self, terms, lossy)
 
     def zero(self) -> "LayerElem":
@@ -326,7 +364,7 @@ class LayerRing:
 
     def coerce(self, x) -> "LayerElem":
         if isinstance(x, LayerElem):
-            if x.ring != self:
+            if x.ring is not self and x.ring != self:
                 raise RingMismatch(f"{x.ring!r} != {self!r}")
             return x
         if isinstance(x, int):
@@ -343,8 +381,29 @@ class LayerRing:
         if not ta or not tb:
             return self.zero()
         lossy = a.lossy or b.lossy
-        if self.num_vars == 0 and len(ta) * len(tb) > max(64, self.e):
-            return self._mul_dense(ta, tb, lossy)
+        if self.num_vars == 0:
+            if len(ta) * len(tb) > max(64, self.e):
+                return self._mul_dense(ta, tb, lossy)
+            acc: dict = {}
+            get = acc.get
+            row = [(kb, cb) for (kb, _), cb in tb.items()]
+            if ta is tb:
+                # A square visits each unordered pair once.  The first pair
+                # to reach a t-index has i <= j, so keys arrive in the order
+                # the full double loop would insert them.
+                for i, (ka, ca) in enumerate(row):
+                    k = ka + ka
+                    acc[k] = get(k, 0) + ca * ca
+                    ca += ca
+                    for kb, cb in row[i + 1 :]:
+                        k = ka + kb
+                        acc[k] = get(k, 0) + ca * cb
+            else:
+                for (ka, _), ca in ta.items():
+                    for kb, cb in row:
+                        k = ka + kb
+                        acc[k] = get(k, 0) + ca * cb
+            return self._from_t_dict(acc, lossy)
         items = []
         for (ka, va), ca in ta.items():
             for (kb, vb), cb in tb.items():
@@ -355,11 +414,14 @@ class LayerRing:
     def _mul_dense(self, ta, tb, lossy):
         if self.mode == MIXED:
             fa = [0] * self.e
-            fb = [0] * self.e
             for (k, _), c in ta.items():
                 fa[k] = c
-            for (k, _), c in tb.items():
-                fb[k] = c
+            if ta is tb:  # the kernel squares when both arguments are one list
+                fb = fa
+            else:
+                fb = [0] * self.e
+                for (k, _), c in tb.items():
+                    fb[k] = c
             conv = _backend.eisenstein_mul(fa, fb, self.e, self.p, self.coeff_mod)
         else:
             la = max(k for k, _ in ta) + 1
@@ -610,10 +672,17 @@ class LayerElem:
         return hash((self.ring, tuple(sorted(self.terms.items()))))
 
     def __add__(self, other):
-        other = self.ring.coerce(other)
+        ring = self.ring
+        other = ring.coerce(other)
+        lossy = self.lossy or other.lossy
+        if ring.num_vars == 0:
+            acc = {k: c for (k, _), c in self.terms.items()}
+            for (k, _), c in other.terms.items():
+                acc[k] = acc.get(k, 0) + c
+            return ring._from_t_dict(acc, lossy)
         items = [(k, vt, c) for (k, vt), c in self.terms.items()]
         items += [(k, vt, c) for (k, vt), c in other.terms.items()]
-        return self.ring._from_items(items, self.lossy or other.lossy)
+        return ring._from_items(items, lossy)
 
     __radd__ = __add__
 

@@ -5,9 +5,9 @@ following the limit formula for the inverse of the tilting bijection.  At
 finite depth the limit is replaced by its m-th stage, and the guaranteed
 p-adic precision is measured rather than proved: the result is compared
 against the (m-1)-st stage and the agreement valuation is reported as
-effective_precision.  Lifts are canonical (coefficients lifted to
-0..p-1) unless a generator of randomness is supplied, which exercises
-lift-independence.
+effective_precision, measured on first access.  Lifts are canonical
+(coefficients lifted to 0..p-1) unless a generator of randomness is
+supplied, which exercises lift-independence.
 
 The verifiers in this module check, exactly on the finite quotients: the
 commutation of sharp with reduction mod the ideal, the induced ring
@@ -18,7 +18,9 @@ and the torsion transfer (trivial for the towers in scope).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .core import (
     ABOVE_PRECISION,
@@ -61,12 +63,21 @@ class CheckResult:
 
 @dataclass
 class SharpResult:
-    """Value of the monoidal map together with its measured precision."""
+    """Value of the monoidal map together with its measured precision.
+
+    effective_precision is measured on first access by calling measure,
+    then cached; callers that only need the value never pay for the
+    comparison stage.
+    """
 
     value: object
-    effective_precision: Fraction
     layer_index: int
     depth: int
+    measure: Callable[[], Fraction] = field(repr=False, compare=False)
+
+    @cached_property
+    def effective_precision(self) -> Fraction:
+        return self.measure()
 
     def to_json_dict(self) -> dict:
         return {
@@ -127,17 +138,22 @@ def sharp(handle, x: SmallTiltElem, rng=None) -> SharpResult:
     p = handle.p
     deep = handle.layer(j + m)
     value = _lift(handle, j + m, x.deepest, rng) ** (p**m)
-    prev = _lift(handle, j + m - 1, x.component(m - 1), rng) ** (p ** (m - 1))
-    diff = value - handle.embed(j + m - 1, j + m, prev)
-    v = diff.valuation()
-    cap = deep.val_cap
-    eff = cap if v is ABOVE_PRECISION else min(v, cap)
+    # Draw the (m-1)-st lift now so rng draws keep their order; its power
+    # and the stage comparison wait until effective_precision is read.
+    prev_lift = _lift(handle, j + m - 1, x.component(m - 1), rng)
+
+    def measure():
+        prev = prev_lift ** (p ** (m - 1))
+        v = (value - handle.embed(j + m - 1, j + m, prev)).valuation()
+        cap = deep.val_cap
+        return cap if v is ABOVE_PRECISION else min(v, cap)
+
     red = deep.reduce_mod_ideal(value)
     if not _image_scale_ok(red, handle.transition_scale() ** m):
         raise MethodDisagreement(
             "sharp value fails the mod-ideal membership invariant"
         )
-    return SharpResult(value, eff, j, m)
+    return SharpResult(value, j, m, measure)
 
 
 def check_sharp_reduction(handle, j, samples=100, seed=0, m=None) -> CheckResult:

@@ -30,6 +30,7 @@ from .core import (
     BadIdealExponent,
     LayerElem,
     LayerRing,
+    NotInvertible,
     PrecisionBudget,
     Prime,
     ProductRing,
@@ -675,7 +676,7 @@ def _check_e(handle, samples: int, rng) -> AxiomVerdict:
             u = ring.one() + z
             try:
                 inv = ring.invert(u)
-            except Exception:
+            except NotInvertible:
                 return _fail(
                     f"1 + {z.to_text()} is not invertible at level {n}",
                     level=n,

@@ -3,7 +3,12 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import tiltlab
 from tiltlab.cli import run
 
 
@@ -136,3 +141,18 @@ def test_suite_determinism_bytes():
     assert out1 == out2
     body = json.loads(out1)
     assert body["ok"] is True
+
+
+def test_python_dash_m_matches_run():
+    argv = ["sharp", "--prime", "5", "--prec", "6", "--depth", "4",
+            "--layer", "0", "--element", "pflat"]
+    code, out, _ = invoke(argv)
+    env = dict(os.environ)
+    src = str(Path(tiltlab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tiltlab", *argv],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert proc.returncode == code == 0
+    assert proc.stdout == out.encode()

@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 
 from tiltlab.core import (
     ABOVE_PRECISION,
+    CHAR_P,
+    MIXED,
     BadIdealExponent,
+    LayerRing,
     NonPrime,
     NotInvertible,
     ParseError,
@@ -322,3 +325,146 @@ def test_divide_with_p_borrow():
 def test_pow_rejects_negative():
     with pytest.raises(ValueError):
         O().t_gen() ** -1
+
+
+# -- monogenic fast paths against the generic item path ---------------------------
+#
+# On rings without variables, products and sums accumulate into a dict keyed
+# by t-index.  The reference below is the generic path every ring had before:
+# build (t-index, variables, coeff) items and canonicalize with _from_items.
+
+
+def reference_mul(a, b):
+    if not a.terms or not b.terms:
+        return a.ring.zero()  # the zero short-circuit every ring shares
+    items = [
+        (ka + kb, tuple(x + y for x, y in zip(va, vb)), ca * cb)
+        for (ka, va), ca in a.terms.items()
+        for (kb, vb), cb in b.terms.items()
+    ]
+    return a.ring._from_items(items, a.lossy or b.lossy)
+
+
+def reference_add(a, b):
+    items = [(k, vt, c) for (k, vt), c in a.terms.items()]
+    items += [(k, vt, c) for (k, vt), c in b.terms.items()]
+    return a.ring._from_items(items, a.lossy or b.lossy)
+
+
+def _dense(ring, a, b):
+    return len(a.terms) * len(b.terms) > max(64, ring.e)
+
+
+@st.composite
+def monogenic_ring(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    e = draw(st.sampled_from([1, 3, 5, 9, 16, 40]))
+    if draw(st.booleans()):
+        nd = draw(st.integers(min_value=1, max_value=4))
+        return LayerRing(mode=MIXED, p=p, e=e, n_digits=nd, ideal_num=e)
+    window = draw(st.integers(min_value=1, max_value=2 * e + 8))
+    return LayerRing(mode=CHAR_P, p=p, e=e, window=window, ideal_num=min(e, window))
+
+
+@st.composite
+def monogenic_elem(draw, ring):
+    """Up to t_range terms; coefficients carry p-powers so products cancel."""
+    n_terms = draw(st.integers(min_value=0, max_value=ring.t_range()))
+    items = []
+    for _ in range(n_terms):
+        k = draw(st.integers(min_value=0, max_value=ring.t_range() - 1))
+        unit = draw(st.integers(min_value=1, max_value=ring.coeff_mod))
+        shift = draw(st.integers(min_value=0, max_value=ring.n_digits))
+        items.append((k, (), unit * ring.p**shift))
+    return ring._from_items(items, draw(st.booleans()))
+
+
+@st.composite
+def monogenic_pair(draw):
+    ring = draw(monogenic_ring())
+    a = draw(monogenic_elem(ring))
+    b = a if draw(st.booleans()) else draw(monogenic_elem(ring))
+    return ring, a, b
+
+
+def _same(got, want, *, order):
+    assert got.ring is want.ring
+    assert got.terms == want.terms
+    assert got.lossy == want.lossy
+    if order:
+        assert list(got.terms) == list(want.terms)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(monogenic_pair())
+def test_monogenic_mul_matches_item_path(data):
+    ring, a, b = data
+    # squares (a is b) take their own loop; sparse products keep the key order
+    _same(a * b, reference_mul(a, b), order=not _dense(ring, a, b))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(monogenic_pair())
+def test_monogenic_add_matches_item_path(data):
+    ring, a, b = data
+    _same(a + b, reference_add(a, b), order=True)
+
+
+def test_monogenic_paths_cover_both_sides_of_the_dense_threshold():
+    ring = LayerRing(mode=MIXED, p=5, e=16, n_digits=3, ideal_num=16)
+    full = ring._from_items([(k, (), k + 1) for k in range(16)])
+    small = ring._from_items([(k, (), 5 * k + 2) for k in range(0, 16, 4)])
+    assert _dense(ring, full, full) and not _dense(ring, small, small)
+    for a, b in ((full, full), (full, small), (small, small), (small, full)):
+        _same(a * b, reference_mul(a, b), order=not _dense(ring, a, b))
+        _same(a + b, reference_add(a, b), order=True)
+
+
+def test_monogenic_mul_folds_and_cancels():
+    ring = LayerRing(mode=MIXED, p=5, e=5, n_digits=2, ideal_num=5)
+    t4 = ring.monomial(4, coeff=5)
+    # t^8 = 5 t^3, times the coefficients 5 * 5: everything cancels mod 25
+    assert (t4 * t4).is_zero()
+    x = ring._from_items([(4, (), 1), (3, (), 2)], lossy=True)
+    prod = x * x  # t^8 + 4 t^7 + 4 t^6 = 5 t^3 + 20 t^2 + 20 t
+    _same(prod, reference_mul(x, x), order=True)
+    assert prod.lossy and prod == ring.parse("5*t^3 + 20*t^2 + 20*t")
+    assert (x + (-x)).is_zero() and (x + (-x)).lossy
+    char_p = LayerRing(mode=CHAR_P, p=5, e=5, window=4, ideal_num=4)
+    y = char_p.monomial(2) + char_p.monomial(3)
+    _same(y * y, reference_mul(y, y), order=True)
+    assert y * y == char_p.zero()  # every product index is past the window
+
+
+# -- the variable-degree cap -------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    var_den=st.integers(min_value=1, max_value=30),
+    cap=st.fractions(min_value=0, max_value=12, max_denominator=10),
+    vts=st.lists(
+        st.lists(st.integers(min_value=0, max_value=120), min_size=2, max_size=2),
+        min_size=1,
+        max_size=20,
+    ),
+)
+def test_cap_index_matches_fraction_rule(var_den, cap, vts):
+    ring = LayerRing(
+        mode=MIXED, p=5, e=5, n_digits=2, ideal_num=5,
+        num_vars=2, var_den=var_den, var_cap=cap,
+    )
+    for vt in vts:
+        assert ring._cap_index(tuple(vt)) == (Fraction(sum(vt), var_den) > cap)
+
+
+def test_cap_index_at_fractional_caps():
+    ring = LayerRing(
+        mode=MIXED, p=5, e=5, n_digits=2, ideal_num=5,
+        num_vars=2, var_den=5, var_cap=Fraction(7, 3),
+    )
+    # 7/3 * 5 = 35/3: index sums up to 11 fit, 12 overflows
+    assert not ring._cap_index((6, 5))
+    assert ring._cap_index((6, 6))
+    x = ring.monomial(0, (6, 0))
+    assert (x * x).lossy and not x.lossy

@@ -258,3 +258,50 @@ def test_torsion_bijection_detects_tampering():
     res = torsion_bijection(h, tilt_pillar_override=tampered)
     assert res.verdict == "FAIL"
     assert res.witness
+
+
+def _eager_sharp(h, x, rng=None):
+    """sharp with its stage comparison done up front, as a reference: the
+    value and the agreement valuation of the m-th and (m-1)-st stages."""
+    j, m, p = x.layer, x.depth, h.p
+
+    def lift(n, q):
+        ring = h.layer(n)
+        out = ring.lift(q)
+        if rng is not None:
+            out = out + h.f0(n) * ring.random_element(rng, max_terms=2)
+        return out
+
+    value = lift(j + m, x.deepest) ** (p**m)
+    prev = lift(j + m - 1, x.component(m - 1)) ** (p ** (m - 1))
+    v = (value - h.embed(j + m - 1, j + m, prev)).valuation()
+    cap = h.layer(j + m).val_cap
+    return value, (cap if v is ABOVE_PRECISION else min(v, cap))
+
+
+@pytest.mark.parametrize(
+    "make,m",
+    [(lambda: pure5(depth=3), 3), (lambda: kummer52(depth=2), 2)],
+    ids=["pure5", "kummer52"],
+)
+def test_lazy_precision_matches_eager_stages(make, m):
+    h = make()
+    pres = small_tilt(h, h.start, m)
+    picker = random.Random(11)
+    elems = [p_flat(h, h.start, m)] + [pres.random_element(picker, 3) for _ in range(4)]
+    for seed, x in enumerate(elems):
+        for use_rng in (False, True):
+            rng = random.Random(seed) if use_rng else None
+            ref_rng = random.Random(seed) if use_rng else None
+            result = sharp(h, x, rng=rng)
+            want_value, want_prec = _eager_sharp(h, x, ref_rng)
+            if use_rng:  # both lifts were drawn during the call, in order
+                assert rng.getstate() == ref_rng.getstate()
+            assert "effective_precision" not in vars(result)  # not yet measured
+            assert result.value == want_value
+            assert result.effective_precision == want_prec
+            if use_rng:  # measuring draws nothing
+                assert rng.getstate() == ref_rng.getstate()
+            result.measure = None  # cached: the comparison runs once
+            assert result.effective_precision == want_prec
+            assert result.to_json_dict()["effective_precision"] == str(want_prec)

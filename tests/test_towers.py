@@ -327,6 +327,19 @@ def test_negative_control_axiom_e():
     assert report.axioms["e"].verdict == FAIL
 
 
+def test_axiom_e_lets_internal_faults_propagate(monkeypatch):
+    # Only NotInvertible is an axiom-(e) verdict; any other exception from
+    # invert is a fault in the library and must not read as a FAIL.
+    from tiltlab.core import LayerRing
+
+    def broken_invert(self, x):
+        raise RuntimeError("fault inside invert")
+
+    monkeypatch.setattr(LayerRing, "invert", broken_invert)
+    with pytest.raises(RuntimeError, match="fault inside invert"):
+        check_axioms(pure5(depth=2), samples=5, seed=0)
+
+
 def test_negative_control_axiom_f():
     broken = _clone(pure5(), _WrongPillar)
     report = check_axioms(broken, samples=5, seed=0)
