@@ -11,7 +11,6 @@ from .core import (
     ABOVE_PRECISION,
     BadIdealExponent,
     EnumerationTooLarge,
-    ExpLattice,
     LayerElem,
     LayerRing,
     NonPrime,
@@ -29,7 +28,6 @@ from .core import (
 )
 from .towers import (
     AxiomReport,
-    AxiomVerdict,
     LevelOutOfRange,
     MethodDisagreement,
     ProductTower,
@@ -51,7 +49,6 @@ from .tilts import (
     tilt_tower,
 )
 from .monoidal import (
-    CheckResult,
     SharpResult,
     check_pillar_valuation,
     check_sharp_reduction,
@@ -63,7 +60,6 @@ from .monoidal import (
     torsion_bijection,
 )
 from .closure import (
-    ClosureVerdict,
     ExplicitRing,
     RingPair,
     TorsionPresent,
@@ -87,5 +83,6 @@ from .ramified import (
     tilted_delta_table,
     verify_epsilon_certificate,
 )
+from .verdict import Verdict
 
 __version__ = "0.1.0"

@@ -41,6 +41,7 @@ from .ramified import (
 )
 from .tilts import p_flat, small_tilt, tilt_tower
 from .towers import TowerSpec, build_tower, check_axioms
+from .verdict import FAIL
 
 
 def _spec_pure(p=5, n=6, depth=3, vars=0, cap=0):
@@ -244,10 +245,10 @@ def closure_oracle_block(seed=0) -> dict:
         )
         if pair.label == "cartesian-defect":
             cart = is_cartesian_mod_f(pair)
-            caught = cart.verdict == "FAIL"
+            caught = cart.verdict == FAIL
             rows.append({"pair": pair.label, "cartesian": cart.verdict})
         else:
-            caught = exact.verdict == "FAIL" and sampled.verdict == "FAIL"
+            caught = exact.verdict == FAIL and sampled.verdict == FAIL
             rows.append(
                 {
                     "pair": pair.label,

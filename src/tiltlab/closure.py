@@ -20,7 +20,7 @@ a bug sentinel on disagreement.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -34,39 +34,21 @@ from .core import (
     _vp,
 )
 from .towers import MethodDisagreement
-
-PASS_EXACT = "PASS_EXACT"
-PASS_SAMPLED = "PASS_SAMPLED"
-FAIL = "FAIL"
-UNDECIDED_AT_PRECISION = "UNDECIDED_AT_PRECISION"
+from .verdict import (
+    FAIL,
+    NOT_APPLICABLE,
+    PASS_EXACT,
+    PASS_SAMPLED,
+    PASSING,
+    UNDECIDED_AT_PRECISION,
+    Verdict,
+)
 
 _EXACT_LIMIT = 1 << 16
 
 
 class TorsionPresent(ValueError):
     pass
-
-
-@dataclass
-class ClosureVerdict:
-    property: str
-    verdict: str
-    witness: str | None = None
-    samples: int | None = None
-    details: dict = field(default_factory=dict)
-
-    def ok(self) -> bool:
-        return self.verdict in (PASS_EXACT, PASS_SAMPLED)
-
-    def to_json_dict(self) -> dict:
-        out = {"property": self.property, "verdict": self.verdict}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.samples is not None:
-            out["samples"] = self.samples
-        if self.details:
-            out["details"] = self.details
-        return out
 
 
 # -- explicit structure-constant rings (for crafted instances) ---------------
@@ -400,7 +382,7 @@ def _in_monomial_ideal(x: LayerElem, s: int) -> bool:
 # -- cartesian criterion -------------------------------------------------------
 
 
-def is_cartesian_mod_f(pair: RingPair) -> ClosureVerdict:
+def is_cartesian_mod_f(pair: RingPair) -> Verdict:
     """Decides injectivity of A/fA -> B/fB, the cartesian-square criterion.
 
     For f-torsion-free rings this injectivity is equivalent to the square
@@ -414,7 +396,7 @@ def is_cartesian_mod_f(pair: RingPair) -> ClosureVerdict:
     return _cartesian_dense(pair)
 
 
-def _cartesian_monomial(pair: RingPair) -> ClosureVerdict:
+def _cartesian_monomial(pair: RingPair) -> Verdict:
     A, B = pair.A, pair.B
     s_a = _monomial_index(pair.f)
     s_b = _monomial_index(pair.map_fn(pair.f))
@@ -427,30 +409,30 @@ def _cartesian_monomial(pair: RingPair) -> ClosureVerdict:
         if len(img.terms) != 1:
             return _cartesian_dense(pair)  # not an index map after all
         if _in_monomial_ideal(img, s_b):
-            return ClosureVerdict(
-                "CARTESIAN_MOD_F",
+            return Verdict(
                 FAIL,
+                property="CARTESIAN_MOD_F",
                 witness=A.monomial(k, vt).to_text(),
                 details={"pair": pair.label, "reason": "monomial maps into fB"},
             )
         img_key = next(iter(img.terms))
         if img_key in seen:
             witness = (A.monomial(k, vt) - A.monomial(*seen[img_key])).to_text()
-            return ClosureVerdict(
-                "CARTESIAN_MOD_F",
+            return Verdict(
                 FAIL,
+                property="CARTESIAN_MOD_F",
                 witness=witness,
                 details={"pair": pair.label, "reason": "collision mod fB"},
             )
         seen[img_key] = key
-    verdict = ClosureVerdict(
-        "CARTESIAN_MOD_F", PASS_EXACT, details={"pair": pair.label}
+    verdict = Verdict(
+        PASS_EXACT, property="CARTESIAN_MOD_F", details={"pair": pair.label}
     )
     _cartesian_crosscheck(pair, verdict)
     return verdict
 
 
-def _cartesian_crosscheck(pair: RingPair, verdict: ClosureVerdict):
+def _cartesian_crosscheck(pair: RingPair, verdict: Verdict):
     A, B = pair.A, pair.B
     if A.rank > 48 or B.rank > 48:
         return
@@ -467,7 +449,7 @@ def _basis_elems(ring):
     return [ring.monomial(*key) for key in ring.basis_keys()]
 
 
-def _cartesian_dense(pair: RingPair) -> ClosureVerdict:
+def _cartesian_dense(pair: RingPair) -> Verdict:
     """Injectivity of A/fA -> B/fB by exact linear algebra over Z/p^N."""
     A, B = pair.A, pair.B
     p, nd = A.p, A.n_digits
@@ -486,14 +468,14 @@ def _cartesian_dense(pair: RingPair) -> ClosureVerdict:
             continue
         if not fA.contains(x_coords):
             witness = _combine(A, a_basis, x_coords)
-            return ClosureVerdict(
-                "CARTESIAN_MOD_F",
+            return Verdict(
                 FAIL,
+                property="CARTESIAN_MOD_F",
                 witness=witness.to_text(),
                 details={"pair": pair.label},
             )
-    return ClosureVerdict(
-        "CARTESIAN_MOD_F", PASS_EXACT, details={"pair": pair.label}
+    return Verdict(
+        PASS_EXACT, property="CARTESIAN_MOD_F", details={"pair": pair.label}
     )
 
 
@@ -508,7 +490,7 @@ def _combine(ring, basis, coords):
 # -- root closedness ------------------------------------------------------------
 
 
-def check_root_closed(pair: RingPair, n: int, mode="exact", samples=500, seed=0) -> ClosureVerdict:
+def check_root_closed(pair: RingPair, n: int, mode="exact", samples=500, seed=0) -> Verdict:
     """Does b^n in A force b in A, for b ranging over the pair's B side?
 
     mode "exact" enumerates every candidate (EnumerationTooLarge beyond the
@@ -522,7 +504,7 @@ def check_root_closed(pair: RingPair, n: int, mode="exact", samples=500, seed=0)
     return _root_closed_extension(pair, n, mode, samples, seed, prop)
 
 
-def _root_closed_extension(pair, n, mode, samples, seed, prop) -> ClosureVerdict:
+def _root_closed_extension(pair, n, mode, samples, seed, prop) -> Verdict:
     import random
 
     A, B = pair.A, pair.B
@@ -538,20 +520,20 @@ def _root_closed_extension(pair, n, mode, samples, seed, prop) -> ClosureVerdict
     for b in candidates:
         checked += 1
         if image.contains(B.to_vec(b**n)) and not image.contains(B.to_vec(b)):
-            return ClosureVerdict(
-                prop,
+            return Verdict(
                 FAIL,
+                property=prop,
                 witness=b.to_text(),
                 samples=checked,
                 details={"pair": pair.label},
             )
     verdict = PASS_EXACT if mode == "exact" else PASS_SAMPLED
-    return ClosureVerdict(
-        prop, verdict, samples=checked, details={"pair": pair.label}
+    return Verdict(
+        verdict, property=prop, samples=checked, details={"pair": pair.label}
     )
 
 
-def _root_closed_localization(pair, n, mode, samples, seed, prop) -> ClosureVerdict:
+def _root_closed_localization(pair, n, mode, samples, seed, prop) -> Verdict:
     import random
 
     A = pair.A
@@ -579,9 +561,9 @@ def _root_closed_localization(pair, n, mode, samples, seed, prop) -> ClosureVerd
         member_b = idx >= c * s_f  # b in A  <=>  val(a) >= c * val(f)
         member_bn = n * idx >= n * c * s_f  # b^n in A, by multiplicativity
         if member_bn and not member_b:
-            return ClosureVerdict(
-                prop,
+            return Verdict(
                 FAIL,
+                property=prop,
                 witness=f"({a.to_text()}) / f^{c}",
                 samples=checked,
                 details={"pair": pair.label},
@@ -597,9 +579,9 @@ def _root_closed_localization(pair, n, mode, samples, seed, prop) -> ClosureVerd
         else:
             skipped += 1
     verdict = PASS_EXACT if mode == "exact" else PASS_SAMPLED
-    return ClosureVerdict(
-        prop,
+    return Verdict(
         verdict,
+        property=prop,
         samples=checked,
         details={
             "pair": pair.label,
@@ -612,7 +594,7 @@ def _root_closed_localization(pair, n, mode, samples, seed, prop) -> ClosureVerd
 # -- almost integrality -----------------------------------------------------------
 
 
-def almost_integral_witness(pair: RingPair, b, c_cap: int, n_cap: int) -> ClosureVerdict:
+def almost_integral_witness(pair: RingPair, b, c_cap: int, n_cap: int) -> Verdict:
     """Search for c <= c_cap with f^c * b^k in A for all k <= n_cap.
 
     b is (a, c0) standing for a / f^c0.  Success certifies bounded almost
@@ -630,9 +612,9 @@ def almost_integral_witness(pair: RingPair, b, c_cap: int, n_cap: int) -> Closur
     s_f = _monomial_index(pair.f)
     idx = _abs_min_index(a)
     if idx is None:
-        return ClosureVerdict(
-            "ALMOST_INTEGRAL_WITNESS",
+        return Verdict(
             PASS_EXACT,
+            property="ALMOST_INTEGRAL_WITNESS",
             witness="c = 0",
             details={"pair": pair.label, "note": "element is 0 at precision"},
         )
@@ -645,17 +627,17 @@ def almost_integral_witness(pair: RingPair, b, c_cap: int, n_cap: int) -> Closur
                 bad = k
                 break
         if bad is None:
-            return ClosureVerdict(
-                "ALMOST_INTEGRAL_WITNESS",
+            return Verdict(
                 PASS_EXACT,
+                property="ALMOST_INTEGRAL_WITNESS",
                 witness=f"c = {c}",
                 samples=n_cap,
                 details={"pair": pair.label, "c": c},
             )
         frontier.append([c, bad])
-    return ClosureVerdict(
-        "ALMOST_INTEGRAL_WITNESS",
+    return Verdict(
         UNDECIDED_AT_PRECISION,
+        property="ALMOST_INTEGRAL_WITNESS",
         details={
             "pair": pair.label,
             "frontier": frontier,
@@ -707,7 +689,7 @@ def transfer_suite(handle, mode="sampled", samples=500, seed=0, c_cap=3, tilt_de
         for pair in tower_pairs(tilted):
             report["cartesian"].append(is_cartesian_mod_f(pair).to_json_dict())
     report["all_ok"] = all(
-        row["verdict"] in (PASS_EXACT, PASS_SAMPLED, "NOT_APPLICABLE")
+        row["verdict"] in PASSING
         for key in ("cartesian", "root_closed", "tilt_root_closed")
         for row in report[key]
     )
@@ -748,7 +730,7 @@ def _layerwise_root_closed(handle, mode, samples, seed, c_cap):
             rows.append(
                 {
                     "level": n,
-                    "verdict": "NOT_APPLICABLE",
+                    "verdict": NOT_APPLICABLE,
                     "note": "root closure is tracked on monogenic layers only",
                 }
             )

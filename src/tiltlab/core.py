@@ -73,15 +73,6 @@ class _AbovePrecision:
 ABOVE_PRECISION = _AbovePrecision()
 
 
-def val_is_at_least(v, bound) -> bool:
-    return v is ABOVE_PRECISION or v >= bound
-
-
-def val_as_fraction(v, cap: Fraction) -> Fraction:
-    """Clamp a valuation to the ring's precision cap for reporting."""
-    return cap if v is ABOVE_PRECISION else min(v, cap)
-
-
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -136,15 +127,6 @@ class PrecisionBudget:
             raise ValueError("var_degree_cap must be >= 0")
         # Cap denominators must be p-powers; checked in layer_make where the
         # prime is known.
-
-
-@dataclass(frozen=True)
-class ExpLattice:
-    denominator: int
-
-    def __post_init__(self):
-        if self.denominator < 1:
-            raise ValueError("lattice denominator must be >= 1")
 
 
 def _vp(x: int, p: int, cap: int) -> int:
@@ -263,14 +245,6 @@ class LayerRing:
     def ideal_exp(self) -> Fraction:
         return Fraction(self.ideal_num, self.e)
 
-    @property
-    def var_lattice(self) -> ExpLattice:
-        return ExpLattice(self.var_den)
-
-    @property
-    def t_lattice(self) -> ExpLattice:
-        return ExpLattice(self.e)
-
     # -- construction of elements -----------------------------------------
 
     def _cap_index(self, vt) -> bool:
@@ -378,9 +352,9 @@ class LayerRing:
 
     def _mul(self, a: "LayerElem", b: "LayerElem") -> "LayerElem":
         ta, tb = a.terms, b.terms
-        if not ta or not tb:
-            return self.zero()
         lossy = a.lossy or b.lossy
+        if not ta or not tb:
+            return LayerElem(self, {}, lossy)
         if self.num_vars == 0:
             if len(ta) * len(tb) > max(64, self.e):
                 return self._mul_dense(ta, tb, lossy)

@@ -9,15 +9,7 @@ testing needs.  Setting N = 1 recovers plain Gaussian elimination over F_p.
 
 from __future__ import annotations
 
-
-def _vp(x: int, p: int, cap: int) -> int:
-    if x == 0:
-        return cap
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
+from .core import _vp
 
 
 class RowSpan:

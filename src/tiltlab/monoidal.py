@@ -32,33 +32,7 @@ from .core import (
 )
 from .tilts import SmallTiltElem, ZeroDepth, f_flat_generator, small_tilt
 from .towers import MethodDisagreement
-
-PASS = "PASS"
-FAIL = "FAIL"
-SAMPLED_PASS = "SAMPLED_PASS"
-TRIVIAL_CASE = "TRIVIAL_CASE"
-
-
-@dataclass
-class CheckResult:
-    name: str
-    verdict: str
-    samples: int | None = None
-    witness: str | None = None
-    details: dict = field(default_factory=dict)
-
-    def ok(self) -> bool:
-        return self.verdict in (PASS, SAMPLED_PASS, TRIVIAL_CASE)
-
-    def to_json_dict(self) -> dict:
-        out = {"name": self.name, "verdict": self.verdict}
-        if self.samples is not None:
-            out["samples"] = self.samples
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.details:
-            out["details"] = self.details
-        return out
+from .verdict import FAIL, PASS, TRIVIAL_CASE, Verdict
 
 
 @dataclass
@@ -156,7 +130,7 @@ def sharp(handle, x: SmallTiltElem, rng=None) -> SharpResult:
     return SharpResult(value, j, m, measure)
 
 
-def check_sharp_reduction(handle, j, samples=100, seed=0, m=None) -> CheckResult:
+def check_sharp_reduction(handle, j, samples=100, seed=0, m=None) -> Verdict:
     """reduce(sharp(x)) equals the 0-th projection of x, embedded upward.
 
     This is the commuting triangle tying the monoidal map to the quotient
@@ -173,15 +147,18 @@ def check_sharp_reduction(handle, j, samples=100, seed=0, m=None) -> CheckResult
         lhs = deep.reduce_mod_ideal(sharp(handle, x).value)
         rhs = handle.tbar_multi(j, j + m, x.component(0))
         if lhs != rhs:
-            return CheckResult(
-                "sharp_reduction",
+            return Verdict(
                 FAIL,
+                name="sharp_reduction",
                 witness=pres.text_of(x),
                 details={"layer": j, "depth": m},
             )
         checked += 1
-    return CheckResult(
-        "sharp_reduction", PASS, samples=checked, details={"layer": j, "depth": m}
+    return Verdict(
+        PASS,
+        name="sharp_reduction",
+        samples=checked,
+        details={"layer": j, "depth": m},
     )
 
 
@@ -193,7 +170,7 @@ def _sample_tilts(pres, rng, samples):
         yield pres.random_element(rng, max_terms=3)
 
 
-def check_tilt_quotient_iso(handle, j, m, samples=100, seed=0) -> CheckResult:
+def check_tilt_quotient_iso(handle, j, m, samples=100, seed=0) -> Verdict:
     """The map induced by sharp: tilt mod pillar -> layer quotient.
 
     Checked as a ring isomorphism on the nose: bijective on the monomial
@@ -211,9 +188,9 @@ def check_tilt_quotient_iso(handle, j, m, samples=100, seed=0) -> CheckResult:
         bad = next((p for p in parts if not p.ok()), None)
         if bad is not None:
             return bad
-        return CheckResult(
-            "tilt_quotient_iso",
+        return Verdict(
             PASS,
+            name="tilt_quotient_iso",
             samples=sum(p.samples or 0 for p in parts),
             details={"components": [p.details for p in parts]},
         )
@@ -240,26 +217,26 @@ def check_tilt_quotient_iso(handle, j, m, samples=100, seed=0) -> CheckResult:
             continue
         img = induced(dom.monomial(k, vt))
         if len(img.terms) != 1:
-            return CheckResult(
-                "tilt_quotient_iso",
+            return Verdict(
                 FAIL,
+                name="tilt_quotient_iso",
                 witness=dom.monomial(k, vt).to_text(),
                 details={"layer": j, "reason": "monomial image not a monomial"},
             )
         key = next(iter(img.terms))
         if key in hit:
-            return CheckResult(
-                "tilt_quotient_iso",
+            return Verdict(
                 FAIL,
+                name="tilt_quotient_iso",
                 witness=dom.monomial(k, vt).to_text(),
                 details={"layer": j, "reason": "not injective"},
             )
         hit.add(key)
     missing = [key for key in quot.basis_keys() if key not in hit]
     if missing:
-        return CheckResult(
-            "tilt_quotient_iso",
+        return Verdict(
             FAIL,
+            name="tilt_quotient_iso",
             witness=quot.monomial(*missing[0]).to_text(),
             details={"layer": j, "reason": "not surjective"},
         )
@@ -273,16 +250,16 @@ def check_tilt_quotient_iso(handle, j, m, samples=100, seed=0) -> CheckResult:
         prod = a * b
         prod = prod - _pillar_part(dom, prod, c_j)
         if induced(prod) != induced(a) * induced(b):
-            return CheckResult(
-                "tilt_quotient_iso",
+            return Verdict(
                 FAIL,
+                name="tilt_quotient_iso",
                 witness=f"{a.to_text()} * {b.to_text()}",
                 details={"layer": j, "reason": "not multiplicative"},
             )
         if induced(a + b) != induced(a) + induced(b):
-            return CheckResult(
-                "tilt_quotient_iso",
+            return Verdict(
                 FAIL,
+                name="tilt_quotient_iso",
                 witness=f"{a.to_text()} + {b.to_text()}",
                 details={"layer": j, "reason": "not additive"},
             )
@@ -290,7 +267,7 @@ def check_tilt_quotient_iso(handle, j, m, samples=100, seed=0) -> CheckResult:
     details = {"layer": j, "depth": m, "basis_dim": len(hit)}
     if restricted:
         details["window_restricted_monomials"] = restricted
-    return CheckResult("tilt_quotient_iso", PASS, samples=checked, details=details)
+    return Verdict(PASS, name="tilt_quotient_iso", samples=checked, details=details)
 
 
 def _pillar_part(ring, x, c_j):
@@ -300,7 +277,7 @@ def _pillar_part(ring, x, c_j):
     )
 
 
-def check_pillar_valuation(handle, j, m=None, seed=None) -> CheckResult:
+def check_pillar_valuation(handle, j, m=None, seed=None) -> Verdict:
     """valuation(sharp(tilt pillar)) equals valuation(layer pillar), and
     their ratio is a unit at precision."""
     import random
@@ -313,24 +290,24 @@ def check_pillar_valuation(handle, j, m=None, seed=None) -> CheckResult:
     want = fj.valuation()
     got = result.value.valuation()
     if got != want:
-        return CheckResult(
-            "pillar_valuation",
+        return Verdict(
             FAIL,
+            name="pillar_valuation",
             witness=result.value.to_text(),
             details={"layer": j, "expected": str(want), "got": str(got)},
         )
     fj_deep = handle.embed(j, j + m, fj)
     unit_ok, unit_text = _unit_ratio(handle, j + m, result.value, fj_deep)
     if not unit_ok:
-        return CheckResult(
-            "pillar_valuation",
+        return Verdict(
             FAIL,
+            name="pillar_valuation",
             witness=result.value.to_text(),
             details={"layer": j, "reason": "ratio is not a unit at precision"},
         )
-    return CheckResult(
-        "pillar_valuation",
+    return Verdict(
         PASS,
+        name="pillar_valuation",
         details={"layer": j, "valuation": str(want), "unit": unit_text},
     )
 
@@ -365,7 +342,7 @@ def _unit_ratio(handle, n, value, monomial_elem):
     return True, q.to_text()
 
 
-def idempotent_bijection(handle, m=None) -> CheckResult:
+def idempotent_bijection(handle, m=None) -> Verdict:
     """sharp restricts to a bijection tilt idempotents -> layer idempotents,
     inverted by the constant-sequence map.
 
@@ -384,9 +361,9 @@ def idempotent_bijection(handle, m=None) -> CheckResult:
         if e * e != e:
             raise MethodDisagreement(f"{e.to_text()} is not idempotent")
     if len(tilt_idems) != len(layer_idems):
-        return CheckResult(
-            "idempotent_bijection",
+        return Verdict(
             FAIL,
+            name="idempotent_bijection",
             witness=f"{len(tilt_idems)} tilt vs {len(layer_idems)} layer idempotents",
         )
     matched = []
@@ -395,9 +372,9 @@ def idempotent_bijection(handle, m=None) -> CheckResult:
         x = pres.from_presentation(e_flat)
         value = sharp(handle, x).value
         if value not in layer_pool:
-            return CheckResult(
-                "idempotent_bijection",
+            return Verdict(
                 FAIL,
+                name="idempotent_bijection",
                 witness=pres.text_of(x),
                 details={"reason": "sharp image is not a layer idempotent"},
             )
@@ -405,21 +382,21 @@ def idempotent_bijection(handle, m=None) -> CheckResult:
         # Inverse direction: the constant sequence of the image returns x.
         back = SmallTiltElem(handle, j, m, deep_ring.reduce_mod_ideal(value))
         if back != x:
-            return CheckResult(
-                "idempotent_bijection",
+            return Verdict(
                 FAIL,
+                name="idempotent_bijection",
                 witness=pres.text_of(x),
                 details={"reason": "constant-sequence inverse fails"},
             )
         matched.append((pres.text_of(x), value.to_text()))
-    return CheckResult(
-        "idempotent_bijection",
+    return Verdict(
         PASS,
+        name="idempotent_bijection",
         details={"count": len(matched), "matched": matched},
     )
 
 
-def torsion_bijection(handle, m=None, tilt_pillar_override=None) -> CheckResult:
+def torsion_bijection(handle, m=None, tilt_pillar_override=None) -> Verdict:
     """Compare pillar-torsion of each layer with its tilt presentation.
 
     For the towers in scope both sides are torsion-free, so the verdict
@@ -446,9 +423,9 @@ def torsion_bijection(handle, m=None, tilt_pillar_override=None) -> CheckResult:
             "tilt_flags": list(tilt_rep.flags),
         }
         if len(layer_rep.genuine) != len(tilt_rep.genuine):
-            return CheckResult(
-                "torsion_bijection",
+            return Verdict(
                 FAIL,
+                name="torsion_bijection",
                 witness=f"layer {j}: {len(layer_rep.genuine)} vs "
                 f"{len(tilt_rep.genuine)} genuine torsion generators",
                 details=levels,
@@ -457,9 +434,9 @@ def torsion_bijection(handle, m=None, tilt_pillar_override=None) -> CheckResult:
         row["layer_genuine"] == 0 and row["tilt_genuine"] == 0
         for row in levels.values()
     )
-    return CheckResult(
-        "torsion_bijection",
+    return Verdict(
         TRIVIAL_CASE if trivial else PASS,
+        name="torsion_bijection",
         details=levels,
     )
 
@@ -474,7 +451,7 @@ def _ring_torsion(ring, f):
     return ring.torsion_submodule(f)
 
 
-def multiplicativity_trial(handle, j, m, pairs=500, seed=0) -> CheckResult:
+def multiplicativity_trial(handle, j, m, pairs=500, seed=0) -> Verdict:
     """sharp(x*y) agrees with sharp(x)*sharp(y) to the measured precision."""
     import random
 
@@ -495,16 +472,16 @@ def multiplicativity_trial(handle, j, m, pairs=500, seed=0) -> CheckResult:
             failures += 1
             worst = f"{pres.text_of(x)} * {pres.text_of(y)}"
     verdict = PASS if failures == 0 else FAIL
-    return CheckResult(
-        "sharp_multiplicativity",
+    return Verdict(
         verdict,
+        name="sharp_multiplicativity",
         samples=pairs,
         witness=worst,
         details={"failures": failures, "layer": j, "depth": m},
     )
 
 
-def lift_independence_trial(handle, j, m, trials=100, seed=0) -> CheckResult:
+def lift_independence_trial(handle, j, m, trials=100, seed=0) -> Verdict:
     """Randomized lifts change sharp by at most its effective precision."""
     import random
 
@@ -522,9 +499,9 @@ def lift_independence_trial(handle, j, m, trials=100, seed=0) -> CheckResult:
             failures += 1
             worst = pres.text_of(x)
     verdict = PASS if failures == 0 else FAIL
-    return CheckResult(
-        "sharp_lift_independence",
+    return Verdict(
         verdict,
+        name="sharp_lift_independence",
         samples=trials,
         witness=worst,
         details={"failures": failures, "layer": j, "depth": m},

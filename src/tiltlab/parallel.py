@@ -1,29 +1,9 @@
-"""Bounded parallel map for independent checks.
+"""Map over independent checks, in input order.
 
-TILTLAB_THREADS caps the worker count (0 or unset = auto).  Results are
-collected in input order, so reports never depend on completion order;
-every job must be a pure function of its argument.
+The map is serial: the checks are pure Python and hold the interpreter
+lock, so worker threads would only add hand-off cost.
 """
-
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-
-def thread_budget() -> int:
-    raw = os.environ.get("TILTLAB_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = os.cpu_count() or 1
-    return n
 
 
 def pmap(fn, items):
-    items = list(items)
-    workers = min(thread_budget(), len(items))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return [fn(x) for x in items]

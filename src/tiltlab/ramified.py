@@ -33,6 +33,7 @@ from .towers import (
     build_tower,
     check_axioms,
 )
+from .verdict import NOT_APPLICABLE, PASS_SAMPLED
 
 
 class NoWitnessInRange(ValueError):
@@ -507,7 +508,7 @@ def smalltilt_normality_report(handle, samples: int = 1000, seed: int = 0) -> di
                 pair, handle.p, mode="sampled", samples=samples, seed=seed + i
             ).to_json_dict()
         else:
-            closed = {"verdict": "NOT_APPLICABLE"}
+            closed = {"verdict": NOT_APPLICABLE}
         rows.append(
             {
                 "level": j,
@@ -518,7 +519,7 @@ def smalltilt_normality_report(handle, samples: int = 1000, seed: int = 0) -> di
             }
         )
     all_ok = all(
-        r["presentation_monogenic"] and r["p_root_closed"]["verdict"] == "PASS_SAMPLED"
+        r["presentation_monogenic"] and r["p_root_closed"]["verdict"] == PASS_SAMPLED
         for r in rows
     )
     return {"levels": rows, "all_ok": all_ok}

@@ -36,6 +36,7 @@ from .core import (
     ProductRing,
     layer_make,
 )
+from .verdict import FAIL, NOT_APPLICABLE, PASS, SAMPLED_PASS, Verdict
 
 
 class SpecError(ValueError):
@@ -344,9 +345,6 @@ class ProductTower:
     def f0(self, n):
         return self.layer(n).wrap(c.f0(n) for c in self.components)
 
-    def _map(self, ring_fn, elem_fn, x):
-        return ring_fn().wrap(elem_fn(c, part) for c, part in zip(self.components, x.parts))
-
     def transition(self, n, x):
         return self.layer(n + 1).wrap(
             c.transition(n, part) for c, part in zip(self.components, x.parts)
@@ -441,36 +439,9 @@ def frob_projection(handle, n: int, x):
 
 # -- axiom verification ---------------------------------------------------------
 
-PASS = "PASS"
-FAIL = "FAIL"
-SAMPLED_PASS = "SAMPLED_PASS"
-NOT_APPLICABLE = "NOT_APPLICABLE"
-
-
-@dataclass
-class AxiomVerdict:
-    verdict: str
-    witness: str | None = None
-    samples: int | None = None
-    details: dict = field(default_factory=dict)
-
-    def ok(self) -> bool:
-        return self.verdict in (PASS, SAMPLED_PASS, NOT_APPLICABLE)
-
-    def to_json_dict(self) -> dict:
-        out = {"verdict": self.verdict}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.samples is not None:
-            out["samples"] = self.samples
-        if self.details:
-            out["details"] = self.details
-        return out
-
-
 @dataclass
 class AxiomReport:
-    axioms: dict[str, AxiomVerdict]
+    axioms: dict[str, Verdict]
     tower: dict = field(default_factory=dict)
 
     @property
@@ -487,26 +458,26 @@ class AxiomReport:
         }
 
 
-def _fail(witness: str, **details) -> AxiomVerdict:
-    return AxiomVerdict(FAIL, witness=witness, details=details)
+def _fail(witness: str, **details) -> Verdict:
+    return Verdict(FAIL, witness=witness, details=details)
 
 
-def _merge_verdicts(parts: list[AxiomVerdict]) -> AxiomVerdict:
+def _merge_verdicts(parts: list[Verdict]) -> Verdict:
     for i, v in enumerate(parts):
         if v.verdict == FAIL:
-            out = AxiomVerdict(FAIL, witness=f"component {i}: {v.witness}")
-            out.details = v.details
-            return out
+            return Verdict(
+                FAIL, witness=f"component {i}: {v.witness}", details=v.details
+            )
     samples = [v.samples for v in parts if v.samples is not None]
     details: dict = {}
     for i, v in enumerate(parts):
         if v.details:
             details[f"component_{i}"] = v.details
     if any(v.verdict == SAMPLED_PASS for v in parts):
-        return AxiomVerdict(SAMPLED_PASS, samples=sum(samples), details=details)
+        return Verdict(SAMPLED_PASS, samples=sum(samples), details=details)
     if all(v.verdict == NOT_APPLICABLE for v in parts):
-        return AxiomVerdict(NOT_APPLICABLE, details=details)
-    return AxiomVerdict(PASS, details=details)
+        return Verdict(NOT_APPLICABLE, details=details)
+    return Verdict(PASS, details=details)
 
 
 def check_axioms(handle, samples: int = 200, seed: int = 0) -> AxiomReport:
@@ -543,12 +514,12 @@ def check_axioms(handle, samples: int = 200, seed: int = 0) -> AxiomReport:
         ("g", _check_g),
     ]
     results = pmap(lambda job: (job[0], job[1](handle)), exact_jobs)
-    axioms: dict[str, AxiomVerdict] = dict(results)
+    axioms: dict[str, Verdict] = dict(results)
     axioms["e"] = _check_e(handle, samples, rng)  # owns the rng; kept serial
     return AxiomReport(axioms=axioms, tower=handle.describe())
 
 
-def _check_a(handle) -> AxiomVerdict:
+def _check_a(handle) -> Verdict:
     base = handle.layer(handle.start)
     if base.ideal_exp > 1:
         return _fail(f"ideal exponent {base.ideal_exp} > 1", level=handle.start)
@@ -563,21 +534,21 @@ def _check_a(handle) -> AxiomVerdict:
     if base.mode == CHAR_P:
         if not p_elem.is_zero():
             return _fail("p is not zero in a characteristic-p base layer")
-        return AxiomVerdict(PASS)
+        return Verdict(PASS)
     try:
         q = p_elem.divide_by_monomial(base.ideal_num)
     except ValueError:
         return _fail("p is not divisible by f0 in the base layer")
     if q * base.f0() != p_elem:
         return _fail("p/f0 * f0 != p in the base layer")
-    return AxiomVerdict(PASS)
+    return Verdict(PASS)
 
 
 def _pair_levels(handle):
     return range(handle.start, handle.top)
 
 
-def _check_b(handle) -> AxiomVerdict:
+def _check_b(handle) -> Verdict:
     for n in _pair_levels(handle):
         src = handle.quotient(n)
         seen = {}
@@ -597,10 +568,10 @@ def _check_b(handle) -> AxiomVerdict:
                 )
             seen[img_key] = key
         _crosscheck_rank(handle, n, injective=True)
-    return AxiomVerdict(PASS)
+    return Verdict(PASS)
 
 
-def _check_c(handle) -> AxiomVerdict:
+def _check_c(handle) -> Verdict:
     p = handle.p
     for n in _pair_levels(handle):
         up = handle.quotient(n + 1)
@@ -625,10 +596,10 @@ def _check_c(handle) -> AxiomVerdict:
                     f"at level {n}",
                     level=n,
                 )
-    return AxiomVerdict(PASS)
+    return Verdict(PASS)
 
 
-def _check_d(handle) -> AxiomVerdict:
+def _check_d(handle) -> Verdict:
     for n in _pair_levels(handle):
         up = handle.quotient(n + 1)
         down = handle.quotient(n)
@@ -646,7 +617,7 @@ def _check_d(handle) -> AxiomVerdict:
                 missing=len(missing),
             )
         _crosscheck_rank(handle, n, injective=False)
-    return AxiomVerdict(PASS)
+    return Verdict(PASS)
 
 
 def _crosscheck_rank(handle, n, injective: bool):
@@ -666,7 +637,7 @@ def _crosscheck_rank(handle, n, injective: bool):
         )
 
 
-def _check_e(handle, samples: int, rng) -> AxiomVerdict:
+def _check_e(handle, samples: int, rng) -> Verdict:
     total = 0
     for n in handle.levels:
         ring = handle.layer(n)
@@ -687,10 +658,10 @@ def _check_e(handle, samples: int, rng) -> AxiomVerdict:
                     level=n,
                 )
             total += 1
-    return AxiomVerdict(SAMPLED_PASS, samples=total)
+    return Verdict(SAMPLED_PASS, samples=total)
 
 
-def _check_f(handle) -> AxiomVerdict:
+def _check_f(handle) -> Verdict:
     p = handle.p
     level1 = handle.start + 1
     ring1 = handle.layer(level1)
@@ -736,7 +707,7 @@ def _check_f(handle) -> AxiomVerdict:
         tail_dims[str(n)] = len(tail - ideal)
     if any(tail_dims.values()):
         details["truncation_tail_dim"] = tail_dims
-    return AxiomVerdict(PASS, details=details)
+    return Verdict(PASS, details=details)
 
 
 def _truncation_tail(handle, n) -> set:
@@ -758,7 +729,7 @@ def _truncation_tail(handle, n) -> set:
     return tail
 
 
-def _check_g(handle) -> AxiomVerdict:
+def _check_g(handle) -> Verdict:
     bases = {}
     for n in handle.levels:
         ring = handle.layer(n)
@@ -775,4 +746,4 @@ def _check_g(handle) -> AxiomVerdict:
                 level=n,
                 torsion=bases,
             )
-    return AxiomVerdict(PASS, details={"torsion": bases})
+    return Verdict(PASS, details={"torsion": bases})

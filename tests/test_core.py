@@ -335,8 +335,6 @@ def test_pow_rejects_negative():
 
 
 def reference_mul(a, b):
-    if not a.terms or not b.terms:
-        return a.ring.zero()  # the zero short-circuit every ring shares
     items = [
         (ka + kb, tuple(x + y for x, y in zip(va, vb)), ca * cb)
         for (ka, va), ca in a.terms.items()
@@ -434,6 +432,16 @@ def test_monogenic_mul_folds_and_cancels():
     y = char_p.monomial(2) + char_p.monomial(3)
     _same(y * y, reference_mul(y, y), order=True)
     assert y * y == char_p.zero()  # every product index is past the window
+
+
+def test_zero_product_keeps_the_lossy_flag():
+    ring = LayerRing(mode=CHAR_P, p=2, e=1, window=1, ideal_num=1)
+    zero = ring._from_items([], lossy=True)
+    prod = zero * zero
+    _same(prod, reference_mul(zero, zero), order=True)
+    assert prod.is_zero() and prod.lossy
+    assert (zero * ring.one()).lossy and (ring.one() * zero).lossy
+    assert not (ring.zero() * ring.one()).lossy
 
 
 # -- the variable-degree cap -------------------------------------------------------

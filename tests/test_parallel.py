@@ -1,35 +1,14 @@
-"""The bounded parallel map: ordering, env control, determinism."""
+"""The map over independent checks keeps input order."""
 
-from tiltlab.parallel import pmap, thread_budget
+from tiltlab.parallel import pmap
 
 
-def test_pmap_preserves_input_order(monkeypatch):
-    monkeypatch.setenv("TILTLAB_THREADS", "4")
+def test_pmap_preserves_input_order():
     items = list(range(50))
     assert pmap(lambda x: x * x, items) == [x * x for x in items]
 
 
-def test_pmap_serial_path(monkeypatch):
-    monkeypatch.setenv("TILTLAB_THREADS", "1")
+def test_pmap_serial_path():
     assert pmap(str, [3, 1, 2]) == ["3", "1", "2"]
     assert pmap(str, []) == []
-
-
-def test_thread_budget_parsing(monkeypatch):
-    monkeypatch.setenv("TILTLAB_THREADS", "3")
-    assert thread_budget() == 3
-    monkeypatch.setenv("TILTLAB_THREADS", "0")
-    assert thread_budget() >= 1
-    monkeypatch.setenv("TILTLAB_THREADS", "junk")
-    assert thread_budget() >= 1
-
-
-def test_axiom_report_independent_of_thread_budget(monkeypatch):
-    from tiltlab.towers import TowerSpec, build_tower, check_axioms
-
-    handle = build_tower(TowerSpec(prime=5, n_digits=6, depth=2))
-    monkeypatch.setenv("TILTLAB_THREADS", "1")
-    serial = check_axioms(handle, samples=20, seed=5).to_json_dict()
-    monkeypatch.setenv("TILTLAB_THREADS", "4")
-    threaded = check_axioms(handle, samples=20, seed=5).to_json_dict()
-    assert serial == threaded
+    assert pmap(str, iter([4, 5])) == ["4", "5"]
