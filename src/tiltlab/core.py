@@ -799,6 +799,9 @@ class ProductRing:
     def f0(self):
         return self.wrap(f.f0() for f in self.factors)
 
+    def monomial(self, k: int):
+        return self.wrap(f.monomial(k) for f in self.factors)
+
     def quotient_ring(self):
         return ProductRing(tuple(f.quotient_ring() for f in self.factors))
 

@@ -27,11 +27,11 @@ from .core import (
     MIXED,
     Fraction,
     NotInvertible,
-    ProductRing,
+    ProductElem,
     _vp,
 )
 from .tilts import SmallTiltElem, ZeroDepth, f_flat_generator, small_tilt
-from .towers import MethodDisagreement
+from .towers import MethodDisagreement, ProductTower
 from .verdict import FAIL, PASS, TRIVIAL_CASE, Verdict
 
 
@@ -71,7 +71,7 @@ def _lift(handle, n, q, rng=None):
 
 
 def _image_scale_ok(q, scale: int) -> bool:
-    if hasattr(q, "parts"):
+    if isinstance(q, ProductElem):
         return all(_image_scale_ok(part, scale) for part in q.parts)
     return all(
         k % scale == 0 and all(j % scale == 0 for j in vt)
@@ -82,13 +82,7 @@ def _image_scale_ok(q, scale: int) -> bool:
 def _tbar_preimage(handle, j, n, q):
     """Invert the composite reduction map on its image (index division)."""
     scale = handle.transition_scale() ** (n - j)
-    target = handle.quotient(j)
-    if hasattr(q, "parts"):
-        return target.wrap(
-            _tbar_preimage(c, j, n, part)
-            for c, part in zip(handle.components, q.parts)
-        )
-    return target._from_items(
+    return handle.quotient(j)._from_items(
         [
             (k // scale, tuple(x // scale for x in vt), c)
             for (k, vt), c in q.terms.items()
@@ -180,7 +174,7 @@ def check_tilt_quotient_iso(handle, j, m, samples=100, seed=0) -> Verdict:
     """
     import random
 
-    if getattr(handle, "is_product", False):
+    if isinstance(handle, ProductTower):
         parts = [
             check_tilt_quotient_iso(c, j, m, samples=samples, seed=seed + i)
             for i, c in enumerate(handle.components)
@@ -319,7 +313,7 @@ def _unit_ratio(handle, n, value, monomial_elem):
     Eisenstein relation), so the division uses the absolute index and the
     coefficient's unit part.
     """
-    if hasattr(value, "parts"):
+    if isinstance(handle, ProductTower):
         texts = []
         for comp, v_part, m_part in zip(
             handle.components, value.parts, monomial_elem.parts
@@ -413,7 +407,7 @@ def torsion_bijection(handle, m=None, tilt_pillar_override=None) -> Verdict:
         tilt_f = (
             tilt_pillar_override(pres)
             if tilt_pillar_override is not None
-            else _pres_pillar(pres.ring)
+            else pres.ring.f0()
         )
         tilt_rep = _ring_torsion(pres.ring, tilt_f)
         levels[str(j)] = {
@@ -439,12 +433,6 @@ def torsion_bijection(handle, m=None, tilt_pillar_override=None) -> Verdict:
         name="torsion_bijection",
         details=levels,
     )
-
-
-def _pres_pillar(ring):
-    if isinstance(ring, ProductRing):
-        return ring.wrap(f.f0() for f in ring.factors)
-    return ring.f0()
 
 
 def _ring_torsion(ring, f):

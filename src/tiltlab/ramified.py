@@ -460,7 +460,7 @@ def assemble_perfectoid(
             ideal_exp=eps,
             start_level=cand,
         )
-        handle = build_tower(tower_spec)
+        pillar_index = None
         if pillar_valuation_override is not None:
             idx = pillar_valuation_override * spec.m * spec.prime**cand
             if idx.denominator != 1:
@@ -468,7 +468,8 @@ def assemble_perfectoid(
                     f"override valuation {pillar_valuation_override} is not "
                     f"in the level-{cand} lattice"
                 )
-            handle.pillar_index = lambda idx=int(idx): idx
+            pillar_index = int(idx)
+        handle = build_tower(tower_spec, pillar_index=pillar_index)
         report = check_axioms(handle, samples=samples, seed=seed)
         last_report = report
         if report.all_pass:

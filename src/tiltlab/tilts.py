@@ -133,14 +133,11 @@ class TiltPresentation:
     @property
     def quotient_exponent(self) -> int:
         """Nilpotency index K of the presentation (t-adic precision)."""
-        ring = self.ring
-        if isinstance(ring, ProductRing):
-            return ring.factors[0].window
-        return ring.window
+        return self.handle.ideal_index(self.layer) * self.handle.p**self.depth
 
     def generator(self) -> SmallTiltElem:
         """The tilt element presented by T (deepest component s)."""
-        return self.from_presentation(_ring_monomial(self.ring, 1))
+        return self.from_presentation(self.ring.monomial(1))
 
     def from_presentation(self, x) -> SmallTiltElem:
         deepest = _reindex(x, self.handle.quotient(self.layer + self.depth))
@@ -152,9 +149,10 @@ class TiltPresentation:
         return _reindex(elem.deepest, self.ring)
 
     def parse(self, text: str) -> SmallTiltElem:
+        args = (self.handle, self.layer, self.depth)
         symbols = {
-            "pflat": _as_pres(self.ring, p_flat(self.handle, self.layer, self.depth), self),
-            "fflat": _as_pres(self.ring, f_flat_generator(self.handle, self.layer, self.depth), self),
+            "pflat": self.to_presentation(p_flat(*args)),
+            "fflat": self.to_presentation(f_flat_generator(*args)),
         }
         return self.from_presentation(parse_element(self.ring, text, symbols))
 
@@ -178,16 +176,6 @@ class TiltPresentation:
         }
 
 
-def _as_pres(ring, tilt_elem, pres):
-    return pres.to_presentation(tilt_elem)
-
-
-def _ring_monomial(ring, k: int):
-    if isinstance(ring, ProductRing):
-        return ring.wrap(f.monomial(k) for f in ring.factors)
-    return ring.monomial(k)
-
-
 def _reindex(x, target):
     """Copy terms between index-compatible rings (same window, lattices differ)."""
     if isinstance(target, ProductRing):
@@ -198,7 +186,7 @@ def _reindex(x, target):
 
 
 def _presentation_ring(handle, j: int, m: int):
-    if getattr(handle, "is_product", False):
+    if isinstance(handle, ProductTower):
         return ProductRing(
             tuple(_presentation_ring(c, j, m) for c in handle.components)
         )
@@ -231,7 +219,7 @@ def p_flat(handle, j: int, m: int) -> SmallTiltElem:
     """
     _check_range(handle, j, m)
     quot = handle.quotient(j + m)
-    return SmallTiltElem(handle, j, m, _ring_monomial(quot, handle.e0))
+    return SmallTiltElem(handle, j, m, quot.monomial(handle.e0))
 
 
 def f_flat_generator(handle, j: int, m: int) -> SmallTiltElem:
@@ -242,7 +230,7 @@ def f_flat_generator(handle, j: int, m: int) -> SmallTiltElem:
     """
     _check_range(handle, j, m)
     quot = handle.quotient(j + m)
-    return SmallTiltElem(handle, j, m, _ring_monomial(quot, handle.pillar_index()))
+    return SmallTiltElem(handle, j, m, quot.monomial(handle.pillar_index()))
 
 
 def tilt_tower(handle, m: int):
@@ -252,7 +240,7 @@ def tilt_tower(handle, m: int):
     transitions and Frobenius projections are the induced index maps, so
     the result is a characteristic-p tower over the same ideal data.
     """
-    if getattr(handle, "is_product", False):
+    if isinstance(handle, ProductTower):
         return ProductTower(
             None, tuple(tilt_tower(c, m) for c in handle.components)
         )

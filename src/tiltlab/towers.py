@@ -165,6 +165,8 @@ class TowerSpec:
 class TowerHandle:
     """A realized monogenic-family tower (mixed or characteristic p)."""
 
+    is_product = False
+
     def __init__(
         self,
         *,
@@ -177,6 +179,7 @@ class TowerHandle:
         rings: dict[int, LayerRing],
         char_p: bool = False,
         label: str = "",
+        pillar_index: int | None = None,
     ):
         self.spec = spec
         self.p = p
@@ -187,7 +190,7 @@ class TowerHandle:
         self.char_p = char_p
         self.label = label or (spec.kind if spec else "tower")
         self._rings = rings
-        self.is_product = False
+        self._pillar_index = pillar_index
 
     # -- structure ---------------------------------------------------------
 
@@ -216,7 +219,12 @@ class TowerHandle:
         return self.p
 
     def pillar_index(self) -> int:
-        """t-index of the distinguished ideal generator, constant in n."""
+        """t-index of the distinguished ideal generator, constant in n.
+
+        A pillar_index given to the constructor (a negative control) wins.
+        """
+        if self._pillar_index is not None:
+            return self._pillar_index
         return self.ideal_index(self.start)
 
     def pillar_elem(self, n: int) -> LayerElem:
@@ -296,90 +304,53 @@ class TowerHandle:
         }
 
 
-class ProductTower:
-    """Componentwise product of towers over the same levels."""
+class ProductTower(TowerHandle):
+    """Componentwise product of towers sharing levels, e0, ideal and pillar."""
+
+    is_product = True
 
     def __init__(self, spec: TowerSpec | None, components: tuple):
-        starts = {c.start for c in components}
-        depths = {c.depth for c in components}
-        if len(starts) != 1 or len(depths) != 1:
-            raise SpecError("product components must share the level range")
-        self.spec = spec
-        self.components = tuple(components)
         first = components[0]
-        self.p = first.p
-        self.e0 = first.e0
-        self.ideal_exp = first.ideal_exp
-        self.start = first.start
-        self.depth = first.depth
-        self.char_p = first.char_p
-        self.label = "product(" + ", ".join(c.label for c in components) + ")"
-        self.is_product = True
-
-    @property
-    def top(self):
-        return self.start + self.depth
-
-    @property
-    def levels(self):
-        return range(self.start, self.top + 1)
-
-    def layer(self, n):
-        return ProductRing(tuple(c.layer(n) for c in self.components))
-
-    def quotient(self, n):
-        return ProductRing(tuple(c.quotient(n) for c in self.components))
+        shapes = {(c.start, c.depth, c.e0, c.ideal_exp, c.pillar_index())
+                  for c in components}
+        if len(shapes) > 1:
+            raise SpecError("product components must share levels, e0, ideal and pillar")
+        super().__init__(
+            spec=spec,
+            p=first.p,
+            e0=first.e0,
+            ideal_exp=first.ideal_exp,
+            start=first.start,
+            depth=first.depth,
+            rings={n: ProductRing(tuple(c.layer(n) for c in components))
+                   for n in first.levels},
+            char_p=first.char_p,
+            label="product(" + ", ".join(c.label for c in components) + ")",
+            pillar_index=first.pillar_index(),
+        )
+        self.components = tuple(components)
 
     def ideal_index(self, n):
         return self.components[0].ideal_index(n)
 
-    def transition_scale(self):
-        return self.components[0].transition_scale()
-
-    def pillar_index(self):
-        return self.components[0].pillar_index()
-
-    def pillar_elem(self, n):
-        return self.layer(n).wrap(c.pillar_elem(n) for c in self.components)
-
-    def f0(self, n):
-        return self.layer(n).wrap(c.f0(n) for c in self.components)
+    def _componentwise(self, method, target, n, x):
+        return target.wrap(
+            getattr(c, method)(n, part) for c, part in zip(self.components, x.parts)
+        )
 
     def transition(self, n, x):
-        return self.layer(n + 1).wrap(
-            c.transition(n, part) for c, part in zip(self.components, x.parts)
-        )
-
-    def embed(self, n_from, n_to, x):
-        for n in range(n_from, n_to):
-            x = self.transition(n, x)
-        return x
+        return self._componentwise("transition", self.layer(n + 1), n, x)
 
     def tbar(self, n, q):
-        return self.quotient(n + 1).wrap(
-            c.tbar(n, part) for c, part in zip(self.components, q.parts)
-        )
-
-    def tbar_multi(self, n_from, n_to, q):
-        for n in range(n_from, n_to):
-            q = self.tbar(n, q)
-        return q
+        return self._componentwise("tbar", self.quotient(n + 1), n, q)
 
     def frob(self, n, q):
-        return self.quotient(n).wrap(
-            c.frob(n, part) for c, part in zip(self.components, q.parts)
-        )
+        return self._componentwise("frob", self.quotient(n), n, q)
 
-    def frob_multi(self, n_to, n_from, q):
-        for n in range(n_from - 1, n_to - 1, -1):
-            q = self.frob(n, q)
-        return q
-
-    def random_layer(self, n, rng, max_terms: int = 3):
-        return self.layer(n).random_element(rng, max_terms)
-
-    def random_quot(self, n, rng, max_terms: int = 3):
-        return self.quotient(n).random_element(rng, max_terms)
+    # Bound here too because perfbench/spans.py traces them per class.
+    embed = TowerHandle.embed
+    tbar_multi = TowerHandle.tbar_multi
+    frob_multi = TowerHandle.frob_multi
 
     def describe(self):
         return {
@@ -388,12 +359,14 @@ class ProductTower:
         }
 
 
-def build_tower(spec: TowerSpec):
-    """Realize all layers of a tower; raises SpecError on a bad description."""
+def build_tower(spec: TowerSpec, *, pillar_index: int | None = None):
+    """Realize all layers of a tower; raises SpecError on a bad description.
+
+    pillar_index replaces the pillar generator's t-index (negative controls).
+    """
     if spec.kind == "product":
-        return ProductTower(
-            spec, tuple(build_tower(sub) for sub in spec.components)
-        )
+        subs = (build_tower(sub, pillar_index=pillar_index) for sub in spec.components)
+        return ProductTower(spec, tuple(subs))
     precision = PrecisionBudget(
         n_digits=spec.n_digits, var_degree_cap=spec.var_degree_cap
     )
@@ -427,6 +400,7 @@ def build_tower(spec: TowerSpec):
         depth=spec.depth,
         rings=rings,
         label=spec.kind,
+        pillar_index=pillar_index,
     )
 
 
@@ -489,7 +463,7 @@ def check_axioms(handle, samples: int = 200, seed: int = 0) -> AxiomReport:
     """
     if handle.depth < 2:
         raise SpecError("the axiom suite needs depth >= 2")
-    if getattr(handle, "is_product", False):
+    if isinstance(handle, ProductTower):
         reports = [
             check_axioms(c, samples=samples, seed=seed + i)
             for i, c in enumerate(handle.components)

@@ -245,6 +245,20 @@ def test_monoidal_checks_on_product_towers():
     assert torsion_bijection(h).verdict == "TRIVIAL_CASE"
 
 
+def test_nested_product_tilts_componentwise():
+    # a product whose first factor is itself a product: the tilt generator
+    # and p_flat need a monomial in every factor, nested ones included
+    sub = TowerSpec(prime=5, n_digits=3, depth=2)
+    inner = TowerSpec(prime=5, n_digits=3, depth=2, kind="product", components=(sub, sub))
+    h = build_tower(
+        TowerSpec(prime=5, n_digits=3, depth=2, kind="product", components=(inner, sub))
+    )
+    gens = small_tilt(h, 0, 2).to_json_dict()["generator_map"]
+    assert gens[1] == "((T^{1/5} | T^{1/5}) | T^{1/5})"
+    assert sharp(h, p_flat(h, 0, 2)).value.to_text() == "((5 | 5) | 5)"
+    assert check_pillar_valuation(h, 0).verdict == "PASS"
+
+
 def test_torsion_bijection_detects_tampering():
     # negative control: compare against a tilt-side pillar that is zero in
     # one factor, which fabricates genuine torsion on the tilt side only

@@ -12,6 +12,7 @@ from tiltlab.towers import (
     PASS,
     SAMPLED_PASS,
     LevelOutOfRange,
+    ProductTower,
     SpecError,
     TowerHandle,
     TowerSpec,
@@ -228,6 +229,42 @@ def test_axioms_pass_on_product_tower():
     )
     report = check_axioms(h, samples=10, seed=7)
     assert report.all_pass
+
+
+def test_product_tower_is_a_tower_handle():
+    assert issubclass(ProductTower, TowerHandle)
+    # rebound in the product class only so that the tracer can patch them
+    for name in ("embed", "tbar_multi", "frob_multi"):
+        assert ProductTower.__dict__[name] is TowerHandle.__dict__[name]
+
+
+def test_product_refuses_components_with_different_pillars():
+    # pure (e0 = 1) x Kummer (e0 = 2, ideal 1): p_flat and the tilt pillar
+    # are one monomial index in every factor, so the factors must agree
+    pure = TowerSpec(prime=5, n_digits=3, depth=3)
+    kummer = TowerSpec(
+        prime=5, n_digits=3, depth=3, kind="kummer", m=2, ideal_exp=Fraction(1)
+    )
+    with pytest.raises(SpecError):
+        build_tower(
+            TowerSpec(prime=5, n_digits=3, depth=3, kind="product",
+                      components=(pure, kummer))
+        )
+
+
+def test_pillar_index_is_a_constructor_parameter():
+    spec = TowerSpec(prime=5, n_digits=6, depth=2)
+    assert build_tower(spec).pillar_index() == 1
+    h = build_tower(spec, pillar_index=3)
+    assert "pillar_index" not in vars(h)  # a parameter, not a patched method
+    assert h.pillar_index() == 3
+    assert h.pillar_elem(1) == h.layer(1).monomial(3)
+    prod = build_tower(
+        TowerSpec(prime=5, n_digits=6, depth=2, kind="product", components=(spec, spec)),
+        pillar_index=3,
+    )
+    assert prod.pillar_index() == 3
+    assert [c.pillar_index() for c in prod.components] == [3, 3]
 
 
 def test_axioms_reject_shallow_tower():
