@@ -10,6 +10,7 @@ from ._backend import backend_name
 from .core import (
     ABOVE_PRECISION,
     BadIdealExponent,
+    BadVarCap,
     EnumerationTooLarge,
     LayerElem,
     LayerRing,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -55,16 +54,15 @@ _USAGE_ERRORS = (
 
 
 def _spec_from_args(args) -> TowerSpec:
-    if args.spec:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            spec = TowerSpec.from_json(fh.read())
-    else:
+    """The inline spec, or the --spec file with --prec/--depth applied to
+    it and to every component of a product."""
+    if not args.spec:
         if args.prime is None:
             raise SpecError("either --spec FILE or --prime is required")
-        spec = TowerSpec(
+        return TowerSpec(
             prime=args.prime,
             n_digits=args.prec if args.prec is not None else 6,
-            depth=args.depth,
+            depth=args.depth if args.depth is not None else args.inline_depth,
             kind=args.kind,
             m=args.m,
             num_vars=args.vars,
@@ -72,15 +70,18 @@ def _spec_from_args(args) -> TowerSpec:
             ideal_exp=Fraction(args.ideal_exp) if args.ideal_exp else None,
             start_level=args.start,
         )
-    if args.prec is not None and args.spec:
-        spec = TowerSpec.from_json_dict(
-            {**spec.to_json_dict(), "n_digits": args.prec}
-        )
-    if args.depth is not None and args.spec:
-        spec = TowerSpec.from_json_dict(
-            {**spec.to_json_dict(), "depth": args.depth}
-        )
-    return spec
+    with open(args.spec, "r", encoding="utf-8") as fh:
+        data = TowerSpec.from_json(fh.read()).to_json_dict()
+
+    def override(node):
+        for key, value in (("n_digits", args.prec), ("depth", args.depth)):
+            if value is not None:
+                node[key] = value
+        for sub in node.get("components", ()):
+            override(sub)
+
+    override(data)
+    return TowerSpec.from_json_dict(data)
 
 
 def _emit(report: dict, args) -> None:
@@ -178,6 +179,8 @@ def _cmd_tilt(args) -> tuple[dict, bool]:
 
 def _cmd_sharp(args) -> tuple[dict, bool]:
     spec = _spec_from_args(args)
+    if args.tilt_depth is None:
+        args.tilt_depth = max(1, spec.depth - args.layer)
     handle = build_tower(spec)
     pres = small_tilt(handle, args.layer, args.tilt_depth)
     elem = pres.parse(args.element)
@@ -204,6 +207,8 @@ def _cmd_closure(args) -> tuple[dict, bool]:
     from .closure import almost_integral_probes
 
     spec = _spec_from_args(args)
+    if spec.kind == "product":
+        raise SpecError("closure does not take product towers")
     handle = build_tower(spec)
     report = transfer_suite(
         handle,
@@ -297,8 +302,13 @@ def _cmd_suite(args) -> tuple[dict, bool]:
     return _envelope("suite", {"seed": args.seed}, report, ok), ok
 
 
-def _add_spec_flags(sub):
+def _add_spec_flags(sub, depth: int):
     sub.add_argument("--spec", help="tower spec JSON file")
+    sub.add_argument("--prec", type=int, default=None,
+                     help="p-adic digits (default 6, or the spec file's)")
+    sub.add_argument("--depth", type=int, default=None,
+                     help=f"tower depth (default {depth}, or the spec file's)")
+    sub.set_defaults(inline_depth=depth)
     sub.add_argument("--prime", type=int, help="prime p (inline spec)")
     sub.add_argument("--kind", default="pure", choices=["pure", "kummer"])
     sub.add_argument("--m", type=int, help="Kummer cover exponent")
@@ -318,34 +328,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ax = sub.add_parser("axioms", help="run the tower axiom suite")
-    _add_spec_flags(ax)
-    ax.add_argument("--prec", type=int, default=None, help="p-adic digits")
-    ax.add_argument("--depth", type=int, default=3)
+    _add_spec_flags(ax, depth=3)
     ax.add_argument("--samples", type=int, default=200)
     ax.add_argument("--seed", type=int, default=0)
     ax.set_defaults(fn=_cmd_axioms)
 
     ti = sub.add_parser("tilt", help="present a small tilt")
-    _add_spec_flags(ti)
-    ti.add_argument("--prec", type=int, default=None)
-    ti.add_argument("--depth", type=int, default=3, help="tower depth")
+    _add_spec_flags(ti, depth=3)
     ti.add_argument("--layer", type=int, required=True)
     ti.add_argument("--tilt-depth", dest="tilt_depth", type=int, required=True)
     ti.set_defaults(fn=_cmd_tilt)
 
     sh = sub.add_parser("sharp", help="evaluate the monoidal map")
-    _add_spec_flags(sh)
-    sh.add_argument("--prec", type=int, default=None)
-    sh.add_argument("--depth", type=int, default=4, help="tower depth")
+    _add_spec_flags(sh, depth=4)
     sh.add_argument("--layer", type=int, default=0)
     sh.add_argument("--tilt-depth", dest="tilt_depth", type=int, default=None)
     sh.add_argument("--element", required=True, help="tilt expression, e.g. pflat")
     sh.set_defaults(fn=_cmd_sharp)
 
     cl = sub.add_parser("closure", help="closure transfer suite")
-    _add_spec_flags(cl)
-    cl.add_argument("--prec", type=int, default=None)
-    cl.add_argument("--depth", type=int, default=3)
+    _add_spec_flags(cl, depth=3)
     cl.add_argument("--mode", choices=["exact", "sampled"], default="sampled")
     cl.add_argument("--samples", type=int, default=500)
     cl.add_argument("--ccap", type=int, default=3)
@@ -382,8 +384,6 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if getattr(args, "tilt_depth", "missing") is None:
-        args.tilt_depth = max(1, args.depth - args.layer)
     try:
         report, ok = args.fn(args)
     except _USAGE_ERRORS as exc:
@@ -398,3 +398,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -43,6 +43,10 @@ class BadIdealExponent(ValueError):
     pass
 
 
+class BadVarCap(ValueError):
+    pass
+
+
 class RingMismatch(TypeError):
     pass
 
@@ -1153,6 +1157,14 @@ def layer_make(
     ideal).
     """
     p = prime.p if isinstance(prime, Prime) else Prime(prime).p
+    den = precision.var_degree_cap.denominator
+    while den % p == 0:
+        den //= p
+    if den != 1:
+        raise BadVarCap(
+            f"variable degree cap {precision.var_degree_cap} needs a "
+            f"{p}-power denominator"
+        )
     eps = Fraction(ideal_exp)
     if eps > 1 or eps <= 0:
         raise BadIdealExponent(f"ideal exponent {eps} must lie in (0, 1]")

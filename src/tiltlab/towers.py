@@ -28,6 +28,7 @@ from . import linalg
 from .core import (
     CHAR_P,
     BadIdealExponent,
+    BadVarCap,
     LayerElem,
     LayerRing,
     NotInvertible,
@@ -389,7 +390,7 @@ def build_tower(spec: TowerSpec, *, pillar_index: int | None = None):
                 e0=spec.e0,
                 level=n,
             )
-        except BadIdealExponent as exc:
+        except (BadIdealExponent, BadVarCap) as exc:
             raise SpecError(str(exc)) from exc
     return TowerHandle(
         spec=spec,

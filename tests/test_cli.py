@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import tiltlab
 from tiltlab.cli import run
 
@@ -143,7 +145,8 @@ def test_suite_determinism_bytes():
     assert body["ok"] is True
 
 
-def test_python_dash_m_matches_run():
+@pytest.mark.parametrize("module", ["tiltlab", "tiltlab.cli"])
+def test_python_dash_m_matches_run(module):
     argv = ["sharp", "--prime", "5", "--prec", "6", "--depth", "4",
             "--layer", "0", "--element", "pflat"]
     code, out, _ = invoke(argv)
@@ -151,8 +154,78 @@ def test_python_dash_m_matches_run():
     src = str(Path(tiltlab.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "tiltlab", *argv],
+        [sys.executable, "-m", module, *argv],
         capture_output=True, env=env, timeout=120,
     )
     assert proc.returncode == code == 0
     assert proc.stdout == out.encode()
+
+
+def _write_spec(tmp_path, depth, components=0):
+    spec = {"prime": 5, "n_digits": 3, "depth": depth}
+    if components:
+        spec = {**spec, "kind": "product", "components": [spec] * components}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+def _spec_params(out):
+    return json.loads(out)["params"]["spec"]
+
+
+def test_spec_file_keeps_its_own_depth(tmp_path):
+    # --depth has no default when --spec is given: depth 2 stays 2
+    path = _write_spec(tmp_path, depth=2)
+    code, out, _ = invoke(["axioms", "--spec", path, "--samples", "2"])
+    assert code == 0
+    assert _spec_params(out)["depth"] == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["axioms", "--samples", "2"],
+    ["tilt", "--layer", "0", "--tilt-depth", "1"],
+    ["sharp", "--element", "pflat"],
+])
+def test_product_spec_file_at_its_own_depth(tmp_path, command):
+    path = _write_spec(tmp_path, depth=2, components=2)
+    code, out, err = invoke([*command, "--spec", path])
+    assert code == 0, err
+    spec = _spec_params(out)
+    assert [spec["depth"]] + [c["depth"] for c in spec["components"]] == [2, 2, 2]
+
+
+def test_spec_overrides_reach_every_component(tmp_path):
+    path = _write_spec(tmp_path, depth=2, components=2)
+    code, out, err = invoke(
+        ["axioms", "--spec", path, "--depth", "3", "--prec", "4", "--samples", "2"]
+    )
+    assert code == 0, err
+    spec = _spec_params(out)
+    for node in [spec, *spec["components"]]:
+        assert (node["depth"], node["n_digits"]) == (3, 4)
+
+
+def test_sharp_tilt_depth_defaults_from_the_spec_depth(tmp_path):
+    path = _write_spec(tmp_path, depth=3)
+    code, out, _ = invoke(["sharp", "--spec", path, "--layer", "1", "--element", "pflat"])
+    assert code == 0
+    body = json.loads(out)
+    assert body["params"]["depth"] == body["report"]["depth"] == 2
+
+
+def test_closure_refuses_product_spec(tmp_path):
+    path = _write_spec(tmp_path, depth=3, components=2)
+    code, out, err = invoke(["closure", "--spec", path, "--samples", "2"])
+    assert code == 2 and out == ""
+    assert "product" in err
+
+
+def test_var_cap_needs_a_p_power_denominator():
+    base = ["axioms", "--prime", "5", "--prec", "3", "--depth", "2", "--vars", "1",
+            "--samples", "2"]
+    code, out, err = invoke([*base, "--var-cap", "1/3"])
+    assert code == 2 and out == ""
+    assert "1/3" in err
+    code, _, _ = invoke([*base, "--var-cap", "6/5"])
+    assert code == 0

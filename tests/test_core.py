@@ -13,6 +13,7 @@ from tiltlab.core import (
     CHAR_P,
     MIXED,
     BadIdealExponent,
+    BadVarCap,
     LayerRing,
     NonPrime,
     NotInvertible,
@@ -63,6 +64,18 @@ def test_layer_make_rejects_bad_input():
         O(ideal_exp=Fraction(3, 2))
     with pytest.raises(NonPrime):
         Prime(1)
+
+
+@pytest.mark.parametrize("cap", ["1/3", "2/15", "1/2"])
+def test_layer_make_rejects_var_cap_without_p_power_denominator(cap):
+    with pytest.raises(BadVarCap):
+        layer_make(5, PrecisionBudget(3, var_degree_cap=Fraction(cap)), 5, num_vars=1)
+
+
+@pytest.mark.parametrize("cap", ["0", "2", "6/5", "3/25"])
+def test_layer_make_accepts_var_cap_with_p_power_denominator(cap):
+    ring = layer_make(5, PrecisionBudget(3, var_degree_cap=Fraction(cap)), 5, num_vars=1)
+    assert ring.var_cap == Fraction(cap)
 
 
 # -- multiplication against the integer oracle --------------------------------
