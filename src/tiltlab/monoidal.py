@@ -403,13 +403,13 @@ def torsion_bijection(handle, m=None, tilt_pillar_override=None) -> Verdict:
         if mj < 1 or j + mj > handle.top:
             continue  # a depth-0 tilt carries no pillar to compare
         pres = small_tilt(handle, j, mj)
-        layer_rep = _ring_torsion(handle.layer(j), handle.pillar_elem(j))
+        layer_rep = handle.layer(j).torsion_submodule(handle.pillar_elem(j))
         tilt_f = (
             tilt_pillar_override(pres)
             if tilt_pillar_override is not None
             else pres.ring.f0()
         )
-        tilt_rep = _ring_torsion(pres.ring, tilt_f)
+        tilt_rep = pres.ring.torsion_submodule(tilt_f)
         levels[str(j)] = {
             "layer_genuine": len(layer_rep.genuine),
             "tilt_genuine": len(tilt_rep.genuine),
@@ -433,10 +433,6 @@ def torsion_bijection(handle, m=None, tilt_pillar_override=None) -> Verdict:
         name="torsion_bijection",
         details=levels,
     )
-
-
-def _ring_torsion(ring, f):
-    return ring.torsion_submodule(f)
 
 
 def multiplicativity_trial(handle, j, m, pairs=500, seed=0) -> Verdict:

@@ -186,7 +186,7 @@ def test_spec_file_keeps_its_own_depth(tmp_path):
     ["axioms", "--samples", "2"],
     ["tilt", "--layer", "0", "--tilt-depth", "1"],
     ["sharp", "--element", "pflat"],
-])
+], ids=["axioms", "tilt", "sharp"])
 def test_product_spec_file_at_its_own_depth(tmp_path, command):
     path = _write_spec(tmp_path, depth=2, components=2)
     code, out, err = invoke([*command, "--spec", path])
