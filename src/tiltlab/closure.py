@@ -25,7 +25,6 @@ from fractions import Fraction
 
 from . import linalg
 from .core import (
-    MIXED,
     DimensionTooLarge,
     EnumerationTooLarge,
     LayerElem,
@@ -345,37 +344,18 @@ class RingPair:
 # -- absolute index helpers (monogenic layers) --------------------------------
 
 
-def _abs_min_index(x: LayerElem):
-    """Least t-index of x counting p-carries; exact valuation times e."""
-    ring = x.ring
-    best = None
-    for (k, vt), c in x.terms.items():
-        idx = k
-        if ring.mode == MIXED:
-            idx += ring.e * _vp(c, ring.p, ring.n_digits)
-        best = idx if best is None else min(best, idx)
-    return best  # None when zero at precision
-
-
-def _abs_cap(ring) -> int:
-    return ring.e * ring.n_digits if ring.mode == MIXED else ring.window
-
-
 def _monomial_index(f: LayerElem) -> int:
     if len(f.terms) != 1:
         raise ValueError("expected a monomial")
-    (k, vt), c = next(iter(f.terms.items()))
+    ((_, vt),) = f.terms
     if any(vt):
         raise ValueError("expected a t-monomial")
-    ring = f.ring
-    if ring.mode == MIXED:
-        k += ring.e * _vp(c, ring.p, ring.n_digits)
-    return k
+    return f.index_valuation()
 
 
 def _in_monomial_ideal(x: LayerElem, s: int) -> bool:
     """Membership in t^s * A for a monogenic layer (valuation test)."""
-    idx = _abs_min_index(x)
+    idx = x.index_valuation()
     return idx is None or idx >= s
 
 
@@ -543,7 +523,7 @@ def _root_closed_localization(pair, n, mode, samples, seed, prop) -> Verdict:
             "t-index is only a valuation there)"
         )
     s_f = _monomial_index(pair.f)
-    cap = _abs_cap(A)
+    cap = A.index_cap
     checked = skipped = verified = 0
     if mode == "exact":
         candidates = ((a, pair.c_cap) for a in A.enumerate_elements())
@@ -555,7 +535,7 @@ def _root_closed_localization(pair, n, mode, samples, seed, prop) -> Verdict:
         )
     for a, c in candidates:
         checked += 1
-        idx = _abs_min_index(a)
+        idx = a.index_valuation()
         if idx is None:
             continue  # a/f^c is zero at precision
         member_b = idx >= c * s_f  # b in A  <=>  val(a) >= c * val(f)
@@ -570,7 +550,7 @@ def _root_closed_localization(pair, n, mode, samples, seed, prop) -> Verdict:
             )
         # Honest recomputation when a^n stays visible at precision.
         if n * idx < cap:
-            got = _abs_min_index(a**n)
+            got = (a**n).index_valuation()
             if got != n * idx:
                 raise MethodDisagreement(
                     f"valuation multiplicativity failed on {a.to_text()}"
@@ -610,7 +590,7 @@ def almost_integral_witness(pair: RingPair, b, c_cap: int, n_cap: int) -> Verdic
     if not isinstance(A, LayerRing) or A.num_vars:
         raise ValueError("almost-integrality search needs a monogenic layer")
     s_f = _monomial_index(pair.f)
-    idx = _abs_min_index(a)
+    idx = a.index_valuation()
     if idx is None:
         return Verdict(
             PASS_EXACT,

@@ -190,7 +190,7 @@ class LayerRing:
             self.n_digits = n_digits
             self.window = None
             self.coeff_mod = p**n_digits
-            self.val_cap = Fraction(n_digits)
+            self.index_cap = e * n_digits
             self.symbol = "t"
         else:
             if window is None or window < 1:
@@ -198,16 +198,19 @@ class LayerRing:
             self.n_digits = 1
             self.window = window
             self.coeff_mod = p
-            self.val_cap = Fraction(window, e)
+            self.index_cap = window
             self.symbol = "T"
         if ideal_num < 0 or Fraction(ideal_num, e) > 1:
             raise BadIdealExponent(
                 f"ideal exponent {Fraction(ideal_num, e)} must lie in [0, 1]"
             )
+        # Absolute indices (see LayerElem.index_valuation) are valuations
+        # times e; the precision cap in those units is e*N, resp. the window.
+        self.val_cap = Fraction(self.index_cap, e)
         self._zero_vt = (0,) * num_vars
-        # Variable parts are integer index sums, so sum / var_den > var_cap
-        # exactly when sum > floor(var_cap * var_den).
-        self._var_cap_index = math.floor(self.var_cap * var_den)
+        # Variable parts are integer index sums, so sum * s / var_den > var_cap
+        # exactly when sum * s > floor(var_cap * var_den), for any integer s.
+        self.var_cap_index = math.floor(self.var_cap * var_den)
         self._var_monomials = None
         self._basis = None
         self._quotient = None
@@ -255,7 +258,7 @@ class LayerRing:
         """True when the variable part overflows the total-degree cap."""
         if not self.num_vars:
             return False
-        return sum(vt) > self._var_cap_index
+        return sum(vt) > self.var_cap_index
 
     def _from_items(self, items, lossy=False) -> "LayerElem":
         acc: dict = {}
@@ -314,6 +317,25 @@ class LayerRing:
                     if c:
                         terms[(k, vt)] = c
         return LayerElem(self, terms, lossy)
+
+    def rescale(self, x: "LayerElem", mul: int = 1, div: int = 1) -> "LayerElem":
+        """x's terms in this ring, each t- and variable index times mul over div.
+
+        The one map between exponent lattices: a transition scales indices
+        by p, the Frobenius projection and lifts copy them into another
+        lattice, and inverting a composite reduction divides them by p^k
+        (div must divide every scaled index; sharp checks that it does).
+        Terms past this ring's window or variable cap fold or drop as in
+        _from_items, and a cap drop marks the result lossy.
+        """
+        if mul == div == 1:
+            items = [(k, vt, c) for (k, vt), c in x.terms.items()]
+        else:
+            items = [
+                (k * mul // div, tuple(j * mul // div for j in vt), c)
+                for (k, vt), c in x.terms.items()
+            ]
+        return self._from_items(items, x.lossy)
 
     def zero(self) -> "LayerElem":
         return LayerElem(self, {}, False)
@@ -417,11 +439,6 @@ class LayerRing:
 
     # -- valuation and ideals ----------------------------------------------
 
-    def term_valuation(self, k: int, coeff: int) -> Fraction:
-        if self.mode == MIXED:
-            return Fraction(k, self.e) + _vp(coeff, self.p, self.n_digits)
-        return Fraction(k, self.e)
-
     def quotient_ring(self) -> "LayerRing":
         """The residue ring modulo (f0): F_p[t]/(t^ideal_num) x variables."""
         if self._quotient is None:
@@ -455,9 +472,7 @@ class LayerRing:
         """Canonical coefficient lift from the quotient back to this ring."""
         if q.ring != self.quotient_ring():
             raise RingMismatch("element does not live in this ring's quotient")
-        return self._from_items(
-            [(k, vt, c) for (k, vt), c in q.terms.items()], q.lossy
-        )
+        return self.rescale(q)
 
     # -- bases and enumeration ----------------------------------------------
 
@@ -466,8 +481,7 @@ class LayerRing:
             if self.num_vars == 0:
                 self._var_monomials = [()]
             else:
-                cap = self.var_cap * self.var_den
-                bound = int(cap)  # cap * var_den is integral for realized rings
+                bound = self.var_cap_index
                 mons = []
                 for vt in itertools.product(
                     range(bound + 1), repeat=self.num_vars
@@ -573,21 +587,17 @@ class LayerRing:
         """
         f = self.coerce(f)
         if c_max is None:
-            c_max = self.n_digits * self.e if self.mode == MIXED else self.window
+            c_max = self.index_cap
         if f.is_zero():
             genuine = [self.monomial(k, vt) for k, vt in self.basis_keys()]
             return TorsionReport(genuine=genuine, artifact_dim=0, flags=())
-        fval = f.valuation()
-        if fval == 0:
+        f_idx = f.index_valuation()
+        if f_idx == 0:
             return TorsionReport(genuine=[], artifact_dim=0, flags=())
         if any(any(vt) for (_, vt) in f.terms):
             raise ValueError("torsion is only tracked for t-monomial ideals")
-        threshold = self.val_cap - c_max * fval
-        artifact = sum(
-            1
-            for k, vt in self.basis_keys()
-            if Fraction(k, self.e) >= threshold
-        )
+        threshold = self.index_cap - c_max * f_idx
+        artifact = sum(1 for k, vt in self.basis_keys() if k >= threshold)
         flags = ("PRECISION_ARTIFACT",) if artifact else ()
         return TorsionReport(genuine=[], artifact_dim=artifact, flags=flags)
 
@@ -702,12 +712,25 @@ class LayerElem:
             n >>= 1
         return result
 
-    def valuation(self):
-        if not self.terms:
-            return ABOVE_PRECISION
+    def index_valuation(self) -> int | None:
+        """The valuation times e, as an absolute t-index; None at zero.
+
+        A term c*t^k has absolute index k + e*v_p(c) (t^e = p); in
+        characteristic p it is k.  On monogenic layers this is an exact
+        multiplicative valuation.
+        """
+        ring = self.ring
+        if ring.mode != MIXED:
+            return min((k for k, _ in self.terms), default=None)
+        e, p, nd = ring.e, ring.p, ring.n_digits
         return min(
-            self.ring.term_valuation(k, c) for (k, _), c in self.terms.items()
+            (k + e * _vp(c, p, nd) for (k, _), c in self.terms.items()),
+            default=None,
         )
+
+    def valuation(self):
+        idx = self.index_valuation()
+        return ABOVE_PRECISION if idx is None else Fraction(idx, self.ring.e)
 
     def min_t_index(self) -> int | None:
         """Least t-index carrying a p-unit coefficient (char-p: any)."""

@@ -22,14 +22,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .core import (
-    ABOVE_PRECISION,
-    MIXED,
-    Fraction,
-    NotInvertible,
-    ProductElem,
-    _vp,
-)
+from .core import ABOVE_PRECISION, Fraction, NotInvertible, ProductElem
 from .tilts import SmallTiltElem, ZeroDepth, f_flat_generator, small_tilt
 from .towers import MethodDisagreement, ProductTower
 from .verdict import FAIL, PASS, TRIVIAL_CASE, Verdict
@@ -76,18 +69,6 @@ def _image_scale_ok(q, scale: int) -> bool:
     return all(
         k % scale == 0 and all(j % scale == 0 for j in vt)
         for (k, vt) in q.terms
-    )
-
-
-def _tbar_preimage(handle, j, n, q):
-    """Invert the composite reduction map on its image (index division)."""
-    scale = handle.transition_scale() ** (n - j)
-    return handle.quotient(j)._from_items(
-        [
-            (k // scale, tuple(x // scale for x in vt), c)
-            for (k, vt), c in q.terms.items()
-        ],
-        q.lossy,
     )
 
 
@@ -199,14 +180,14 @@ def check_tilt_quotient_iso(handle, j, m, samples=100, seed=0) -> Verdict:
         x = pres.from_presentation(pres_elem)
         value = sharp(handle, x).value
         red = handle.layer(j + m).reduce_mod_ideal(value)
-        return _tbar_preimage(handle, j, j + m, red)
+        return quot.rescale(red, div=scale)  # invert tbar_multi on its image
 
     hit = set()
     restricted = 0
     for k, vt in dom.basis_keys():
         if k >= c_j:
             continue
-        if vt and Fraction(sum(vt) * scale, dom.var_den) > dom.var_cap:
+        if sum(vt) * scale > dom.var_cap_index:
             restricted += 1  # image would overflow the cap: out of window
             continue
         img = induced(dom.monomial(k, vt))
@@ -234,15 +215,14 @@ def check_tilt_quotient_iso(handle, j, m, samples=100, seed=0) -> Verdict:
             witness=quot.monomial(*missing[0]).to_text(),
             details={"layer": j, "reason": "not surjective"},
         )
-    pillar_bar = dom.f0()
     checked = 0
     for _ in range(samples):
         a = dom.random_element(rng, max_terms=3)
         b = dom.random_element(rng, max_terms=3)
-        a = a - _pillar_part(dom, a, c_j)
-        b = b - _pillar_part(dom, b, c_j)
-        prod = a * b
-        prod = prod - _pillar_part(dom, prod, c_j)
+        # representatives below the pillar ideal (dom.ideal_num == c_j)
+        a = dom.lift(dom.reduce_mod_ideal(a))
+        b = dom.lift(dom.reduce_mod_ideal(b))
+        prod = dom.lift(dom.reduce_mod_ideal(a * b))
         if induced(prod) != induced(a) * induced(b):
             return Verdict(
                 FAIL,
@@ -262,13 +242,6 @@ def check_tilt_quotient_iso(handle, j, m, samples=100, seed=0) -> Verdict:
     if restricted:
         details["window_restricted_monomials"] = restricted
     return Verdict(PASS, name="tilt_quotient_iso", samples=checked, details=details)
-
-
-def _pillar_part(ring, x, c_j):
-    """Terms with t-index >= c_j (the pillar-ideal part of a presentation)."""
-    return ring._from_items(
-        [(k, vt, c) for (k, vt), c in x.terms.items() if k >= c_j]
-    )
 
 
 def check_pillar_valuation(handle, j, m=None, seed=None) -> Verdict:
@@ -311,7 +284,7 @@ def _unit_ratio(handle, n, value, monomial_elem):
 
     The divisor's coefficient may carry p-powers (t-index folds at the
     Eisenstein relation), so the division uses the absolute index and the
-    coefficient's unit part.
+    coefficient's unit part, whose p-power is p^((absolute - t-index) / e).
     """
     if isinstance(handle, ProductTower):
         texts = []
@@ -325,10 +298,10 @@ def _unit_ratio(handle, n, value, monomial_elem):
         return True, "(" + " | ".join(texts) + ")"
     ring = handle.layer(n)
     (k, _), c = next(iter(monomial_elem.terms.items()))
-    a = _vp(c, ring.p, ring.n_digits) if ring.mode == MIXED else 0
-    unit = c // ring.p**a
+    idx = monomial_elem.index_valuation()
+    unit = c // ring.p ** ((idx - k) // ring.e)
     try:
-        q = value.divide_by_monomial(k + a * ring.e)
+        q = value.divide_by_monomial(idx)
         q = q * pow(unit, -1, ring.coeff_mod)
         ring.invert(q)
     except (ValueError, NotInvertible):

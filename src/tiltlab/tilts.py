@@ -182,7 +182,7 @@ def _reindex(x, target):
         return target.wrap(
             _reindex(part, fac) for part, fac in zip(x.parts, target.factors)
         )
-    return target._from_items([(k, vt, c) for (k, vt), c in x.terms.items()], x.lossy)
+    return target.rescale(x)
 
 
 def _presentation_ring(handle, j: int, m: int):

@@ -236,18 +236,11 @@ class TowerHandle:
 
     # -- maps ----------------------------------------------------------------
 
-    def _scale_terms(self, target: LayerRing, x, scale: int):
-        items = [
-            (k * scale, tuple(j * scale for j in vt), c)
-            for (k, vt), c in x.terms.items()
-        ]
-        return target._from_items(items, x.lossy)
-
     def transition(self, n: int, x: LayerElem) -> LayerElem:
         """Canonical injection layer n -> layer n+1."""
         src, dst = self.layer(n), self.layer(n + 1)
         src.coerce(x)
-        return self._scale_terms(dst, x, self.transition_scale())
+        return dst.rescale(x, self.transition_scale())
 
     def embed(self, n_from: int, n_to: int, x: LayerElem) -> LayerElem:
         if n_to < n_from:
@@ -260,7 +253,7 @@ class TowerHandle:
         """Reduction of the transition: quotient n -> quotient n+1."""
         src, dst = self.quotient(n), self.quotient(n + 1)
         src.coerce(q)
-        return self._scale_terms(dst, q, self.transition_scale())
+        return dst.rescale(q, self.transition_scale())
 
     def tbar_multi(self, n_from: int, n_to: int, q: LayerElem) -> LayerElem:
         for n in range(n_from, n_to):
@@ -275,9 +268,7 @@ class TowerHandle:
         """
         src, dst = self.quotient(n + 1), self.quotient(n)
         src.coerce(q)
-        return dst._from_items(
-            [(k, vt, c) for (k, vt), c in q.terms.items()], q.lossy
-        )
+        return dst.rescale(q)
 
     def frob_multi(self, n_to: int, n_from: int, q: LayerElem) -> LayerElem:
         """Compose projections from quotient n_from down to quotient n_to."""
@@ -693,15 +684,11 @@ def _truncation_tail(handle, n) -> set:
     tail is empty in the monogenic case.
     """
     up = handle.quotient(n + 1)
-    if up.num_vars == 0:
-        return set()
-    cap = up.var_cap
-    tail = set()
-    for key in up.basis_keys():
-        _, vt = key
-        if Fraction(sum(vt) * handle.p, up.var_den) > cap:
-            tail.add(key)
-    return tail
+    return {
+        (k, vt)
+        for k, vt in up.basis_keys()
+        if sum(vt) * handle.p > up.var_cap_index
+    }
 
 
 def _check_g(handle) -> Verdict:
