@@ -60,11 +60,12 @@ def pure_tower(p=5, n=6, depth=3, vars=0, cap=0):
 
 def kummer_tower_5_2(depth=3, samples=200, seed=0):
     spec = KummerCoverSpec(prime=5, m=2, precision=PrecisionBudget(6), levels=5)
-    witness = find_epsilon(spec, delta_table(spec))
+    table = delta_table(spec)
+    witness = find_epsilon(spec, table)
     handle, report, n_prime, bound = assemble_perfectoid(
         spec, witness, depth=depth, samples=samples, seed=seed
     )
-    return spec, witness, handle, report, n_prime, bound
+    return spec, table, witness, handle, report, n_prime, bound
 
 
 def crafted_negative_pairs(p=2, n_digits=2):
@@ -319,7 +320,7 @@ def run_battery(seed: int = 7) -> dict:
     )
 
     # 4/5: diagrams, quotient isos, pillar valuations on both towers
-    _, _, kummer, k_report, n_prime, bound = kummer_tower_5_2(
+    spec52, table, witness, kummer, k_report, n_prime, bound = kummer_tower_5_2(
         depth=3, samples=200, seed=seed
     )
     diag_rows, diag_ok = [], True
@@ -383,10 +384,7 @@ def run_battery(seed: int = 7) -> dict:
         kummer=tb_kummer.verdict,
     )
 
-    # 7: Kummer constants
-    spec52 = KummerCoverSpec(prime=5, m=2, precision=PrecisionBudget(6), levels=5)
-    table = delta_table(spec52)
-    witness = find_epsilon(spec52, table)
+    # 7: Kummer constants, from the cover that block 4/5 assembled
     cert_ok = verify_epsilon_certificate(
         spec52, witness, rng=random.Random(seed), samples=50
     )

@@ -243,7 +243,7 @@ def _cmd_ramify(args) -> tuple[dict, bool]:
     spec = KummerCoverSpec(
         prime=args.p,
         m=args.m,
-        precision=PrecisionBudget(args.prec or 6),
+        precision=PrecisionBudget(args.prec),
         levels=args.levels,
     )
     table = delta_table(spec)
@@ -262,7 +262,7 @@ def _cmd_ramify(args) -> tuple[dict, bool]:
         handle, report, n_prime, bound = assemble_perfectoid(
             spec,
             witness,
-            depth=args.depth if args.depth is not None else 3,
+            depth=args.depth,
             samples=args.samples,
             seed=args.seed,
             pillar_valuation_override=override,
@@ -284,8 +284,8 @@ def _cmd_ramify(args) -> tuple[dict, bool]:
                 "p": args.p,
                 "m": args.m,
                 "levels": args.levels,
-                "prec": args.prec or 6,
-                "depth": args.depth if args.depth is not None else 3,
+                "prec": args.prec,
+                "depth": args.depth,
                 "samples": args.samples,
                 "seed": args.seed,
             },
@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     ra.add_argument("--m", type=int, required=True)
     ra.add_argument("--levels", type=int, default=5)
     ra.add_argument("--prec", type=int, default=6)
-    ra.add_argument("--depth", type=int, default=None, help="assembled tower depth")
+    ra.add_argument("--depth", type=int, default=3, help="assembled tower depth")
     ra.add_argument("--samples", type=int, default=200)
     ra.add_argument("--seed", type=int, default=0)
     ra.add_argument(

@@ -56,17 +56,17 @@ class TorsionPresent(ValueError):
 class ExplicitRing:
     """Free Z/p^N-module with a declared multiplication table.
 
-    basis_val gives per-basis-vector lower bounds on the valuation, used
-    only to classify torsion found at precision; 0 is always safe.
+    Basis vector 0 is the unit.  basis_val gives per-basis-vector lower
+    bounds on the valuation, used only to classify torsion found at
+    precision; 0 is always safe.
     """
 
-    def __init__(self, *, p, n_digits, basis_names, table, one_index=0, basis_val=None):
+    def __init__(self, *, p, n_digits, basis_names, table, basis_val=None):
         self.p = p
         self.n_digits = n_digits
         self.coeff_mod = p**n_digits
         self.basis_names = tuple(basis_names)
         self.table = table
-        self.one_index = one_index
         self.basis_val = tuple(basis_val or (0,) * len(self.basis_names))
         self.val_cap = Fraction(n_digits)
 
@@ -91,7 +91,7 @@ class ExplicitRing:
 
     def one(self):
         vec = [0] * self.rank
-        vec[self.one_index] = 1
+        vec[0] = 1
         return self.wrap(vec)
 
     def from_int(self, n):
@@ -286,7 +286,7 @@ class RingPair:
     monomial_map: bool = False
 
     @classmethod
-    def extension(cls, A, B, map_fn, f, label="", monomial_map=False, verify_seed=0):
+    def extension(cls, A, B, map_fn, f, label="", monomial_map=False):
         pair = cls(
             kind="extension",
             A=A,
@@ -296,21 +296,21 @@ class RingPair:
             label=label,
             monomial_map=monomial_map,
         )
-        pair._verify_map(verify_seed)
+        pair._verify_map()
         return pair
 
     @classmethod
     def localization(cls, A, f, c_cap=3, label=""):
         return cls(kind="localization", A=A, f=f, c_cap=c_cap, label=label)
 
-    def _verify_map(self, seed):
+    def _verify_map(self):
         """Spot-check that map_fn is a unital ring homomorphism."""
         import random
 
         A, B = self.A, self.B
         if not self.map_fn(A.one()).is_one():
             raise ValueError(f"pair {self.label}: map does not send 1 to 1")
-        rng = random.Random(seed)
+        rng = random.Random(0)
         small = getattr(A, "rank", 1) <= 12
         if small and hasattr(A, "basis_elems"):
             gens = A.basis_elems()
@@ -517,7 +517,7 @@ def _root_closed_localization(pair, n, mode, samples, seed, prop) -> Verdict:
     import random
 
     A = pair.A
-    if not isinstance(A, LayerRing) or A.num_vars:
+    if not _monogenic(A):
         raise ValueError(
             "localization pairs need monogenic layer rings (the absolute "
             "t-index is only a valuation there)"
@@ -587,7 +587,7 @@ def almost_integral_witness(pair: RingPair, b, c_cap: int, n_cap: int) -> Verdic
         raise ValueError("almost-integrality search runs on localization pairs")
     a, c0 = b
     A = pair.A
-    if not isinstance(A, LayerRing) or A.num_vars:
+    if not _monogenic(A):
         raise ValueError("almost-integrality search needs a monogenic layer")
     s_f = _monomial_index(pair.f)
     idx = a.index_valuation()
@@ -682,11 +682,15 @@ def almost_integral_probes(handle, c_cap: int, n_cap: int) -> list[dict]:
     Per layer: a unit (witness c = 0 expected) and the generator divided
     by the ideal (negative valuation, so the search stays undecided and
     reports its frontier).  Informational: an absent witness is never a
-    refutation.
+    refutation.  Layers with variables get a NOT_APPLICABLE row, because
+    the absolute t-index is only a valuation on monogenic layers.
     """
     rows = []
     for n in handle.levels:
         ring = handle.layer(n)
+        if not _monogenic(ring):
+            rows.append(_not_applicable(n, "almost integrality"))
+            continue
         pair = RingPair.localization(
             ring, ring.f0(), c_cap=c_cap, label=f"{handle.label}:level {n}"
         )
@@ -702,18 +706,24 @@ def almost_integral_probes(handle, c_cap: int, n_cap: int) -> list[dict]:
     return rows
 
 
+def _monogenic(ring) -> bool:
+    return isinstance(ring, LayerRing) and not ring.num_vars
+
+
+def _not_applicable(n, what):
+    return {
+        "level": n,
+        "verdict": NOT_APPLICABLE,
+        "note": f"{what} is tracked on monogenic layers only",
+    }
+
+
 def _layerwise_root_closed(handle, mode, samples, seed, c_cap):
     rows = []
     for i, n in enumerate(handle.levels):
         ring = handle.layer(n)
-        if not isinstance(ring, LayerRing) or ring.num_vars:
-            rows.append(
-                {
-                    "level": n,
-                    "verdict": NOT_APPLICABLE,
-                    "note": "root closure is tracked on monogenic layers only",
-                }
-            )
+        if not _monogenic(ring):
+            rows.append(_not_applicable(n, "root closure"))
             continue
         pair = RingPair.localization(
             ring, ring.f0(), c_cap=c_cap, label=f"{handle.label}:level {n}"

@@ -516,12 +516,6 @@ class LayerRing:
             vec[idx[key]] = c
         return vec
 
-    def from_vec(self, vec) -> "LayerElem":
-        basis = self.basis_keys()
-        return self._from_items(
-            [(k, vt, c) for (k, vt), c in zip(basis, vec) if c]
-        )
-
     def element_count(self) -> int:
         return self.coeff_mod**self.rank
 
@@ -731,16 +725,6 @@ class LayerElem:
     def valuation(self):
         idx = self.index_valuation()
         return ABOVE_PRECISION if idx is None else Fraction(idx, self.ring.e)
-
-    def min_t_index(self) -> int | None:
-        """Least t-index carrying a p-unit coefficient (char-p: any)."""
-        best = None
-        for (k, vt), c in self.terms.items():
-            if self.ring.mode == MIXED and c % self.ring.p == 0:
-                continue
-            if best is None or k < best:
-                best = k
-        return best
 
     def divide_by_monomial(self, k: int) -> "LayerElem":
         """Exact division by t^k; raises if any term is not divisible.

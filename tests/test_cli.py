@@ -229,3 +229,25 @@ def test_var_cap_needs_a_p_power_denominator():
     assert "1/3" in err
     code, _, _ = invoke([*base, "--var-cap", "6/5"])
     assert code == 0
+
+
+def test_ramify_rejects_zero_precision():
+    code, out, err = invoke(
+        ["ramify", "--p", "5", "--m", "2", "--levels", "5", "--prec", "0",
+         "--depth", "2", "--samples", "2"]
+    )
+    assert code == 2 and out == ""
+    assert "n_digits" in err
+
+
+def test_closure_on_a_tower_with_variables():
+    code, out, err = invoke(
+        ["closure", "--prime", "3", "--prec", "2", "--depth", "2", "--vars", "1",
+         "--var-cap", "1"]
+    )
+    assert code == 0, err
+    report = json.loads(out)["report"]
+    probes = report["almost_integral_probes"]
+    assert [row["level"] for row in probes] == [0, 1, 2]
+    assert all(row["verdict"] == "NOT_APPLICABLE" for row in probes)
+    assert all(row["verdict"] == "NOT_APPLICABLE" for row in report["root_closed"])

@@ -471,14 +471,18 @@ def test_zero_product_keeps_the_lossy_flag():
         min_size=1,
         max_size=20,
     ),
+    scale=st.sampled_from([1, 2, 3, 5, 25]),
 )
-def test_cap_index_matches_fraction_rule(var_den, cap, vts):
+def test_cap_index_matches_fraction_rule(var_den, cap, vts, scale):
     ring = LayerRing(
         mode=MIXED, p=5, e=5, n_digits=2, ideal_num=5,
         num_vars=2, var_den=var_den, var_cap=cap,
     )
     for vt in vts:
         assert ring._cap_index(tuple(vt)) == (Fraction(sum(vt), var_den) > cap)
+        # the scaled rule: would the indices times scale overflow the cap?
+        scaled = sum(vt) * scale > ring.var_cap_index
+        assert scaled == (Fraction(sum(vt) * scale, var_den) > cap)
 
 
 def test_cap_index_at_fractional_caps():
@@ -491,3 +495,105 @@ def test_cap_index_at_fractional_caps():
     assert ring._cap_index((6, 6))
     x = ring.monomial(0, (6, 0))
     assert (x * x).lossy and not x.lossy
+
+
+# -- the lattice map and the absolute index -----------------------------------------
+#
+# LayerRing.rescale replaced five item copies and LayerElem.index_valuation
+# replaced a Fraction formula; the references below are those copies and
+# that formula, on MIXED and CHAR_P rings with and without variables.
+
+
+def _vp_reference(c, p):
+    v = 0
+    while c % p == 0:
+        c //= p
+        v += 1
+    return v
+
+
+def reference_valuation(x):
+    ring = x.ring
+    if not x.terms:
+        return ABOVE_PRECISION
+    return min(
+        Fraction(k, ring.e) + (_vp_reference(c, ring.p) if ring.mode == MIXED else 0)
+        for (k, _), c in x.terms.items()
+    )
+
+
+def reference_rescale(target, x, mul, div):
+    terms = x.terms.items()
+    if div > 1:  # the inverse of the composite reduction in check_tilt_quotient_iso
+        items = [(k // div, tuple(j // div for j in vt), c) for (k, vt), c in terms]
+    elif mul > 1:  # transition and tbar
+        items = [(k * mul, tuple(j * mul for j in vt), c) for (k, vt), c in terms]
+    else:  # frob, lift and tilts._reindex
+        items = [(k, vt, c) for (k, vt), c in terms]
+    return target._from_items(items, x.lossy)
+
+
+@st.composite
+def lattice_map(draw):
+    """(source, target, mul, div, x): a transition ("up"), a Frobenius
+    projection ("copy") or the inverse of k transitions ("down")."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    mixed = draw(st.booleans())
+    num_vars = draw(st.integers(min_value=0, max_value=2))
+    cap = draw(st.fractions(min_value=0, max_value=3, max_denominator=4))
+    nd = draw(st.integers(min_value=1, max_value=3))
+    width = draw(st.integers(min_value=1, max_value=3))
+
+    def ring(level):
+        e = p**level
+        shape = dict(p=p, e=e, ideal_num=e, num_vars=num_vars,
+                     var_den=e if num_vars else 1, var_cap=cap)
+        if mixed:
+            return LayerRing(mode=MIXED, n_digits=nd, **shape)
+        return LayerRing(mode=CHAR_P, window=width * e, **shape)
+
+    kind = draw(st.sampled_from(["up", "copy", "down"]))
+    n = draw(st.integers(min_value=0, max_value=2))
+    if kind == "up":
+        src, dst, mul, div = ring(n), ring(n + 1), p, 1
+    elif kind == "copy":
+        src, dst, mul, div = ring(n + 1), ring(n), 1, 1
+    else:
+        k = draw(st.integers(min_value=1, max_value=2))
+        src, dst, mul, div = ring(n + k), ring(n), 1, p**k
+    items = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        t = div * draw(st.integers(min_value=0, max_value=(src.t_range() - 1) // div))
+        vt = tuple(
+            div * draw(st.integers(min_value=0, max_value=src.var_cap_index // div))
+            for _ in range(num_vars)
+        )
+        unit = draw(st.integers(min_value=1, max_value=src.coeff_mod - 1))
+        shift = draw(st.integers(min_value=0, max_value=src.n_digits - 1))
+        items.append((t, vt, unit * p**shift))
+    return src, dst, mul, div, src._from_items(items, draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lattice_map())
+def test_index_valuation_matches_the_fraction_formula(data):
+    _, dst, mul, div, x = data
+    for y in (x, dst.rescale(x, mul, div)):
+        want = reference_valuation(y)
+        assert y.valuation() == want
+        idx = y.index_valuation()
+        assert (idx is None) if want is ABOVE_PRECISION else (idx == want * y.ring.e)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lattice_map())
+def test_rescale_matches_the_item_copies(data):
+    _, dst, mul, div, x = data
+    got = dst.rescale(x, mul, div)
+    _same(got, reference_rescale(dst, x, mul, div), order=True)
+    dropped = any(
+        Fraction(sum(vt) * mul, div * dst.var_den) > dst.var_cap for _, vt in x.terms
+    )
+    assert got.lossy == (x.lossy or dropped)
+    if mul != div:  # a transition and its inverse keep absolute exponents
+        assert got.valuation() == x.valuation()
