@@ -714,13 +714,14 @@ class LayerElem:
         multiplicative valuation.
         """
         ring = self.ring
-        if ring.mode != MIXED:
-            return min((k for k, _ in self.terms), default=None)
-        e, p, nd = ring.e, ring.p, ring.n_digits
-        return min(
-            (k + e * _vp(c, p, nd) for (k, _), c in self.terms.items()),
-            default=None,
-        )
+        mixed = ring.mode == MIXED
+        best = None
+        for (k, _), c in self.terms.items():
+            if mixed and not c % ring.p:
+                k += ring.e * _vp(c, ring.p, ring.n_digits)
+            if best is None or k < best:
+                best = k
+        return best
 
     def valuation(self):
         idx = self.index_valuation()
