@@ -16,6 +16,7 @@ from .closure import (
     RingPair,
     check_root_closed,
     is_cartesian_mod_f,
+    tower_pairs,
     transfer_suite,
 )
 from .core import PrecisionBudget
@@ -147,36 +148,15 @@ def closure_pair_collection(seed=0):
     Extension pairs keep the B side at or below 2^16 elements so the
     exact checker can sweep every candidate.
     """
-    pairs = []
     pure2 = build_tower(TowerSpec(prime=2, n_digits=2, depth=2))
-    for n in range(pure2.start, pure2.top):
-        pairs.append(
-            RingPair.extension(
-                pure2.layer(n),
-                pure2.layer(n + 1),
-                lambda x, n=n: pure2.transition(n, x),
-                pure2.f0(n),
-                label=f"pure2:{n}->{n + 1}",
-                monomial_map=True,
-            )
-        )
+    pairs = tower_pairs(pure2)
     for n in pure2.levels:
         ring = pure2.layer(n)
         pairs.append(
             RingPair.localization(ring, ring.f0(), c_cap=2, label=f"pure2 loc {n}")
         )
     tl = tilt_tower(build_tower(TowerSpec(prime=2, n_digits=2, depth=3)), 1)
-    for n in range(tl.start, tl.top):
-        pairs.append(
-            RingPair.extension(
-                tl.layer(n),
-                tl.layer(n + 1),
-                lambda x, n=n: tl.transition(n, x),
-                tl.f0(n),
-                label=f"tilt2:{n}->{n + 1}",
-                monomial_map=True,
-            )
-        )
+    pairs += tower_pairs(tl)
     for n in tl.levels:
         ring = tl.layer(n)
         pairs.append(

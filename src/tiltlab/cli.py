@@ -2,7 +2,8 @@
 deterministic JSON or Markdown reports.
 
 Exit codes: 0 when every verdict passes, 1 when any check fails (the
-report is still emitted), 2 on usage or specification errors.  Reports
+report is still emitted), 2 on usage or specification errors, 3 on an
+internal fault (two independent methods disagreed; no report).  Reports
 contain no timing or environment data, so identical invocations produce
 byte-identical output.
 """
@@ -32,6 +33,7 @@ from .ramified import (
 from .tilts import InsufficientDepth, ZeroDepth, small_tilt
 from .towers import (
     LevelOutOfRange,
+    MethodDisagreement,
     SpecError,
     TowerSpec,
     build_tower,
@@ -392,6 +394,9 @@ def run(argv=None) -> int:
     except OSError as exc:
         print(f"tiltlab: {exc}", file=sys.stderr)
         return 2
+    except MethodDisagreement as exc:
+        print(f"tiltlab: internal fault: {exc}", file=sys.stderr)
+        return 3
     _emit(report, args)
     return 0 if ok else 1
 

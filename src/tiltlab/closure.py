@@ -2,19 +2,18 @@
 almost-integrality witnesses.
 
 Complete integral closedness quantifies over all powers of an element, so
-it is replaced here by two decidable shadows: p-root closedness (exact by
-enumeration on small rings, sampled otherwise) and bounded
-almost-integrality witnesses (a search up to explicit caps, whose absence
-is reported as undecided, never as a refutation).
+it is replaced here by two decidable shadows: p-root closedness and
+bounded almost-integrality witnesses (a search up to explicit caps, whose
+absence is reported as undecided, never as a refutation).
 
-Localizations A[1/f] are never materialized: a candidate is a pair
-(a, c) standing for a/f^c with c bounded by a cap, compared through
-cross-multiplication at precision.  On the monogenic layers the absolute
+Localizations A[1/f] are never materialized: a candidate a/f^c is a pair
+(a, c) with c bounded by a cap.  On the monogenic layers the absolute
 t-index (t-exponent plus e times the coefficient's p-valuation) is an
-exact multiplicative valuation, which turns the membership tests into
-integer comparisons; the sampled paths still recompute powers through the
-ring kernels whenever the result stays below the precision cap and raise
-a bug sentinel on disagreement.
+exact multiplicative valuation; it turns membership into an integer
+comparison and decides root closure of A in A[1/f].  There PASS_EXACT
+means that argument with multiplicativity checked at every absolute
+index below the precision cap, not an enumeration, so exact mode is
+exact at every size.  On extension pairs exact mode enumerates B.
 """
 
 from __future__ import annotations
@@ -473,11 +472,13 @@ def _combine(ring, basis, coords):
 def check_root_closed(pair: RingPair, n: int, mode="exact", samples=500, seed=0) -> Verdict:
     """Does b^n in A force b in A, for b ranging over the pair's B side?
 
-    mode "exact" enumerates every candidate (EnumerationTooLarge beyond the
-    cap); mode "sampled" draws seeded random candidates.  Samples whose
-    n-th power would vanish entirely at precision cannot witness anything
-    either way and are counted as skipped.
+    mode "exact" enumerates B on extension pairs (EnumerationTooLarge
+    beyond the cap) and every absolute index on localization pairs; mode
+    "sampled" draws seeded random candidates.  Samples whose n-th power
+    would vanish at precision witness nothing and are counted as skipped.
     """
+    if n < 1:
+        raise ValueError(f"root closure needs n >= 1, got {n}")
     prop = "P_ROOT_CLOSED" if n == pair.A.p else f"N_ROOT_CLOSED({n})"
     if pair.kind == "localization":
         return _root_closed_localization(pair, n, mode, samples, seed, prop)
@@ -514,6 +515,16 @@ def _root_closed_extension(pair, n, mode, samples, seed, prop) -> Verdict:
 
 
 def _root_closed_localization(pair, n, mode, samples, seed, prop) -> Verdict:
+    """Root closure of a monogenic layer A in A[1/f], decided by valuation.
+
+    A is a truncated DVR (t^e = p, or F_p[[T]]) with valuation idx =
+    index_valuation.  a/f^c in A <=> idx(a) >= c*idx(f), and (a/f^c)^n in
+    A <=> n*idx(a) >= n*c*idx(f): for n >= 1 the same condition, so A is
+    root closed.  The loop self-checks that idx is multiplicative,
+    recomputing a^n whenever n*idx(a) < cap (MethodDisagreement on a
+    mismatch), on one p^v t^k per absolute index (exact mode; monomial
+    folds t^e = p) or on seeded random elements (sampled mode).
+    """
     import random
 
     A = pair.A
@@ -522,33 +533,23 @@ def _root_closed_localization(pair, n, mode, samples, seed, prop) -> Verdict:
             "localization pairs need monogenic layer rings (the absolute "
             "t-index is only a valuation there)"
         )
-    s_f = _monomial_index(pair.f)
     cap = A.index_cap
     checked = skipped = verified = 0
     if mode == "exact":
-        candidates = ((a, pair.c_cap) for a in A.enumerate_elements())
+        candidates = (A.monomial(i) for i in range(cap))
     else:
         rng = random.Random(seed)
+        # The c draw is unread but kept: the suite prints sample counts,
+        # so its bytes pin the draw order (an element, then a c).
         candidates = (
-            (A.random_element(rng, 3), rng.randint(0, pair.c_cap))
+            (A.random_element(rng, 3), rng.randint(0, pair.c_cap))[0]
             for _ in range(samples)
         )
-    for a, c in candidates:
+    for a in candidates:
         checked += 1
         idx = a.index_valuation()
         if idx is None:
             continue  # a/f^c is zero at precision
-        member_b = idx >= c * s_f  # b in A  <=>  val(a) >= c * val(f)
-        member_bn = n * idx >= n * c * s_f  # b^n in A, by multiplicativity
-        if member_bn and not member_b:
-            return Verdict(
-                FAIL,
-                property=prop,
-                witness=f"({a.to_text()}) / f^{c}",
-                samples=checked,
-                details={"pair": pair.label},
-            )
-        # Honest recomputation when a^n stays visible at precision.
         if n * idx < cap:
             got = (a**n).index_valuation()
             if got != n * idx:
@@ -728,11 +729,8 @@ def _layerwise_root_closed(handle, mode, samples, seed, c_cap):
         pair = RingPair.localization(
             ring, ring.f0(), c_cap=c_cap, label=f"{handle.label}:level {n}"
         )
-        use = mode
-        if mode == "exact" and ring.element_count() > _EXACT_LIMIT:
-            use = "sampled"
         verdict = check_root_closed(
-            pair, ring.p, mode=use, samples=samples, seed=seed + i
+            pair, ring.p, mode=mode, samples=samples, seed=seed + i
         )
         row = verdict.to_json_dict()
         row["level"] = n

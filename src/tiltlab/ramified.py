@@ -29,6 +29,7 @@ from .core import LayerRing, PrecisionBudget, Prime, layer_make
 from .towers import (
     AxiomReport,
     MethodDisagreement,
+    SpecError,
     TowerSpec,
     build_tower,
     check_axioms,
@@ -56,11 +57,11 @@ class KummerCoverSpec:
     def __post_init__(self):
         Prime(self.prime)
         if self.m < 2:
-            raise ValueError("cover exponent must be >= 2")
+            raise SpecError("cover exponent must be >= 2")
         if math.gcd(self.m, self.prime) != 1:
-            raise ValueError("cover exponent must be coprime to p (tame case)")
+            raise SpecError("cover exponent must be coprime to p (tame case)")
         if self.levels < 1:
-            raise ValueError("need at least one level")
+            raise SpecError("need at least one level")
 
 
 @dataclass
@@ -113,6 +114,7 @@ class EpsilonWitness:
     epsilon: Fraction
     start_level: int
     delta_used: Fraction
+    bound_c: Fraction  # the table's c(S), for assemble_perfectoid; not emitted
     certificate: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -344,6 +346,7 @@ def find_epsilon(spec: KummerCoverSpec, table: DeltaTable) -> EpsilonWitness:
         epsilon=eps,
         start_level=n_start,
         delta_used=delta_used,
+        bound_c=table.bound_c,
         certificate={
             "monomial_rows": cert_rows,
             "eps_times_p_start_in_refined_lattice": str(eps * p**n_start),
@@ -440,11 +443,9 @@ def assemble_perfectoid(
     smaller when the checks already pass there, and the report records
     both.
     """
-    table = delta_table(spec)
     eps = witness.epsilon
-    c_s = table.bound_c
     a_priori_bound = witness.start_level
-    while (a_priori_bound + 1) * eps < c_s:
+    while (a_priori_bound + 1) * eps < witness.bound_c:
         a_priori_bound += 1
     last_report = None
     for cand in range(witness.start_level, a_priori_bound + 1):

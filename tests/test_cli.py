@@ -1,6 +1,8 @@
 """CLI behavior: exit codes, determinism, spec files, report shapes."""
 
 import contextlib
+import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -98,6 +100,24 @@ def test_ramify_values():
     assert rep["smalltilt_normality"]["all_ok"] is True
 
 
+def test_ramify_builds_the_delta_table_once(monkeypatch):
+    import tiltlab.ramified as ramified
+
+    real, calls = ramified.delta_table, []
+
+    def counted(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr("tiltlab.ramified.delta_table", counted)
+    monkeypatch.setattr("tiltlab.cli.delta_table", counted)
+    code, _, _ = invoke(
+        ["ramify", "--p", "5", "--m", "2", "--levels", "5",
+         "--prec", "6", "--depth", "2", "--samples", "10", "--seed", "0"]
+    )
+    assert code == 0 and len(calls) == 1
+
+
 def test_closure_command():
     code, out, _ = invoke(
         ["closure", "--prime", "2", "--prec", "2", "--depth", "3",
@@ -105,6 +125,30 @@ def test_closure_command():
     )
     assert code == 0
     assert json.loads(out)["report"]["all_ok"] is True
+
+
+def test_closure_exact_is_exact_at_size():
+    # layers far past the enumeration cap still get exact root-closure rows
+    code, out, _ = invoke(
+        ["closure", "--prime", "5", "--prec", "6", "--depth", "3", "--mode", "exact"]
+    )
+    assert code == 0
+    report = json.loads(out)["report"]
+    rows = report["root_closed"] + report["tilt_root_closed"]
+    assert len(rows) == 7
+    assert all(row["verdict"] == "PASS_EXACT" for row in rows)
+
+
+def test_internal_fault_exits_three(monkeypatch):
+    from tiltlab.towers import MethodDisagreement
+
+    def disagree(seed):
+        raise MethodDisagreement("fast path disagrees with oracle")
+
+    monkeypatch.setattr("tiltlab.cli.run_battery", disagree)
+    code, out, err = invoke(["suite", "--seed", "7"])
+    assert code == 3 and out == ""
+    assert err == "tiltlab: internal fault: fast path disagrees with oracle\n"
 
 
 def test_usage_errors_exit_two():
@@ -141,8 +185,18 @@ def test_suite_determinism_bytes():
     code2, out2, _ = invoke(["suite", "--seed", "7"])
     assert code1 == code2 == 0
     assert out1 == out2
+    assert hashlib.sha256(out1.encode()).hexdigest() == _workloads().SUITE_SHA256
     body = json.loads(out1)
     assert body["ok"] is True
+
+
+def _workloads():
+    # the benchmark's pinned suite digest, read from its own file
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("module", ["tiltlab", "tiltlab.cli"])

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from tiltlab import linalg
 from tiltlab.closure import (
     FAIL,
     PASS_EXACT,
@@ -15,6 +16,7 @@ from tiltlab.closure import (
     almost_integral_witness,
     check_root_closed,
     is_cartesian_mod_f,
+    tower_pairs,
     transfer_suite,
 )
 from tiltlab.battery import closure_pair_collection, crafted_negative_pairs
@@ -76,10 +78,65 @@ def test_root_closed_charp_defect():
 
 
 def test_root_closed_exact_caps_enumeration():
-    ring = layer_make(5, PrecisionBudget(6), 25)
-    pair = RingPair.localization(ring, ring.f0(), c_cap=2)
+    # exact mode on an extension pair still enumerates the B side
+    (pair,) = tower_pairs(pure5(depth=1))
     with pytest.raises(EnumerationTooLarge):
         check_root_closed(pair, 5, mode="exact")
+
+
+@pytest.mark.parametrize("n_digits,depth,level", [(8, 1, 1), (2, 3, 3)])
+def test_exact_localization_agrees_with_element_sweep(n_digits, depth, level):
+    # oracle: sweep all 2^16 elements, check idx(a^2) = 2 idx(a) below the
+    # cap, and decide every b = a/f^c (c <= c_cap) by linear algebra on the
+    # ideals f^k A, without the valuation
+    tower = build_tower(TowerSpec(prime=2, n_digits=n_digits, depth=depth))
+    ring = tower.layer(level)
+    c_cap = 3
+    pair = RingPair.localization(ring, ring.f0(), c_cap=c_cap)
+    verdict = check_root_closed(pair, 2, mode="exact")
+    assert verdict.verdict == PASS_EXACT
+    assert verdict.samples == ring.index_cap
+    basis = [ring.monomial(*key) for key in ring.basis_keys()]
+    ideals = [
+        linalg.RowSpan(
+            [ring.to_vec(pair.f**k * x) for x in basis], ring.p, ring.n_digits
+        )
+        for k in range(2 * c_cap + 1)
+    ]
+
+    def depth_in_f(x):  # the largest k <= 2 c_cap with x in f^k A
+        vec, k = ring.to_vec(x), 0
+        while k < 2 * c_cap and ideals[k + 1].contains(vec):
+            k += 1
+        return k
+
+    cap = ring.index_cap
+    assert ring.element_count() == 1 << 16
+    for a in ring.enumerate_elements():
+        a2 = a * a
+        idx = a.index_valuation()
+        if idx is not None and 2 * idx < cap:
+            assert a2.index_valuation() == 2 * idx
+        # some c <= c_cap has b^2 in A (a^2 in f^2c A) but b not in A:
+        # only where a^2 vanishes at precision, which proves nothing
+        d2 = depth_in_f(a2)
+        if d2 >= 2 and min(c_cap, d2 // 2) > depth_in_f(a):
+            assert a2.is_zero(), a.to_text()
+
+
+def test_root_closed_exact_localization_at_size():
+    ring = layer_make(5, PrecisionBudget(6), 3125)
+    pair = RingPair.localization(ring, ring.f0(), c_cap=3)
+    verdict = check_root_closed(pair, 5, mode="exact")
+    assert verdict.verdict == PASS_EXACT
+    assert verdict.samples == ring.index_cap == 18750
+
+
+def test_root_closed_rejects_n_below_one():
+    ring = layer_make(2, PrecisionBudget(2), 2)
+    for pair in (RingPair.localization(ring, ring.f0()), crafted_negative_pairs()[0]):
+        with pytest.raises(ValueError):
+            check_root_closed(pair, 0)
 
 
 def test_sampling_never_contradicts_exact():

@@ -22,6 +22,7 @@ from tiltlab.ramified import (
     tilted_delta_table,
     verify_epsilon_certificate,
 )
+from tiltlab.towers import SpecError
 
 
 def spec52(levels=5, n=6):
@@ -180,24 +181,47 @@ def test_assemble_p2_m3():
     assert report.all_pass and n_prime >= w.start_level
 
 
+# (p, m) -> (start level, a priori bound), as measured; no formula for
+# epsilon or the start level is assumed.  p = 2 is the wild corner that
+# starts one level lower.
+FAMILY_START_AND_BOUND = {
+    (3, 2): (2, 2),
+    (7, 3): (2, 9),
+    (2, 3): (1, 1),
+    (3, 4): (2, 2),
+    (5, 3): (2, 5),
+    (7, 2): (2, 5),
+}
+
+
 @pytest.mark.parametrize(
     "p,m,n_digits,levels,eps",
     [
         (3, 2, 5, 5, Fraction(2, 9)),
         (7, 3, 4, 4, Fraction(3, 49)),  # powers carry past N: zero rows
+        (2, 3, 4, 5, Fraction(1, 6)),
+        (3, 4, 4, 5, Fraction(1, 6)),
+        (5, 3, 4, 5, Fraction(7, 75)),
+        (7, 2, 3, 4, Fraction(4, 49)),
     ],
 )
 def test_assemble_other_families(p, m, n_digits, levels, eps):
     spec = KummerCoverSpec(
         prime=p, m=m, precision=PrecisionBudget(n_digits), levels=levels
     )
-    w = find_epsilon(spec, delta_table(spec))
+    table = delta_table(spec)
+    assert [r.delta for r in table.rows] == [
+        Fraction((m - 1) * (p - 1), m * p ** (n + 1)) for n in range(levels)
+    ]
+    w = find_epsilon(spec, table)
     assert w.epsilon == eps
     assert verify_epsilon_certificate(spec, w, rng=random.Random(p), samples=10)
     handle, report, n_prime, bound = assemble_perfectoid(
         spec, w, depth=2, samples=20, seed=p
     )
     assert report.all_pass
+    assert (w.start_level, bound) == FAMILY_START_AND_BOUND[(p, m)]
+    assert n_prime == w.start_level
     assert smalltilt_normality_report(handle, samples=100, seed=p)["all_ok"]
 
 
@@ -243,3 +267,12 @@ def test_spec_validation():
         KummerCoverSpec(prime=5, m=5, precision=PrecisionBudget(6), levels=3)
     with pytest.raises(ValueError):
         KummerCoverSpec(prime=5, m=1, precision=PrecisionBudget(6), levels=3)
+
+
+def test_spec_errors_are_named():
+    # m < 2, p | m, levels < 1: spec errors, not bare ValueErrors
+    for m, levels in ((1, 3), (5, 3), (10, 3), (2, 0)):
+        with pytest.raises(SpecError):
+            KummerCoverSpec(
+                prime=5, m=m, precision=PrecisionBudget(6), levels=levels
+            )
