@@ -34,6 +34,9 @@ CHAR_P = "char_p"
 
 _ENUM_LIMIT = 1 << 20
 
+# A monogenic product goes dense when len(a) * len(b) exceeds max(this, e).
+_SPARSE_LIMIT = 64
+
 
 class NonPrime(ValueError):
     pass
@@ -382,7 +385,7 @@ class LayerRing:
         if not ta or not tb:
             return LayerElem(self, {}, lossy)
         if self.num_vars == 0:
-            if len(ta) * len(tb) > max(64, self.e):
+            if len(ta) * len(tb) > max(_SPARSE_LIMIT, self.e):
                 return self._mul_dense(ta, tb, lossy)
             acc: dict = {}
             get = acc.get
@@ -413,15 +416,9 @@ class LayerRing:
 
     def _mul_dense(self, ta, tb, lossy):
         if self.mode == MIXED:
-            fa = [0] * self.e
-            for (k, _), c in ta.items():
-                fa[k] = c
-            if ta is tb:  # the kernel squares when both arguments are one list
-                fb = fa
-            else:
-                fb = [0] * self.e
-                for (k, _), c in tb.items():
-                    fb[k] = c
+            fa = self._coeff_list(ta)
+            # the kernel squares when both arguments are one list
+            fb = fa if ta is tb else self._coeff_list(tb)
             conv = _backend.eisenstein_mul(fa, fb, self.e, self.p, self.coeff_mod)
         else:
             la = max(k for k, _ in ta) + 1
@@ -436,6 +433,55 @@ class LayerRing:
         vt = self._zero_vt
         terms = {(k, vt): c for k, c in enumerate(conv) if c}
         return LayerElem(self, terms, lossy)
+
+    def _coeff_list(self, terms) -> list:
+        """The e coefficients of a monogenic MIXED element, t^0 first."""
+        out = [0] * self.e
+        for (k, _), c in terms.items():
+            out[k] = c
+        return out
+
+    # -- the p-th power chain of LayerElem.p_power ---------------------------
+    #
+    # A chain value is a terms dict while sparse and an e-long coefficient
+    # list once a product went dense; its coefficients lie in [0, mod) for
+    # the modulus of the step that made it.
+
+    def _chain_frobenius(self, y):
+        """y^p mod p: F_p[t]/(t^e) has t^k -> t^(p*k) and no cross terms."""
+        p, e = self.p, self.e
+        if isinstance(y, list):
+            out = [0] * e
+            out[::p] = y[: (e + p - 1) // p]
+            return out
+        return {(p * k, vt): c for (k, vt), c in y.items() if p * k < e}
+
+    def _chain_pow_p(self, y, mod):
+        """y^p mod `mod`, by left-to-right binary powering."""
+        r = y
+        for bit in bin(self.p)[3:]:
+            r = self._chain_mul(r, r, mod)
+            if bit == "1":
+                r = self._chain_mul(r, y, mod)
+        return r
+
+    def _chain_mul(self, a, b, mod):
+        """a * b mod `mod`: sparse by _mul's rule until either side is dense.
+
+        The kernel sizes its lanes for coefficients below its pmod, so both
+        inputs must already lie in [0, mod).
+        """
+        sparse_a, sparse_b = isinstance(a, dict), isinstance(b, dict)
+        if sparse_a and sparse_b and len(a) * len(b) <= max(_SPARSE_LIMIT, self.e):
+            wa = LayerElem(self, a)
+            prod = self._mul(wa, wa if b is a else LayerElem(self, b))
+            return {key: r for key, c in prod.terms.items() if (r := c % mod)}
+        fa = self._coeff_list(a) if sparse_a else a
+        if b is a:
+            fb = fa
+        else:
+            fb = self._coeff_list(b) if sparse_b else b
+        return _backend.eisenstein_mul(fa, fb, self.e, self.p, mod)
 
     # -- valuation and ideals ----------------------------------------------
 
@@ -706,6 +752,31 @@ class LayerElem:
             n >>= 1
         return result
 
+    def p_power(self, m: int) -> "LayerElem":
+        """self ** p**m, as m successive p-th powers at rising precision.
+
+        If a = b mod p^k with k >= 1, then a^p = b^p mod p^(k+1) by the
+        binomial theorem, so self^(p^m) mod p^N depends only on self mod
+        p^max(1, N-m).  Step i of the chain therefore works mod
+        p^max(1, N-m+i), and only the last step runs at full precision.  A
+        step mod p is the Frobenius of F_p[t]/(t^e) and needs no product.
+        Each product picks the sparse or dense path by _mul's rule; once
+        dense, the chain stays on one coefficient list.  Single-term
+        elements, char-p layers and layers with variables take __pow__.
+        """
+        ring = self.ring
+        if m == 0 or len(self.terms) < 2 or ring.mode != MIXED or ring.num_vars:
+            return self ** ring.p**m
+        p, n = ring.p, ring.n_digits
+        mod = p ** max(1, n - m)
+        y = {key: r for key, c in self.terms.items() if (r := c % mod)}
+        for k in range(n - m + 1, n + 1):
+            y = ring._chain_frobenius(y) if k <= 1 else ring._chain_pow_p(y, p**k)
+        if isinstance(y, list):
+            vt = ring._zero_vt
+            y = {(k, vt): c for k, c in enumerate(y) if c}
+        return LayerElem(ring, y, self.lossy)
+
     def index_valuation(self) -> int | None:
         """The valuation times e, as an absolute t-index; None at zero.
 
@@ -934,6 +1005,9 @@ class ProductElem:
 
     def __pow__(self, n):
         return self.ring.wrap(p**n for p in self.parts)
+
+    def p_power(self, m):
+        return self.ring.wrap(part.p_power(m) for part in self.parts)
 
     def valuation(self):
         vals = [p.valuation() for p in self.parts]

@@ -9,6 +9,12 @@ effective_precision, measured on first access.  Lifts are canonical
 (coefficients lifted to 0..p-1) unless a generator of randomness is
 supplied, which exercises lift-independence.
 
+Both stages raise their lift with LayerElem.p_power, on a precision
+ladder: if a = b mod p^k with k >= 1, then a^p = b^p mod p^(k+1), so
+a^(p^m) mod p^N depends only on a mod p^max(1, N-m) (Scholze, "Perfectoid
+spaces", Lemma 3.4).  The m-th stage is m successive p-th powers, step i
+modulo p^max(1, N-m+i), and equals lift(x_m) ** p**m exactly.
+
 The verifiers in this module check, exactly on the finite quotients: the
 commutation of sharp with reduction mod the ideal, the induced ring
 isomorphism between the tilt modulo its pillar and the layer quotient,
@@ -84,15 +90,14 @@ def sharp(handle, x: SmallTiltElem, rng=None) -> SharpResult:
     if m < 1:
         raise ZeroDepth("sharp needs tilt depth >= 1")
     j = x.layer
-    p = handle.p
     deep = handle.layer(j + m)
-    value = _lift(handle, j + m, x.deepest, rng) ** (p**m)
+    value = _lift(handle, j + m, x.deepest, rng).p_power(m)
     # Draw the (m-1)-st lift now so rng draws keep their order; its power
     # and the stage comparison wait until effective_precision is read.
     prev_lift = _lift(handle, j + m - 1, x.component(m - 1), rng)
 
     def measure():
-        prev = prev_lift ** (p ** (m - 1))
+        prev = prev_lift.p_power(m - 1)
         v = (value - handle.embed(j + m - 1, j + m, prev)).valuation()
         cap = deep.val_cap
         return cap if v is ABOVE_PRECISION else min(v, cap)

@@ -148,6 +148,27 @@ def test_sampling_never_contradicts_exact():
         assert exact.ok() == sampled.ok(), pair.label
 
 
+def test_oracle_block_skips_root_closure_on_the_cartesian_negative(monkeypatch):
+    # the cartesian-defect row reads only is_cartesian_mod_f, so its two
+    # root-closure verdicts would be computed and thrown away
+    from tiltlab import battery
+
+    seen = []
+    real = battery.check_root_closed
+
+    def counting(pair, *args, **kwargs):
+        seen.append(pair.label)
+        return real(pair, *args, **kwargs)
+
+    monkeypatch.setattr(battery, "check_root_closed", counting)
+    block = battery.closure_oracle_block(seed=10)
+    assert block["ok"]
+    assert "cartesian-defect" not in seen
+    # one exact and one sampled call on every other pair
+    assert len(seen) == 2 * (block["pair_count"] - 1)
+    assert {"pair": "cartesian-defect", "cartesian": FAIL} in block["pairs"]
+
+
 # -- cartesian criterion ----------------------------------------------------------
 
 

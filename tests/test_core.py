@@ -459,6 +459,80 @@ def test_zero_product_keeps_the_lossy_flag():
     assert not (ring.zero() * ring.one()).lossy
 
 
+# -- the p-th power chain -----------------------------------------------------------
+#
+# p_power(m) raises to p**m by m successive p-th powers at rising precision;
+# the reference is binary powering at full precision, x ** p**m.
+
+
+@st.composite
+def chain_case(draw):
+    """A mixed layer of pure (e = p^a) or Kummer (e = e0 p^a) shape, an
+    element that is zero, a monomial, sparse or dense, and 0 <= m <= N + 2.
+
+    Coefficients carry p-powers, so the first reduction, mod p^max(1, N-m),
+    drops terms; m >= N adds steps mod p, which are Frobenius only.
+    """
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    e0 = draw(st.sampled_from([k for k in (1, 2, 3) if k % p]))
+    level = draw(st.integers(min_value=0, max_value=3 if p < 5 else 2))
+    n = draw(st.integers(min_value=1, max_value=4))
+    ring = layer_make(p, PrecisionBudget(n), e0 * p**level, e0=e0, level=level)
+    shape = draw(st.sampled_from(["zero", "monomial", "sparse", "dense"]))
+    if shape == "dense":
+        keys = range(ring.e)
+    else:
+        low, high = {"zero": (0, 0), "monomial": (1, 1), "sparse": (2, 8)}[shape]
+        keys = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=ring.e - 1),
+                min_size=min(low, ring.e),
+                max_size=min(high, ring.e),
+                unique=True,
+            )
+        )
+    items = []
+    for k in keys:
+        unit = draw(st.integers(min_value=1, max_value=ring.coeff_mod - 1))
+        shift = draw(st.integers(min_value=0, max_value=n))
+        items.append((k, (), unit * p**shift))
+    x = ring._from_items(items, draw(st.booleans()))
+    return x, draw(st.integers(min_value=0, max_value=n + 2))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(chain_case())
+def test_p_power_matches_binary_powering(case):
+    x, m = case
+    _same(x.p_power(m), x ** x.ring.p**m, order=False)
+
+
+def test_p_power_reduces_sparse_steps_before_the_kernel():
+    # (1 + t)^(3^i) stays sparse for a few steps, with binomial coefficients
+    # far above the step's modulus; the kernel's lanes hold only reduced
+    # coefficients (unreduced: a silent carry at m = 8, an overflow at 9)
+    ring = LayerRing(mode=MIXED, p=3, e=243, n_digits=10, ideal_num=243)
+    x = ring.parse("1 + t")
+    for m in (8, 9):
+        _same(x.p_power(m), x ** 3**m, order=False)
+
+
+def test_p_power_maps_over_product_parts():
+    pure = O(p=5, N=3, e=25, level=2)
+    kummer = O(p=5, N=3, e=50, e0=2, level=2)
+    prod = ProductRing((pure, kummer))
+    rng = random.Random(4)
+    dense = pure._from_items([(k, (), rng.randrange(1, 125)) for k in range(25)])
+    for x in (
+        prod.random_element(rng, max_terms=8),
+        prod.wrap((dense, kummer._from_items([], lossy=True))),
+        prod.wrap((pure.monomial(3, coeff=10), kummer.random_element(rng, 8))),
+    ):
+        for m in range(6):
+            for part, ref in zip(x.p_power(m).parts, (x ** 5**m).parts):
+                _same(part, ref, order=False)
+
+
 # -- the variable-degree cap -------------------------------------------------------
 
 

@@ -1,11 +1,15 @@
 """The monoidal map: exact values, measured precision, diagrams, idempotent
 and torsion transfer."""
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tiltlab import _backend
 from tiltlab.core import ABOVE_PRECISION
 from tiltlab.monoidal import (
     check_pillar_valuation,
@@ -319,3 +323,79 @@ def test_lazy_precision_matches_eager_stages(make, m):
             result.measure = None  # cached: the comparison runs once
             assert result.effective_precision == want_prec
             assert result.to_json_dict()["effective_precision"] == str(want_prec)
+
+
+def _pure(p, n, depth):
+    return build_tower(TowerSpec(prime=p, n_digits=n, depth=depth))
+
+
+# Towers for the differential test below: pure at every prime, with depths
+# past N at p = 2 and 3 so the chain takes Frobenius-only steps; the Kummer
+# 5/2 tower; and a product tower, whose values are ProductElems.
+_SHARP_TOWERS = {
+    "pure2": lambda: _pure(2, n=2, depth=4),
+    "pure3": lambda: _pure(3, n=2, depth=3),
+    "pure5": lambda: pure5(depth=3, n=3),
+    "pure7": lambda: _pure(7, n=3, depth=2),
+    "kummer52": lambda: kummer52(depth=2),
+    "product": lambda: _product_tower(2),
+}
+
+
+@functools.cache
+def _sharp_tower(name):
+    return _SHARP_TOWERS[name]()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.data())
+def test_sharp_matches_the_pow_formula(data):
+    # sharp raises lifts with p_power; the reference raises them with **
+    h = _sharp_tower(data.draw(st.sampled_from(sorted(_SHARP_TOWERS))))
+    j = h.start
+    m = data.draw(st.integers(min_value=1, max_value=h.top - j))
+    pres = small_tilt(h, j, m)
+    seed = data.draw(st.integers(min_value=0, max_value=2**32))
+    shape = data.draw(st.sampled_from(["zero", "one", "p_flat", "random"]))
+    if shape == "p_flat":
+        x = p_flat(h, j, m)
+    elif shape == "random":
+        x = pres.random_element(random.Random(seed), max_terms=8)
+    else:
+        x = pres.from_presentation(getattr(pres.ring, shape)())
+    use_rng = data.draw(st.booleans())
+    rng = random.Random(seed) if use_rng else None
+    ref_rng = random.Random(seed) if use_rng else None
+    result = sharp(h, x, rng=rng)
+    want_value, want_prec = _eager_sharp(h, x, ref_rng)
+    assert result.value == want_value
+    assert result.value.lossy == want_value.lossy
+    assert result.effective_precision == want_prec
+
+
+def test_dense_sharp_climbs_the_precision_ladder(monkeypatch):
+    # The kernel is looked up on tiltlab._backend at each call, where the
+    # benchmark's tracer patches it too.  On the Kummer 5/2 top layer
+    # (e = 6250, N = 6, m = 3) the chain's steps run mod 5^4, 5^5, 5^6.
+    h = kummer52(depth=3)
+    j, top = h.start, h.top
+    pres = small_tilt(h, j, top - j)
+    ring = pres.ring
+    y = ring.one()
+    for k in random.Random(3).sample(range(1, ring.window), 7):
+        y = y + ring.monomial(k)  # a unit keeps every power dense
+    x = pres.from_presentation(y)
+    moduli = []
+    kernel = _backend.eisenstein_mul
+
+    def recorder(a, b, e, p, pmod):
+        moduli.append(pmod)
+        return kernel(a, b, e, p, pmod)
+
+    monkeypatch.setattr(_backend, "eisenstein_mul", recorder)
+    result = sharp(h, x)
+    deep = h.layer(top)
+    assert deep.reduce_mod_ideal(result.value) == h.tbar_multi(j, top, x.component(0))
+    assert moduli == sorted(moduli)
+    assert min(moduli) < deep.coeff_mod
+    assert moduli[-1] == deep.coeff_mod
