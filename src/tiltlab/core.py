@@ -447,15 +447,6 @@ class LayerRing:
     # list once a product went dense; its coefficients lie in [0, mod) for
     # the modulus of the step that made it.
 
-    def _chain_frobenius(self, y):
-        """y^p mod p: F_p[t]/(t^e) has t^k -> t^(p*k) and no cross terms."""
-        p, e = self.p, self.e
-        if isinstance(y, list):
-            out = [0] * e
-            out[::p] = y[: (e + p - 1) // p]
-            return out
-        return {(p * k, vt): c for (k, vt), c in y.items() if p * k < e}
-
     def _chain_pow_p(self, y, mod):
         """y^p mod `mod`, by left-to-right binary powering."""
         r = y
@@ -758,11 +749,11 @@ class LayerElem:
         If a = b mod p^k with k >= 1, then a^p = b^p mod p^(k+1) by the
         binomial theorem, so self^(p^m) mod p^N depends only on self mod
         p^max(1, N-m).  Step i of the chain therefore works mod
-        p^max(1, N-m+i), and only the last step runs at full precision.  A
-        step mod p is the Frobenius of F_p[t]/(t^e) and needs no product.
+        p^max(1, N-m+i), and only the last step runs at full precision.
         Each product picks the sparse or dense path by _mul's rule; once
-        dense, the chain stays on one coefficient list.  Single-term
-        elements, char-p layers and layers with variables take __pow__.
+        dense, the chain stays on one coefficient list, which saves a term
+        dict per product.  Single-term elements, char-p layers and layers
+        with variables take __pow__.
         """
         ring = self.ring
         if m == 0 or len(self.terms) < 2 or ring.mode != MIXED or ring.num_vars:
@@ -771,7 +762,7 @@ class LayerElem:
         mod = p ** max(1, n - m)
         y = {key: r for key, c in self.terms.items() if (r := c % mod)}
         for k in range(n - m + 1, n + 1):
-            y = ring._chain_frobenius(y) if k <= 1 else ring._chain_pow_p(y, p**k)
+            y = ring._chain_pow_p(y, p ** max(1, k))
         if isinstance(y, list):
             vt = ring._zero_vt
             y = {(k, vt): c for k, c in enumerate(y) if c}

@@ -471,7 +471,7 @@ def chain_case(draw):
     element that is zero, a monomial, sparse or dense, and 0 <= m <= N + 2.
 
     Coefficients carry p-powers, so the first reduction, mod p^max(1, N-m),
-    drops terms; m >= N adds steps mod p, which are Frobenius only.
+    drops terms; m >= N adds steps mod p.
     """
     p = draw(st.sampled_from([2, 3, 5, 7]))
     e0 = draw(st.sampled_from([k for k in (1, 2, 3) if k % p]))

@@ -330,7 +330,7 @@ def _pure(p, n, depth):
 
 
 # Towers for the differential test below: pure at every prime, with depths
-# past N at p = 2 and 3 so the chain takes Frobenius-only steps; the Kummer
+# past N at p = 2 and 3 so the chain takes steps mod p; the Kummer
 # 5/2 tower; and a product tower, whose values are ProductElems.
 _SHARP_TOWERS = {
     "pure2": lambda: _pure(2, n=2, depth=4),
