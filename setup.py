@@ -2,11 +2,8 @@
 
 The package is pure Python plus one optional Cython extension holding the
 dense polynomial kernels.  If Cython or a C compiler is missing the build
-falls back silently to the pure-Python kernels; set TILTLAB_NO_EXT=1 to skip
-the extension on purpose.
+falls back silently to the pure-Python kernels.
 """
-
-import os
 
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
@@ -27,15 +24,14 @@ class OptionalBuildExt(build_ext):
 
 
 ext_modules = []
-if not os.environ.get("TILTLAB_NO_EXT"):
-    try:
-        from Cython.Build import cythonize
+try:
+    from Cython.Build import cythonize
 
-        ext_modules = cythonize(
-            [Extension("tiltlab._kernels", ["src/tiltlab/_kernels.pyx"])],
-            compiler_directives={"language_level": "3"},
-        )
-    except ImportError:
-        pass
+    ext_modules = cythonize(
+        [Extension("tiltlab._kernels", ["src/tiltlab/_kernels.pyx"])],
+        compiler_directives={"language_level": "3"},
+    )
+except ImportError:
+    pass
 
 setup(ext_modules=ext_modules, cmdclass={"build_ext": OptionalBuildExt})

@@ -21,8 +21,6 @@ from .core import (
     Prime,
     ProductElem,
     ProductRing,
-    QuotElem,
-    RatValuation,
     TorsionReport,
     layer_make,
     parse_element,

@@ -59,18 +59,19 @@ def pure_tower(p=5, n=6, depth=3, vars=0, cap=0):
     return build_tower(_spec_pure(p, n, depth, vars, cap))
 
 
-def kummer_tower_5_2(depth=3, samples=200, seed=0):
+def kummer_tower_5_2(seed=0):
     spec = KummerCoverSpec(prime=5, m=2, precision=PrecisionBudget(6), levels=5)
     table = delta_table(spec)
     witness = find_epsilon(spec, table)
     handle, report, n_prime, bound = assemble_perfectoid(
-        spec, witness, depth=depth, samples=samples, seed=seed
+        spec, witness, depth=3, samples=200, seed=seed
     )
     return spec, table, witness, handle, report, n_prime, bound
 
 
-def crafted_negative_pairs(p=2, n_digits=2):
+def crafted_negative_pairs():
     """Three defective ring pairs that every checker must catch."""
+    p, n_digits = 2, 2
     pp = p * p
     B = ExplicitRing(
         p=p,
@@ -302,9 +303,7 @@ def run_battery(seed: int = 7) -> dict:
     )
 
     # 4/5: diagrams, quotient isos, pillar valuations on both towers
-    spec52, table, witness, kummer, k_report, n_prime, bound = kummer_tower_5_2(
-        depth=3, samples=200, seed=seed
-    )
+    spec52, table, witness, kummer, k_report, n_prime, bound = kummer_tower_5_2(seed)
     diag_rows, diag_ok = [], True
     for j in range(0, 4):
         red = check_sharp_reduction(h4, j, samples=100, seed=seed + j)
@@ -370,7 +369,7 @@ def run_battery(seed: int = 7) -> dict:
     cert_ok = verify_epsilon_certificate(
         spec52, witness, rng=random.Random(seed), samples=50
     )
-    tilt_rows = tilted_delta_table(spec52, 1)
+    tilt_rows = tilted_delta_table(spec52)
     shadow = colimit_shadow(spec52, table)
     add(
         "kummer_constants",

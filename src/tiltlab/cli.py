@@ -55,6 +55,20 @@ _USAGE_ERRORS = (
 )
 
 
+def _fraction(text: str, flag: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise SpecError(f"{flag} needs a fraction a/b with b != 0, got {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _spec_from_args(args) -> TowerSpec:
     """The inline spec, or the --spec file with --prec/--depth applied to
     it and to every component of a product."""
@@ -68,8 +82,8 @@ def _spec_from_args(args) -> TowerSpec:
             kind=args.kind,
             m=args.m,
             num_vars=args.vars,
-            var_degree_cap=Fraction(args.var_cap),
-            ideal_exp=Fraction(args.ideal_exp) if args.ideal_exp else None,
+            var_degree_cap=_fraction(args.var_cap, "--var-cap"),
+            ideal_exp=_fraction(args.ideal_exp, "--ideal-exp") if args.ideal_exp else None,
             start_level=args.start,
         )
     with open(args.spec, "r", encoding="utf-8") as fh:
@@ -259,7 +273,11 @@ def _cmd_ramify(args) -> tuple[dict, bool]:
         "tilted_rows": tilted_delta_table(spec),
         "colimit_rows": colimit_shadow(spec, table),
     }
-    override = Fraction(args.pillar_override) if args.pillar_override else None
+    override = (
+        _fraction(args.pillar_override, "--pillar-override")
+        if args.pillar_override
+        else None
+    )
     try:
         handle, report, n_prime, bound = assemble_perfectoid(
             spec,
@@ -331,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ax = sub.add_parser("axioms", help="run the tower axiom suite")
     _add_spec_flags(ax, depth=3)
-    ax.add_argument("--samples", type=int, default=200)
+    ax.add_argument("--samples", type=_positive_int, default=200)
     ax.add_argument("--seed", type=int, default=0)
     ax.set_defaults(fn=_cmd_axioms)
 
@@ -351,9 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     cl = sub.add_parser("closure", help="closure transfer suite")
     _add_spec_flags(cl, depth=3)
     cl.add_argument("--mode", choices=["exact", "sampled"], default="sampled")
-    cl.add_argument("--samples", type=int, default=500)
-    cl.add_argument("--ccap", type=int, default=3)
-    cl.add_argument("--ncap", type=int, default=10)
+    cl.add_argument("--samples", type=_positive_int, default=500)
+    cl.add_argument("--ccap", type=_positive_int, default=3)
+    cl.add_argument("--ncap", type=_positive_int, default=10)
     cl.add_argument("--seed", type=int, default=0)
     cl.set_defaults(fn=_cmd_closure)
 
@@ -363,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     ra.add_argument("--levels", type=int, default=5)
     ra.add_argument("--prec", type=int, default=6)
     ra.add_argument("--depth", type=int, default=3, help="assembled tower depth")
-    ra.add_argument("--samples", type=int, default=200)
+    ra.add_argument("--samples", type=_positive_int, default=200)
     ra.add_argument("--seed", type=int, default=0)
     ra.add_argument(
         "--pillar-override",

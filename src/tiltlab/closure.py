@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .core import (
-    DimensionTooLarge,
+    _ENUM_LIMIT,
     EnumerationTooLarge,
     LayerElem,
     LayerRing,
@@ -41,8 +40,6 @@ from .verdict import (
     UNDECIDED_AT_PRECISION,
     Verdict,
 )
-
-_EXACT_LIMIT = 1 << 16
 
 
 class TorsionPresent(ValueError):
@@ -67,7 +64,6 @@ class ExplicitRing:
         self.basis_names = tuple(basis_names)
         self.table = table
         self.basis_val = tuple(basis_val or (0,) * len(self.basis_names))
-        self.val_cap = Fraction(n_digits)
 
     @property
     def rank(self):
@@ -118,7 +114,7 @@ class ExplicitRing:
         return self.coeff_mod**self.rank
 
     def enumerate_elements(self):
-        if self.element_count() > _EXACT_LIMIT:
+        if self.element_count() > _ENUM_LIMIT:
             raise EnumerationTooLarge("explicit ring too large to enumerate")
         for vec in itertools.product(range(self.coeff_mod), repeat=self.rank):
             yield self.wrap(vec)
@@ -138,22 +134,11 @@ class ExplicitRing:
                 best = v if best is None else min(best, v)
         return best  # None for zero
 
-    def idempotents(self):
-        """Brute-force solutions of x^2 = x; these rings carry no local
-        structure to exploit, so enumeration is the only complete method."""
-        if self.element_count() > 1 << 12:
-            raise DimensionTooLarge(
-                f"{self.element_count()} elements is too many to sweep"
-            )
-        return [x for x in self.enumerate_elements() if x * x == x]
-
-    def torsion_submodule(self, f, c_max=None):
+    def torsion_submodule(self, f):
         f = self.coerce(f)
-        if c_max is None:
-            c_max = self.n_digits
         cols = [self.to_vec(f * b) for b in self.basis_elems()]
         power = cols
-        for _ in range(c_max - 1):
+        for _ in range(self.n_digits - 1):
             power = [_mat_apply(cols, v, self.coeff_mod) for v in power]
         gens = linalg.kernel_generators(
             [list(v) for v in zip(*power)] if power else [],
@@ -167,7 +152,7 @@ class ExplicitRing:
             if elem.is_zero():
                 continue
             xval = self.val_lower_bound(elem)
-            if fval is not None and xval + c_max * fval >= self.n_digits:
+            if fval is not None and xval + self.n_digits * fval >= self.n_digits:
                 artifact += 1
             else:
                 genuine.append(elem)
@@ -648,9 +633,9 @@ def tower_pairs(handle):
     return out
 
 
-def transfer_suite(handle, mode="sampled", samples=500, seed=0, c_cap=3, tilt_depth=1) -> dict:
+def transfer_suite(handle, mode="sampled", samples=500, seed=0, c_cap=3) -> dict:
     """Per-layer closure report: cartesian squares along the tower, p-root
-    closedness of every layer, and the same for the tilted layers."""
+    closedness of every layer, and the same for the depth-1 tilted layers."""
     from .tilts import InsufficientDepth, tilt_tower
 
     report = {"tower": handle.describe(), "cartesian": [], "root_closed": [], "tilt_root_closed": []}
@@ -660,7 +645,7 @@ def transfer_suite(handle, mode="sampled", samples=500, seed=0, c_cap=3, tilt_de
         handle, mode, samples, seed, c_cap
     )
     try:
-        tilted = tilt_tower(handle, tilt_depth)
+        tilted = tilt_tower(handle, 1)
     except InsufficientDepth as exc:
         report["tilt_skipped"] = str(exc)
     else:

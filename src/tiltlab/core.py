@@ -66,10 +66,6 @@ class NotInvertible(ArithmeticError):
     pass
 
 
-class DimensionTooLarge(ValueError):
-    pass
-
-
 class _AbovePrecision:
     """Valuation marker for elements indistinguishable from 0 at precision."""
 
@@ -117,17 +113,14 @@ class Prime:
 
 @dataclass(frozen=True)
 class PrecisionBudget:
-    """Finite working precision: p-adic digits, tilt depth, variable cap."""
+    """Finite working precision: p-adic digits and variable cap."""
 
     n_digits: int
-    depth: int = 0
     var_degree_cap: Fraction = Fraction(0)
 
     def __post_init__(self):
         if self.n_digits < 1:
             raise ValueError("n_digits must be >= 1")
-        if self.depth < 0:
-            raise ValueError("depth must be >= 0")
         cap = Fraction(self.var_degree_cap)
         object.__setattr__(self, "var_degree_cap", cap)
         if cap < 0:
@@ -608,8 +601,8 @@ class LayerRing:
         """
         return [self.zero(), self.one()]
 
-    def torsion_submodule(self, f: "LayerElem", c_max: int | None = None):
-        """Basis of {x : f^c x = 0, c <= c_max}, split genuine vs artifact.
+    def torsion_submodule(self, f: "LayerElem"):
+        """Basis of {x : f^c x = 0, c <= index_cap}, split genuine vs artifact.
 
         Multiplication by t is injective below the precision cap, so on a
         single layer every kernel element of a nonzero f is an artifact of
@@ -617,8 +610,6 @@ class LayerRing:
         through product rings, from factors where f vanishes).
         """
         f = self.coerce(f)
-        if c_max is None:
-            c_max = self.index_cap
         if f.is_zero():
             genuine = [self.monomial(k, vt) for k, vt in self.basis_keys()]
             return TorsionReport(genuine=genuine, artifact_dim=0, flags=())
@@ -627,30 +618,15 @@ class LayerRing:
             return TorsionReport(genuine=[], artifact_dim=0, flags=())
         if any(any(vt) for (_, vt) in f.terms):
             raise ValueError("torsion is only tracked for t-monomial ideals")
-        threshold = self.index_cap - c_max * f_idx
-        artifact = sum(1 for k, vt in self.basis_keys() if k >= threshold)
+        # f_idx >= 1, so f^index_cap kills every basis element at precision
+        artifact = self.rank
         flags = ("PRECISION_ARTIFACT",) if artifact else ()
         return TorsionReport(genuine=[], artifact_dim=artifact, flags=flags)
 
     # -- parsing and rendering ----------------------------------------------
 
     def parse(self, text: str) -> "LayerElem":
-        return _parse_element(self, text)
-
-    def describe(self) -> dict:
-        out = {
-            "mode": self.mode,
-            "prime": self.p,
-            "eisenstein_exponent": self.e,
-            "level": self.level,
-            "ideal_exponent": str(self.ideal_exp),
-            "num_vars": self.num_vars,
-        }
-        if self.mode == MIXED:
-            out["n_digits"] = self.n_digits
-        else:
-            out["window"] = self.window
-        return out
+        return parse_element(self, text)
 
 
 @dataclass
@@ -917,23 +893,17 @@ class ProductRing:
             f.random_element(rng, max_terms) for f in self.factors
         )
 
-    def invert(self, x):
-        x = self.coerce(x)
-        return self.wrap(
-            f.invert(part) for f, part in zip(self.factors, x.parts)
-        )
-
     def idempotents(self):
         per_factor = [f.idempotents() for f in self.factors]
         return [self.wrap(parts) for parts in itertools.product(*per_factor)]
 
-    def torsion_submodule(self, f, c_max=None):
+    def torsion_submodule(self, f):
         f = self.coerce(f)
         genuine = []
         artifact = 0
         flags: set = set()
         for i, (factor, f_part) in enumerate(zip(self.factors, f.parts)):
-            rep = factor.torsion_submodule(f_part, c_max)
+            rep = factor.torsion_submodule(f_part)
             artifact += rep.artifact_dim
             flags.update(rep.flags)
             for g in rep.genuine:
@@ -1163,15 +1133,11 @@ class _Parser:
         return base ** int(exponent)
 
 
-def _parse_element(ring, text: str, symbols=None):
+def parse_element(ring, text: str, symbols=None):
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty element text")
     return _Parser(ring, tokens, symbols).parse()
-
-
-def parse_element(ring, text: str, symbols=None):
-    return _parse_element(ring, text, symbols)
 
 
 def _render_t(symbol: str, k: int, e: int) -> str:
@@ -1259,10 +1225,3 @@ def layer_make(
         var_den=var_den,
         var_cap=precision.var_degree_cap,
     )
-
-
-# Quotient elements are just elements of the char-p quotient ring, and a
-# valuation is a Fraction or the ABOVE_PRECISION marker; the aliases name
-# those roles at call sites.
-QuotElem = LayerElem
-RatValuation = Fraction | _AbovePrecision

@@ -204,8 +204,6 @@ def _least_annihilator_elimination(m: int, p: int, e: int, n_digits: int) -> int
 def delta_table(spec: KummerCoverSpec) -> DeltaTable:
     """delta_n = least rational with p^delta_n * S_{n+1} inside the image
     of R_{n+1} (x) S_n, for n = 0 .. levels-1, by both methods."""
-    from .parallel import pmap
-
     p, m = spec.prime, spec.m
     cond = semigroup_conductor(m, p)
 
@@ -232,7 +230,7 @@ def delta_table(spec: KummerCoverSpec) -> DeltaTable:
             p_n_delta_integral=(pnd.denominator == 1),
         )
 
-    rows = pmap(one_row, range(spec.levels))
+    rows = [one_row(n) for n in range(spec.levels)]
     bound = max(r.p_n_delta for r in rows)
     for r in rows:  # this family has p^n delta_n exactly constant
         if r.p_n_delta != bound:
@@ -240,8 +238,8 @@ def delta_table(spec: KummerCoverSpec) -> DeltaTable:
     return DeltaTable(spec=spec, rows=rows, bound_c=bound)
 
 
-def tilted_delta_table(spec: KummerCoverSpec, tilt_depth: int = 1) -> list[dict]:
-    """The same least-annihilator computation on the tilted layers.
+def tilted_delta_table(spec: KummerCoverSpec) -> list[dict]:
+    """The same least-annihilator computation on the depth-1 tilted layers.
 
     The tilt-side cokernel is controlled by the same semigroup read in
     the characteristic-p windows; each row reports the t-adic annihilator
@@ -250,11 +248,11 @@ def tilted_delta_table(spec: KummerCoverSpec, tilt_depth: int = 1) -> list[dict]
     p, m = spec.prime, spec.m
     cond = semigroup_conductor(m, p)
     rows = []
-    for n in range(spec.levels - tilt_depth):
+    for n in range(spec.levels - 1):
         e_next = m * p ** (n + 1)
-        # Cover layers carry the ideal (p), so the depth-d tilt window at
-        # level n+1 is e_{n+1} * p^d.
-        window = e_next * p**tilt_depth
+        # Cover layers carry the ideal (p), so the depth-1 tilt window at
+        # level n+1 is e_{n+1} * p.
+        window = e_next * p
         reach = _reachable_table(m, p, window)
         least = None
         for s in range(min(window, cond + 1)):
@@ -279,8 +277,8 @@ def tilted_delta_table(spec: KummerCoverSpec, tilt_depth: int = 1) -> list[dict]
     return rows
 
 
-def colimit_shadow(spec: KummerCoverSpec, table: DeltaTable, max_m: int = 3) -> list[dict]:
-    """Per-level bounds for the multi-step cokernels C_{n,m}.
+def colimit_shadow(spec: KummerCoverSpec, table: DeltaTable) -> list[dict]:
+    """Per-level bounds for the multi-step cokernels C_{n,m}, m = 1, 2, 3.
 
     The m-step annihilator equals the geometric aggregation of one-step
     constants, and stays below c(S) * p / (p - 1) scaled to the level.
@@ -289,7 +287,7 @@ def colimit_shadow(spec: KummerCoverSpec, table: DeltaTable, max_m: int = 3) -> 
     c_s = table.bound_c
     rows = []
     for n in range(spec.levels):
-        for steps in range(1, max_m + 1):
+        for steps in (1, 2, 3):
             if n + steps > spec.levels:
                 continue
             cond = (mm - 1) * (p**steps - 1)

@@ -138,25 +138,32 @@ class TowerSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TowerSpec":
-        components = tuple(
-            cls.from_json_dict(c) for c in data.get("components", ())
-        )
-        return cls(
-            prime=int(data["prime"]),
-            n_digits=int(data["n_digits"]),
-            depth=int(data["depth"]),
-            kind=data.get("kind", "pure"),
-            m=data.get("m"),
-            num_vars=int(data.get("num_vars", 0)),
-            var_degree_cap=Fraction(str(data.get("var_degree_cap", 0))),
-            ideal_exp=(
-                Fraction(str(data["ideal_exp"]))
-                if data.get("ideal_exp") is not None
-                else None
-            ),
-            start_level=int(data.get("start_level", 0)),
-            components=components,
-        )
+        if not isinstance(data, dict):
+            raise SpecError(f"a tower spec is a JSON object, not {type(data).__name__}")
+        try:
+            components = tuple(
+                cls.from_json_dict(c) for c in data.get("components", ())
+            )
+            return cls(
+                prime=int(data["prime"]),
+                n_digits=int(data["n_digits"]),
+                depth=int(data["depth"]),
+                kind=data.get("kind", "pure"),
+                m=data.get("m"),
+                num_vars=int(data.get("num_vars", 0)),
+                var_degree_cap=Fraction(str(data.get("var_degree_cap", 0))),
+                ideal_exp=(
+                    Fraction(str(data["ideal_exp"]))
+                    if data.get("ideal_exp") is not None
+                    else None
+                ),
+                start_level=int(data.get("start_level", 0)),
+                components=components,
+            )
+        except KeyError as exc:
+            raise SpecError(f"the tower spec lacks the field {exc}") from None
+        except (TypeError, ZeroDivisionError) as exc:
+            raise SpecError(f"malformed tower spec: {exc}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "TowerSpec":
@@ -468,20 +475,15 @@ def check_axioms(handle, samples: int = 200, seed: int = 0) -> AxiomReport:
 
     import random
 
-    from .parallel import pmap
-
-    rng = random.Random(seed)
-    exact_jobs = [
-        ("a", _check_a),
-        ("b", _check_b),
-        ("c", _check_c),
-        ("d", _check_d),
-        ("f", _check_f),
-        ("g", _check_g),
-    ]
-    results = pmap(lambda job: (job[0], job[1](handle)), exact_jobs)
-    axioms: dict[str, Verdict] = dict(results)
-    axioms["e"] = _check_e(handle, samples, rng)  # owns the rng; kept serial
+    axioms = {
+        "a": _check_a(handle),
+        "b": _check_b(handle),
+        "c": _check_c(handle),
+        "d": _check_d(handle),
+        "f": _check_f(handle),
+        "g": _check_g(handle),
+        "e": _check_e(handle, samples, random.Random(seed)),
+    }
     return AxiomReport(axioms=axioms, tower=handle.describe())
 
 

@@ -4,7 +4,10 @@ Tower axioms, the checks on the monoidal map and the closure checks all
 return a Verdict.  The words are part of the report bytes:
 
 - PASS: exact pass (axioms and monoidal checks).
-- PASS_EXACT: exact pass by exhaustive enumeration (closure checks).
+- PASS_EXACT: exact pass (closure checks).  Root closure on a monogenic
+  layer's localization is decided by the valuation, with multiplicativity
+  checked at every absolute index below the cap; on an extension pair it
+  enumerates B.
 - SAMPLED_PASS, PASS_SAMPLED: no counterexample among seeded samples
   (axioms, closure checks).
 - TRIVIAL_CASE: the statement holds because both sides are trivial.

@@ -151,7 +151,7 @@ def test_internal_fault_exits_three(monkeypatch):
     assert err == "tiltlab: internal fault: fast path disagrees with oracle\n"
 
 
-def test_usage_errors_exit_two():
+def test_usage_errors_exit_two(tmp_path):
     code, _, err = invoke(["axioms"])  # no spec, no prime
     assert code == 2 and "spec" in err
     code, _, _ = invoke(["axioms", "--prime", "6", "--prec", "2", "--depth", "2"])
@@ -163,6 +163,36 @@ def test_usage_errors_exit_two():
          "--layer", "0", "--element", "not (an) element"]
     )
     assert code == 2
+    # malformed spec files and fractions: one line on stderr, no traceback
+    no_prime = tmp_path / "no_prime.json"
+    no_prime.write_text(json.dumps({"n_digits": 2, "depth": 2}))
+    a_list = tmp_path / "list.json"
+    a_list.write_text("[1, 2]")
+    inline = ["axioms", "--prime", "5", "--prec", "2", "--depth", "2"]
+    ramify = ["ramify", "--p", "5", "--m", "2", "--levels", "3", "--prec", "3",
+              "--depth", "2", "--samples", "5"]
+    for argv in (
+        ["axioms", "--spec", str(no_prime)],
+        ["axioms", "--spec", str(a_list)],
+        [*inline, "--var-cap", "1/0"],
+        [*inline, "--kind", "kummer", "--m", "2", "--ideal-exp", "1/0"],
+        [*ramify, "--pillar-override", "1/0"],
+    ):
+        code, out, err = invoke(argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("tiltlab: ") and err.count("\n") == 1, err
+    # a sampled verdict on zero samples would pass on no evidence
+    closure = ["closure", "--prime", "2", "--prec", "2", "--depth", "2"]
+    for argv in (
+        [*closure, "--samples", "-5"],
+        [*closure, "--ccap", "0"],
+        [*closure, "--ncap", "0"],
+        [*inline, "--samples", "-3"],
+        [*ramify, "--samples", "0"],
+    ):
+        code, out, err = invoke(argv)
+        assert (code, out) == (2, ""), argv
+        assert "must be >= 1" in err
 
 
 def test_failing_check_exits_one_with_report():

@@ -276,13 +276,11 @@ def test_almost_integral_requires_positive_caps():
 
 def test_transfer_suite_exact_small():
     h = build_tower(TowerSpec(prime=2, n_digits=2, depth=3))
-    report = transfer_suite(h, mode="exact", samples=50, seed=0, tilt_depth=1)
+    report = transfer_suite(h, mode="exact", samples=50, seed=0)
     assert report["all_ok"]
     assert all(r["verdict"] == PASS_EXACT for r in report["cartesian"])
     # depth too shallow for tilting: section skipped, rest still reported
-    shallow = transfer_suite(
-        small_pure2(), mode="exact", samples=50, seed=0, tilt_depth=2
-    )
+    shallow = transfer_suite(small_pure2(), mode="exact", samples=50, seed=0)
     assert shallow["all_ok"] and "tilt_skipped" in shallow
 
 

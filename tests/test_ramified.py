@@ -248,7 +248,7 @@ def test_normality_negative_control():
 
 
 def test_tilted_delta_table_mirrors_mixed():
-    rows = tilted_delta_table(spec52(), tilt_depth=1)
+    rows = tilted_delta_table(spec52())
     assert len(rows) == 4
     assert all(r["agrees_with_mixed"] for r in rows)
     assert all(r["annihilator_lattice_exponent"] == 4 for r in rows)
@@ -256,7 +256,7 @@ def test_tilted_delta_table_mirrors_mixed():
 
 def test_colimit_shadow_aggregates_exactly():
     table = delta_table(spec52())
-    rows = colimit_shadow(spec52(), table, max_m=3)
+    rows = colimit_shadow(spec52(), table)
     assert rows
     assert all(r["aggregation_exact"] for r in rows)
     assert all(r["le_limit_bound"] for r in rows)

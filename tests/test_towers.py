@@ -12,6 +12,7 @@ from tiltlab.towers import (
     PASS,
     SAMPLED_PASS,
     LevelOutOfRange,
+    MethodDisagreement,
     ProductTower,
     SpecError,
     TowerHandle,
@@ -407,3 +408,52 @@ def test_negative_control_axiom_a():
     )
     report = check_axioms(broken, samples=5, seed=0)
     assert report.axioms["a"].verdict == FAIL
+
+
+class _TamperedTbar(TowerHandle):
+    """tbar at level 1 sends its first two basis monomials x, y to images
+    chosen by ``images(ix, iy)``, where ix, iy are their honest images;
+    every other input keeps the honest map."""
+
+    def tbar(self, n, q):
+        out = super().tbar(n, q)
+        if n != 1:
+            return out
+        src = self.quotient(n)
+        x, y = (src.monomial(*key) for key in src.basis_keys()[:2])
+        if q != x and q != y:
+            return out
+        ix, iy = super().tbar(n, x), super().tbar(n, y)
+        new_x, new_y = self.images(ix, iy)
+        return new_x if q == x else new_y
+
+
+class _CollidingTbar(_TamperedTbar):
+    def images(self, ix, iy):
+        return ix, ix
+
+
+class _DependentTbar(_TamperedTbar):
+    """Both images become ix + iy, its terms listed in opposite orders, so
+    the first keys differ and only the dense F_p rank sees the defect."""
+
+    def images(self, ix, iy):
+        (kx, cx), (ky, cy) = *ix.terms.items(), *iy.terms.items()
+        return (
+            type(ix)(ix.ring, {kx: cx, ky: cy}),
+            type(ix)(ix.ring, {ky: cy, kx: cx}),
+        )
+
+
+def test_negative_control_axiom_b_collision_witness():
+    broken = _clone(pure5(depth=2), _CollidingTbar)
+    report = check_axioms(broken, samples=5, seed=0)
+    verdict = report.axioms["b"]
+    assert verdict.verdict == FAIL
+    assert verdict.witness == "t-bar collides on 4 + T^{1/5} at level 1"
+
+
+def test_axiom_b_rank_oracle_catches_dependent_images():
+    broken = _clone(pure5(depth=2), _DependentTbar)
+    with pytest.raises(MethodDisagreement, match="dense rank 4 contradicts .* level 1"):
+        check_axioms(broken, samples=5, seed=0)
