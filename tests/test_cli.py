@@ -189,10 +189,11 @@ def test_usage_errors_exit_two(tmp_path):
         [*closure, "--ncap", "0"],
         [*inline, "--samples", "-3"],
         [*ramify, "--samples", "0"],
+        [*ramify, "--samples", "x"],
     ):
         code, out, err = invoke(argv)
         assert (code, out) == (2, ""), argv
-        assert "must be >= 1" in err
+        assert "must be an integer >= 1" in err
 
 
 def test_failing_check_exits_one_with_report():
