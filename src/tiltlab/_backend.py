@@ -1,41 +1,14 @@
-"""Kernel selection: compiled extension when available, else pure Python.
+"""The polynomial kernels tiltlab calls, re-exported from ``_kernels_py``.
 
-TILTLAB_FORCE_PY=1 forces the pure-Python kernels (used by the benchmark
-and the backend-equivalence tests).
+There is one implementation, in pure Python.  This module stays as the
+name the rest of the code reaches the kernels by: ``core`` calls
+``_backend.eisenstein_mul`` and ``_backend.window_mul`` at each product,
+so ``perfbench/spans.py`` can wrap them by patching ``tiltlab._backend``,
+and ``perfbench/program.py`` records ``backend_name()`` with every result.
 """
 
-import os
-
-from . import _kernels_py
-
-if os.environ.get("TILTLAB_FORCE_PY"):
-    _impl = _kernels_py
-    BACKEND = "python"
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "cython"
-    except ImportError:
-        _impl = _kernels_py
-        BACKEND = "python"
-
-# The compiled kernels accumulate unreduced in int64; fall back to the
-# big-integer path whenever the worst-case sum could overflow.
-_INT64_SAFE = 1 << 62
-
-
-def eisenstein_mul(a, b, e, p, pmod):
-    if BACKEND == "cython" and pmod * pmod * max(e, 1) < _INT64_SAFE:
-        return _impl.eisenstein_mul(a, b, e, p, pmod)
-    return _kernels_py.eisenstein_mul(a, b, e, p, pmod)
-
-
-def window_mul(a, b, window, p):
-    if BACKEND == "cython" and p * p * max(len(a), len(b), 1) < _INT64_SAFE:
-        return _impl.window_mul(a, b, window, p)
-    return _kernels_py.window_mul(a, b, window, p)
+from ._kernels_py import eisenstein_mul, window_mul
 
 
 def backend_name():
-    return BACKEND
+    return "python"

@@ -3,8 +3,7 @@
 Dense products are routed through a single big-integer multiplication
 (Kronecker substitution): coefficients are packed into fixed-width byte
 lanes, multiplied once with CPython's native bignum arithmetic, and
-unpacked.  This keeps the fallback within a small factor of the compiled
-kernels for the sizes the library uses.
+unpacked.
 
 The Eisenstein product also reduces on the packed integer: with lanes
 wide enough that conv[k] + p * conv[k + e] cannot carry, t^e = p is

@@ -225,6 +225,8 @@ class ExplicitElem:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        if n < 0:
+            raise ValueError("negative powers are not defined here")
         result = self.ring.one()
         base = self
         while n:

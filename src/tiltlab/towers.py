@@ -145,19 +145,19 @@ class TowerSpec:
                 cls.from_json_dict(c) for c in data.get("components", ())
             )
             return cls(
-                prime=int(data["prime"]),
-                n_digits=int(data["n_digits"]),
-                depth=int(data["depth"]),
+                prime=_json_int(data["prime"], "prime"),
+                n_digits=_json_int(data["n_digits"], "n_digits"),
+                depth=_json_int(data["depth"], "depth"),
                 kind=data.get("kind", "pure"),
-                m=data.get("m"),
-                num_vars=int(data.get("num_vars", 0)),
+                m=None if data.get("m") is None else _json_int(data["m"], "m"),
+                num_vars=_json_int(data.get("num_vars", 0), "num_vars"),
                 var_degree_cap=Fraction(str(data.get("var_degree_cap", 0))),
                 ideal_exp=(
                     Fraction(str(data["ideal_exp"]))
                     if data.get("ideal_exp") is not None
                     else None
                 ),
-                start_level=int(data.get("start_level", 0)),
+                start_level=_json_int(data.get("start_level", 0), "start_level"),
                 components=components,
             )
         except KeyError as exc:
@@ -168,6 +168,15 @@ class TowerSpec:
     @classmethod
     def from_json(cls, text: str) -> "TowerSpec":
         return cls.from_json_dict(json.loads(text))
+
+
+def _json_int(value, field):
+    """value, if it is an integer; JSON floats and booleans are not."""
+    if type(value) is not int:
+        raise SpecError(
+            f"the tower spec field {field!r} must be an integer, not {value!r}"
+        )
+    return value
 
 
 class TowerHandle:

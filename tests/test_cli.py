@@ -168,12 +168,19 @@ def test_usage_errors_exit_two(tmp_path):
     no_prime.write_text(json.dumps({"n_digits": 2, "depth": 2}))
     a_list = tmp_path / "list.json"
     a_list.write_text("[1, 2]")
+    float_m = tmp_path / "float_m.json"
+    float_m.write_text(json.dumps({"prime": 5, "n_digits": 4, "depth": 2,
+                                   "kind": "kummer", "m": 2.0, "ideal_exp": "1/2"}))
+    float_depth = tmp_path / "float_depth.json"
+    float_depth.write_text(json.dumps({"prime": 5, "n_digits": 4, "depth": 2.7}))
     inline = ["axioms", "--prime", "5", "--prec", "2", "--depth", "2"]
     ramify = ["ramify", "--p", "5", "--m", "2", "--levels", "3", "--prec", "3",
               "--depth", "2", "--samples", "5"]
     for argv in (
         ["axioms", "--spec", str(no_prime)],
         ["axioms", "--spec", str(a_list)],
+        ["axioms", "--spec", str(float_m)],
+        ["axioms", "--spec", str(float_depth)],
         [*inline, "--var-cap", "1/0"],
         [*inline, "--kind", "kummer", "--m", "2", "--ideal-exp", "1/0"],
         [*ramify, "--pillar-override", "1/0"],

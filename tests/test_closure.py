@@ -2,6 +2,7 @@
 controls, and the cross-checks tying the modes together."""
 
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -137,6 +138,25 @@ def test_root_closed_rejects_n_below_one():
     for pair in (RingPair.localization(ring, ring.f0()), crafted_negative_pairs()[0]):
         with pytest.raises(ValueError):
             check_root_closed(pair, 0)
+
+
+def test_explicit_negative_power_raises():
+    # n >>= 1 never reaches 0 for a negative n, so a loop on it never ends;
+    # the timer turns such a hang into a failure.
+    one = crafted_negative_pairs()[0].A.one()
+
+    def hang(signum, frame):
+        raise AssertionError("ExplicitElem ** -1 did not return within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        with pytest.raises(ValueError):
+            one ** -1
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert one ** 0 == one
 
 
 def test_sampling_never_contradicts_exact():

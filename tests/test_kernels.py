@@ -1,4 +1,4 @@
-"""Backend equivalence: both kernels against an independent integer oracle."""
+"""The polynomial kernels against an independent integer oracle."""
 
 import random
 
@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiltlab import _kernels_py
-
-try:
-    from tiltlab import _kernels as _compiled
-except ImportError:
-    _compiled = None
+from tiltlab import _backend, _kernels_py
 
 
 def eisenstein_oracle(a, b, e, p, pmod):
@@ -65,7 +60,6 @@ def test_eisenstein_cases_straddle_the_folded_lane_byte_boundary():
 def test_eisenstein_mul_matches_oracle(e, p, nd):
     rng = random.Random(e * 1000 + p)
     pmod = p**nd
-    kernels = [_kernels_py] + ([_compiled] if _compiled is not None else [])
     for i in range(20):
         a = [rng.randrange(pmod) for _ in range(e)]
         b = [rng.randrange(pmod) for _ in range(e)]
@@ -73,9 +67,8 @@ def test_eisenstein_mul_matches_oracle(e, p, nd):
             a, b = [pmod - 1] * e, [pmod - 1] * e
         want = eisenstein_oracle(a, b, e, p, pmod)
         square = eisenstein_oracle(a, list(a), e, p, pmod)
-        for kernel in kernels:
-            assert kernel.eisenstein_mul(a, b, e, p, pmod) == want
-            assert kernel.eisenstein_mul(a, a, e, p, pmod) == square
+        assert _kernels_py.eisenstein_mul(a, b, e, p, pmod) == want
+        assert _kernels_py.eisenstein_mul(a, a, e, p, pmod) == square
 
 
 @st.composite
@@ -112,17 +105,11 @@ def test_window_mul_matches_oracle(window, p):
         b = [rng.randrange(p) for _ in range(lb)]
         want = window_oracle(a, b, window, p)
         assert _kernels_py.window_mul(a, b, window, p) == want
-        if _compiled is not None:
-            assert _compiled.window_mul(a, b, window, p) == want
 
 
-def test_backend_selection_env(monkeypatch):
-    import importlib
-
-    monkeypatch.setenv("TILTLAB_FORCE_PY", "1")
-    import tiltlab._backend as backend
-
-    importlib.reload(backend)
-    assert backend.backend_name() == "python"
-    monkeypatch.delenv("TILTLAB_FORCE_PY")
-    importlib.reload(backend)
+def test_core_calls_the_kernels_these_tests_check():
+    # core multiplies through tiltlab._backend; the oracle and property
+    # tests above exercise _kernels_py, so the two must be the same objects.
+    assert _backend.eisenstein_mul is _kernels_py.eisenstein_mul
+    assert _backend.window_mul is _kernels_py.window_mul
+    assert _backend.backend_name() == "python"

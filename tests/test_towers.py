@@ -100,6 +100,18 @@ def test_spec_validation():
         TowerSpec(prime=5, n_digits=6, depth=2, ideal_exp=Fraction(1, 2))
 
 
+def test_spec_json_integer_fields_refuse_non_integers():
+    base = {"prime": 5, "n_digits": 4, "depth": 2, "kind": "kummer", "m": 2,
+            "ideal_exp": "1/2", "num_vars": 0, "start_level": 0}
+    assert TowerSpec.from_json_dict(base).m == 2
+    for field in ("prime", "n_digits", "depth", "m", "num_vars", "start_level"):
+        for bad in (2.0, 2.7, True, False, "2", None):
+            if field == "m" and bad is None:
+                continue  # a null m is an absent m
+            with pytest.raises(SpecError, match=f"'{field}'"):
+                TowerSpec.from_json_dict({**base, field: bad})
+
+
 def test_spec_json_roundtrip():
     spec = TowerSpec(
         prime=5,
