@@ -572,7 +572,12 @@ class LayerRing:
     # -- units, idempotents, torsion ----------------------------------------
 
     def invert(self, x: "LayerElem") -> "LayerElem":
-        """Inverse of a unit c0*(1 + z) with val(z) > 0, by geometric series."""
+        """Inverse of a unit c0*(1 + z) with val(z) > 0, by geometric series.
+
+        The series 1 + z + z^2 + ... is summed in one dict and reduced mod
+        coeff_mod once, scaled by 1/c0; it is lossy when a nonzero power of
+        z is (a lossy z that is zero leaves an exact inverse).
+        """
         x = self.coerce(x)
         c0 = x.terms.get((0, self._zero_vt), 0)
         if c0 % self.p == 0:
@@ -583,14 +588,19 @@ class LayerRing:
             raise NotInvertible(
                 f"{x.to_text()} is not 1 + (positive valuation) up to a unit"
             )
-        acc = self.one()
+        acc = {(0, self._zero_vt): 1}
+        lossy = False
         power = self.one()
         while True:
             power = power * z
             if power.is_zero():
                 break
-            acc = acc + power
-        return acc * c0_inv
+            lossy = lossy or power.lossy
+            for key, c in power.terms.items():
+                acc[key] = acc.get(key, 0) + c
+        mod = self.coeff_mod
+        terms = {key: r for key, c in acc.items() if (r := c * c0_inv % mod)}
+        return LayerElem(self, terms, lossy)
 
     def idempotents(self):
         """All solutions of x^2 = x.
@@ -731,6 +741,8 @@ class LayerElem:
         dict per product.  Single-term elements, char-p layers and layers
         with variables take __pow__.
         """
+        if m < 0:
+            raise ValueError("negative powers are not defined here")
         ring = self.ring
         if m == 0 or len(self.terms) < 2 or ring.mode != MIXED or ring.num_vars:
             return self ** ring.p**m

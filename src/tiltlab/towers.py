@@ -468,6 +468,10 @@ def check_axioms(handle, samples: int = 200, seed: int = 0) -> AxiomReport:
     Verdicts for (a)-(d), (f), (g) are exact on the finite quotients; (e)
     is a sampled proxy (invertibility of 1 + z for z in the ideal), since
     the Jacobson-radical statement quantifies over all maximal ideals.
+    Axioms (b), (c), (d) and (f-2) share one walk per pair of levels
+    (_check_pairs): each quotient basis monomial is built and mapped once
+    and feeds every axiom that reads it.  Each of the four keeps its own
+    first witness, the one its own loop over the pairs would meet first.
     """
     if handle.depth < 2:
         raise SpecError("the axiom suite needs depth >= 2")
@@ -486,10 +490,7 @@ def check_axioms(handle, samples: int = 200, seed: int = 0) -> AxiomReport:
 
     axioms = {
         "a": _check_a(handle),
-        "b": _check_b(handle),
-        "c": _check_c(handle),
-        "d": _check_d(handle),
-        "f": _check_f(handle),
+        **_check_pairs(handle),
         "g": _check_g(handle),
         "e": _check_e(handle, samples, random.Random(seed)),
     }
@@ -525,76 +526,121 @@ def _pair_levels(handle):
     return range(handle.start, handle.top)
 
 
-def _check_b(handle) -> Verdict:
-    for n in _pair_levels(handle):
-        src = handle.quotient(n)
-        seen = {}
-        for key in src.basis_keys():
-            mono = src.monomial(*key)
-            img = handle.tbar(n, mono)
-            if img.is_zero():
-                return _fail(
-                    f"t-bar kills {mono.to_text()} at level {n}", level=n
-                )
-            img_key = next(iter(img.terms))
-            if img_key in seen:
-                other = seen[img_key]
-                witness = (src.monomial(*key) - src.monomial(*other)).to_text()
-                return _fail(
-                    f"t-bar collides on {witness} at level {n}", level=n
-                )
-            seen[img_key] = key
-        _crosscheck_rank(handle, n, injective=True)
-    return Verdict(PASS)
+def _check_pairs(handle) -> dict[str, Verdict]:
+    """Axioms (b), (c), (d) and (f), in that order, by one walk per pair of
+    levels n, n+1.
 
-
-def _check_c(handle) -> Verdict:
+    The up-walk builds each quotient(n+1) basis monomial once and projects
+    it once; (c)'s up half, (d)'s image set and (f-2)'s kernel and ideal
+    sets all read that one image.  The down-walk builds each quotient(n)
+    basis monomial once and takes its t-bar once, for (b) and (c)'s down
+    half.  Each axiom keeps the first failure its own walk meets, in the
+    order of pairs, up half before down half, and then stops working while
+    the others go on.  No image outlives its basis monomial.
+    """
     p = handle.p
+    verdicts: dict[str, Verdict] = {}
+    # (f-1): the p-th power of the pillar generates the ideal one level up.
+    level1 = handle.start + 1
+    f1 = handle.pillar_elem(level1)
+    f_details = {"f1": f1.to_text(), "f1_level": level1}
+    if f1**p != handle.f0(level1):
+        verdicts["f"] = _fail(
+            f"(f-1) ({f1.to_text()})^{p} != f0 = {handle.f0(level1).to_text()} "
+            f"at level {level1}",
+            **f_details,
+        )
+    tail_dims = {}
     for n in _pair_levels(handle):
-        up = handle.quotient(n + 1)
-        for key in up.basis_keys():
-            mono = up.monomial(*key)
-            lhs = handle.tbar(n, handle.frob(n, mono))
-            rhs = mono**p
-            if lhs != rhs:
-                return _fail(
-                    f"tbar(F({mono.to_text()})) != {mono.to_text()}^p "
-                    f"at level {n}",
-                    level=n,
-                )
-        down = handle.quotient(n)
-        for key in down.basis_keys():
-            mono = down.monomial(*key)
-            lhs = handle.frob(n, handle.tbar(n, mono))
-            rhs = mono**p
-            if lhs != rhs:
-                return _fail(
-                    f"F(tbar({mono.to_text()})) != {mono.to_text()}^p "
-                    f"at level {n}",
-                    level=n,
-                )
-    return Verdict(PASS)
-
-
-def _check_d(handle) -> Verdict:
-    for n in _pair_levels(handle):
-        up = handle.quotient(n + 1)
-        down = handle.quotient(n)
-        hit = set()
-        for key in up.basis_keys():
-            img = handle.frob(n, up.monomial(*key))
-            if not img.is_zero():
-                hit.add(next(iter(img.terms)))
-        missing = [k for k in down.basis_keys() if k not in hit]
-        if missing:
-            witness = down.monomial(*missing[0]).to_text()
-            return _fail(
-                f"Frobenius projection misses {witness} at level {n}",
-                level=n,
-                missing=len(missing),
+        up, down = handle.quotient(n + 1), handle.quotient(n)
+        check_b, check_c, check_d, check_f = (k not in verdicts for k in "bcdf")
+        if check_f:
+            # (f-2): the kernel of the projection is the pillar ideal; with
+            # variables the degree cap adds a declared truncation tail.
+            f1_bar = handle.layer(n + 1).reduce_mod_ideal(
+                handle.embed(level1, n + 1, f1)
             )
-        _crosscheck_rank(handle, n, injective=False)
-    return Verdict(PASS)
+            kernel, ideal = set(), set()
+        hit = set()
+        if check_c or check_d or check_f:
+            for key in up.basis_keys():
+                mono = up.monomial(*key)
+                img = handle.frob(n, mono)
+                if check_c and handle.tbar(n, img) != mono**p:
+                    verdicts["c"] = _fail(
+                        f"tbar(F({mono.to_text()})) != {mono.to_text()}^p "
+                        f"at level {n}",
+                        level=n,
+                    )
+                    check_c = False
+                if img.is_zero():
+                    if check_f:
+                        kernel.add(key)
+                elif check_d:
+                    hit.add(next(iter(img.terms)))
+                if check_f:
+                    ideal.update((f1_bar * mono).terms)
+                elif not (check_c or check_d):
+                    break
+        if check_b or check_c:
+            seen = {}
+            for key in down.basis_keys():
+                mono = down.monomial(*key)
+                img = handle.tbar(n, mono)
+                if check_b:
+                    if img.is_zero():
+                        verdicts["b"] = _fail(
+                            f"t-bar kills {mono.to_text()} at level {n}", level=n
+                        )
+                        check_b = False
+                    elif (img_key := next(iter(img.terms))) in seen:
+                        witness = (mono - down.monomial(*seen[img_key])).to_text()
+                        verdicts["b"] = _fail(
+                            f"t-bar collides on {witness} at level {n}", level=n
+                        )
+                        check_b = False
+                    else:
+                        seen[img_key] = key
+                if check_c and handle.frob(n, img) != mono**p:
+                    verdicts["c"] = _fail(
+                        f"F(tbar({mono.to_text()})) != {mono.to_text()}^p "
+                        f"at level {n}",
+                        level=n,
+                    )
+                    check_c = False
+                if not (check_b or check_c):
+                    break
+            if check_b:
+                _crosscheck_rank(handle, n, injective=True)
+        if check_d:
+            missing = [k for k in down.basis_keys() if k not in hit]
+            if missing:
+                verdicts["d"] = _fail(
+                    f"Frobenius projection misses "
+                    f"{down.monomial(*missing[0]).to_text()} at level {n}",
+                    level=n,
+                    missing=len(missing),
+                )
+            else:
+                _crosscheck_rank(handle, n, injective=False)
+        if check_f:
+            tail = _truncation_tail(handle, n)
+            expected = ideal | tail
+            if kernel != expected:
+                key = sorted(kernel.symmetric_difference(expected))[0]
+                verdicts["f"] = _fail(
+                    f"(f-2) kernel mismatch at level {n}: "
+                    f"{up.monomial(*key).to_text()}",
+                    level=n,
+                    **f_details,
+                )
+            else:
+                tail_dims[str(n)] = len(tail - ideal)
+    if "f" not in verdicts:
+        if any(tail_dims.values()):
+            f_details["truncation_tail_dim"] = tail_dims
+        verdicts["f"] = Verdict(PASS, details=f_details)
+    return {k: verdicts.get(k, Verdict(PASS)) for k in "bcdf"}
 
 
 def _crosscheck_rank(handle, n, injective: bool):
@@ -636,55 +682,6 @@ def _check_e(handle, samples: int, rng) -> Verdict:
                 )
             total += 1
     return Verdict(SAMPLED_PASS, samples=total)
-
-
-def _check_f(handle) -> Verdict:
-    p = handle.p
-    level1 = handle.start + 1
-    ring1 = handle.layer(level1)
-    f1 = handle.pillar_elem(level1)
-    details = {"f1": f1.to_text(), "f1_level": level1}
-    # (f-1): the p-th power of the pillar generates the ideal one level up.
-    if f1**p != handle.f0(level1):
-        return _fail(
-            f"(f-1) ({f1.to_text()})^{p} != f0 = {handle.f0(level1).to_text()} "
-            f"at level {level1}",
-            **details,
-        )
-    # (f-2): the kernel of each projection is the pillar ideal; with
-    # variables the degree cap adds a declared truncation tail.
-    tail_dims = {}
-    for n in _pair_levels(handle):
-        up = handle.quotient(n + 1)
-        kernel = {
-            key
-            for key in up.basis_keys()
-            if handle.frob(n, up.monomial(*key)).is_zero()
-        }
-        f1_img = handle.embed(level1, n + 1, f1) if n + 1 >= level1 else None
-        if f1_img is None:
-            return _fail("(f-2) pillar level above checked pair", **details)
-        f1_bar = handle.layer(n + 1).reduce_mod_ideal(f1_img)
-        ideal = set()
-        for key in up.basis_keys():
-            prod = f1_bar * up.monomial(*key)
-            if not prod.is_zero():
-                ideal.update(prod.terms)
-        tail = _truncation_tail(handle, n)
-        expected = ideal | tail
-        if kernel != expected:
-            diff = kernel.symmetric_difference(expected)
-            key = sorted(diff)[0]
-            return _fail(
-                f"(f-2) kernel mismatch at level {n}: "
-                f"{up.monomial(*key).to_text()}",
-                level=n,
-                **details,
-            )
-        tail_dims[str(n)] = len(tail - ideal)
-    if any(tail_dims.values()):
-        details["truncation_tail_dim"] = tail_dims
-    return Verdict(PASS, details=details)
 
 
 def _truncation_tail(handle, n) -> set:

@@ -321,6 +321,87 @@ def test_invert_rejects_non_units():
         ring.invert(ring.from_int(5))
 
 
+def reference_invert(ring, x):
+    """The geometric series summed one ring addition at a time: the oracle
+    for invert's single-dict sum."""
+    x = ring.coerce(x)
+    c0 = x.terms.get((0, ring._zero_vt), 0)
+    if c0 % ring.p == 0:
+        raise NotInvertible("non-unit constant term")
+    c0_inv = pow(c0, -1, ring.coeff_mod)
+    z = ring.one() - x * c0_inv
+    if not z.is_zero() and z.valuation() == 0:
+        raise NotInvertible("not 1 + (positive valuation) up to a unit")
+    acc = ring.one()
+    power = ring.one()
+    while True:
+        power = power * z
+        if power.is_zero():
+            break
+        acc = acc + power
+    return acc * c0_inv
+
+
+@st.composite
+def invert_case(draw):
+    """A pure (e = p^a), Kummer (e = e0 p^a) or variable layer, or its
+    char-p quotient, and an element that is usually a unit: a unit constant
+    plus terms of positive valuation, sometimes a stray unit term, and a
+    lossy flag.  Variable layers with a low cap make the powers lossy."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    kind = draw(st.sampled_from(["pure", "kummer", "vars"]))
+    e0 = draw(st.sampled_from([k for k in (2, 3) if k % p])) if kind == "kummer" else 1
+    level = draw(st.integers(min_value=1 if kind == "vars" else 0, max_value=2))
+    n = draw(st.integers(min_value=1, max_value=3))
+    num_vars = draw(st.integers(min_value=1, max_value=2)) if kind == "vars" else 0
+    cap = Fraction(draw(st.integers(min_value=0, max_value=2)), p) if num_vars else 0
+    ring = layer_make(
+        p, PrecisionBudget(n, var_degree_cap=cap), e0 * p**level, num_vars,
+        e0=e0, level=level,
+    )
+    if draw(st.booleans()):
+        ring = ring.quotient_ring()
+
+    def stray():  # one time in ten, a term that makes x a non-unit
+        return draw(st.integers(min_value=0, max_value=9)) == 0
+
+    vts = ring.var_monomials()
+    c0 = draw(st.integers(min_value=1, max_value=ring.coeff_mod - 1))
+    items = [(0, (0,) * num_vars, c0 * p if stray() else c0)]
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        k = draw(st.integers(min_value=0, max_value=ring.t_range() - 1))
+        c = draw(st.integers(min_value=1, max_value=ring.coeff_mod - 1))
+        if k == 0 and not stray():
+            c *= p  # keeps the constant's residue
+        items.append((k, draw(st.sampled_from(vts)), c))
+    return ring, ring._from_items(items, draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(invert_case())
+def test_invert_matches_the_series_summed_by_ring_additions(case):
+    ring, x = case
+    try:
+        want = reference_invert(ring, x)
+    except NotInvertible:
+        with pytest.raises(NotInvertible):
+            ring.invert(x)
+        return
+    got = ring.invert(x)
+    assert got.terms == want.terms
+    assert got.lossy == want.lossy
+
+
+def test_invert_of_a_lossy_unit_constant_is_exact():
+    # z = 1 - x/c0 is a lossy zero: no power of z is summed, so the inverse
+    # is exact, as it was when the series was summed by ring additions
+    ring = O()
+    x = ring._from_items([(0, (), 3)], lossy=True)
+    assert reference_invert(ring, x).lossy is False
+    inv = ring.invert(x)
+    assert inv == ring.from_int(pow(3, -1, 5**6)) and inv.lossy is False
+
+
 def test_divide_by_monomial_roundtrip():
     ring = O(N=4)
     x = ring.parse("5*t^{2/5} + t^{4/5}")
@@ -505,6 +586,14 @@ def chain_case(draw):
 def test_p_power_matches_binary_powering(case):
     x, m = case
     _same(x.p_power(m), x ** x.ring.p**m, order=False)
+
+
+def test_p_power_refuses_negative_exponents():
+    # as ** does, for a single term and for the ladder's many terms alike
+    ring = O(p=5, N=3, e=2)
+    for x in (ring.t_gen(), ring.parse("1 + t")):
+        with pytest.raises(ValueError, match="negative"):
+            x.p_power(-1)
 
 
 def test_p_power_reduces_sparse_steps_before_the_kernel():

@@ -1,13 +1,22 @@
 """Tower construction, transition/Frobenius bookkeeping, the axiom suite,
-and one crafted broken tower per axiom checker."""
+and one crafted broken tower per axiom checker.
+
+The full reports of the broken towers are pinned in
+data/negative_controls_golden.json; print a fresh copy with
+
+    PYTHONPATH=src python tests/test_towers.py
+"""
 
 import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from tiltlab.towers import (
+    _DENSE_CROSSCHECK_DIM,
     FAIL,
     PASS,
     SAMPLED_PASS,
@@ -328,6 +337,22 @@ class _NonUnitSampler(TowerHandle):
         return -self.layer(n).one()
 
 
+class _LossyRoundTrip(TowerHandle):
+    """t-bar flags its images lossy and the projection zeroes flagged input.
+
+    tbar(F(x)) == x^p ignores the flag, so (c)'s up half and (b), (d), (f)
+    pass; only (c)'s down half, F(tbar(y)) == y^p, sees the defect.
+    """
+
+    def tbar(self, n, q):
+        out = super().tbar(n, q)
+        return type(out)(out.ring, out.terms, True)
+
+    def frob(self, n, q):
+        out = super().frob(n, q)
+        return out.ring.zero() if q.lossy else out
+
+
 def _clone(handle, cls):
     return cls(
         spec=handle.spec,
@@ -355,18 +380,21 @@ def test_negative_control_axiom_b():
     assert report.axioms["b"].verdict == FAIL
 
 
-def test_negative_control_axiom_d():
-    class ExtraDrop(TowerHandle):
-        def frob(self, n, q):
-            out = super().frob(n, q)
-            keep = {
-                key: c
-                for key, c in out.terms.items()
-                if key[0] < max(1, self.ideal_index(n) // 2)
-            }
-            return type(out)(out.ring, keep, out.lossy)
+class _ExtraDrop(TowerHandle):
+    """Frobenius projection drops the upper half of each target window."""
 
-    broken = _clone(pure5(), ExtraDrop)
+    def frob(self, n, q):
+        out = super().frob(n, q)
+        keep = {
+            key: c
+            for key, c in out.terms.items()
+            if key[0] < max(1, self.ideal_index(n) // 2)
+        }
+        return type(out)(out.ring, keep, out.lossy)
+
+
+def test_negative_control_axiom_d():
+    broken = _clone(pure5(), _ExtraDrop)
     report = check_axioms(broken, samples=5, seed=0)
     assert report.axioms["d"].verdict == FAIL
 
@@ -403,21 +431,23 @@ def test_negative_control_axiom_g():
     assert report.axioms["g"].verdict == FAIL
 
 
-def test_negative_control_axiom_a():
-    h = pure5(depth=3)
-    # Shift every ring down one level: the base layer no longer has the
-    # shape the declared tower promises.
-    shifted = {n: h.layer(n + 1) for n in range(h.start, h.top)}
-    broken = TowerHandle(
+def _shifted(h):
+    """h with every ring moved down one level: the base layer no longer has
+    the shape the declared tower promises."""
+    return TowerHandle(
         spec=h.spec,
         p=h.p,
         e0=h.e0,
         ideal_exp=h.ideal_exp,
         start=h.start,
         depth=h.depth - 1,
-        rings=shifted,
+        rings={n: h.layer(n + 1) for n in range(h.start, h.top)},
         label="broken",
     )
+
+
+def test_negative_control_axiom_a():
+    broken = _shifted(pure5(depth=3))
     report = check_axioms(broken, samples=5, seed=0)
     assert report.axioms["a"].verdict == FAIL
 
@@ -469,3 +499,88 @@ def test_axiom_b_rank_oracle_catches_dependent_images():
     broken = _clone(pure5(depth=2), _DependentTbar)
     with pytest.raises(MethodDisagreement, match="dense rank 4 contradicts .* level 1"):
         check_axioms(broken, samples=5, seed=0)
+
+
+class _CountingMaps(TowerHandle):
+    """The honest tower, counting its t-bar and Frobenius calls."""
+
+    def tbar(self, n, q):
+        self.calls["tbar"] += 1
+        return super().tbar(n, q)
+
+    def frob(self, n, q):
+        self.calls["frob"] += 1
+        return super().frob(n, q)
+
+
+def test_pair_walk_maps_each_basis_monomial_once():
+    # Counters carry no noise: per pair n, the up-walk projects each
+    # quotient(n+1) basis monomial once and (c) lifts that image back with
+    # one t-bar; the down-walk takes each quotient(n) monomial's t-bar once
+    # and (c) projects it back once.  The dense rank replays of (b) and (d)
+    # map each monomial once more, on pairs small enough for them.
+    counted = _clone(pure5(depth=2, vars=1, cap=2), _CountingMaps)
+    counted.calls = {"tbar": 0, "frob": 0}
+    assert check_axioms(counted, samples=5, seed=0).all_pass
+    want = {"tbar": 0, "frob": 0}
+    for n in range(counted.start, counted.top):
+        up, down = counted.quotient(n + 1).rank, counted.quotient(n).rank
+        replayed = max(up, down) <= _DENSE_CROSSCHECK_DIM
+        want["frob"] += up + down + (up if replayed else 0)
+        want["tbar"] += down + up + (down if replayed else 0)
+    assert counted.calls == want
+
+
+# -- golden reports of the broken towers ------------------------------------------
+
+NEGATIVE_GOLDEN = Path(__file__).with_name("data") / "negative_controls_golden.json"
+
+
+def _vars5():
+    return pure5(depth=2, vars=1, cap=2)
+
+
+# Each case fails at least one axiom; several fail two or more of (b), (c),
+# (d) and (f) at once, so every axiom's own first witness is pinned.
+NEGATIVE_CASES = {
+    "a_shifted_rings": lambda: _shifted(pure5(depth=3)),
+    "b_collapsed_transition": lambda: _clone(pure5(), _CollapsedTransition),
+    "b_colliding_tbar": lambda: _clone(pure5(depth=2), _CollidingTbar),
+    "c_broken_transition": lambda: _clone(pure5(), _BrokenTransition),
+    "c_kummer_broken_transition": lambda: _clone(kummer52(depth=2), _BrokenTransition),
+    "c_down_half_only": lambda: _clone(pure5(depth=2), _LossyRoundTrip),
+    "d_extra_drop": lambda: _clone(pure5(), _ExtraDrop),
+    "d_vars_extra_drop": lambda: _clone(_vars5(), _ExtraDrop),
+    "e_non_unit_sampler": lambda: _clone(pure5(depth=2), _NonUnitSampler),
+    "f_wrong_pillar": lambda: _clone(pure5(), _WrongPillar),
+    "f_pillar_override": lambda: build_tower(
+        TowerSpec(prime=5, n_digits=6, depth=2), pillar_index=3
+    ),
+    "g_killed_f0": lambda: _clone(pure5(depth=2), _KilledFactorF0),
+    "vars_collapsed_transition": lambda: _clone(_vars5(), _CollapsedTransition),
+    "product_honest_x_collapsed": lambda: ProductTower(
+        None, (pure5(depth=2), _clone(pure5(depth=2), _CollapsedTransition))
+    ),
+}
+
+
+def _negative_report(case) -> dict:
+    return check_axioms(NEGATIVE_CASES[case](), samples=5, seed=0).to_json_dict()
+
+
+def _canonical(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVE_CASES))
+def test_negative_control_golden_reports(case):
+    want = json.loads(NEGATIVE_GOLDEN.read_text(encoding="utf-8"))
+    assert sorted(want) == sorted(NEGATIVE_CASES)
+    report = _negative_report(case)
+    assert not report["all_pass"]
+    assert _canonical(report) == _canonical(want[case])
+
+
+if __name__ == "__main__":
+    record = {case: _negative_report(case) for case in sorted(NEGATIVE_CASES)}
+    sys.stdout.write(json.dumps(record, sort_keys=True, indent=1) + "\n")
