@@ -192,7 +192,6 @@ def closure_pair_collection(seed=0):
                 lambda x: x,
                 ring.f0(),
                 label=f"identity-{i}",
-                monomial_map=True,
             )
         )
     return pairs

@@ -3,9 +3,9 @@ deterministic JSON or Markdown reports.
 
 Exit codes: 0 when every verdict passes, 1 when any check fails (the
 report is still emitted), 2 on usage or specification errors, 3 on an
-internal fault (two independent methods disagreed; no report).  Reports
-contain no timing or environment data, so identical invocations produce
-byte-identical output.
+internal fault (any other exception, such as two independent methods
+disagreeing; no report).  Reports contain no timing or environment data,
+so identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ import sys
 from fractions import Fraction
 
 from .battery import run_battery
-from .closure import transfer_suite
-from .core import BadIdealExponent, NonPrime, ParseError, PrecisionBudget
+from .closure import TorsionPresent, transfer_suite
+from .core import (BadIdealExponent, BadPrecision, EnumerationTooLarge, NonPrime,
+                   ParseError, PrecisionBudget)
 from .monoidal import sharp
 from .ramified import (
     AxiomFailure,
@@ -42,16 +43,14 @@ from .towers import (
 
 SCHEMA = 1
 
+# What a request can get wrong, a --spec file that cannot be read or parsed
+# and an --out file that cannot be written included; any other exception is
+# a fault in tiltlab (exit 3).
 _USAGE_ERRORS = (
-    SpecError,
-    NonPrime,
-    BadIdealExponent,
-    ParseError,
-    LevelOutOfRange,
-    ZeroDepth,
-    InsufficientDepth,
-    NoWitnessInRange,
-    ValueError,
+    SpecError, NonPrime, BadIdealExponent, BadPrecision, ParseError,
+    LevelOutOfRange, ZeroDepth, InsufficientDepth, NoWitnessInRange,
+    EnumerationTooLarge, TorsionPresent,
+    OSError, UnicodeDecodeError, json.JSONDecodeError,
 )
 
 
@@ -409,16 +408,14 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         report, ok = args.fn(args)
+        _emit(report, args)
     except _USAGE_ERRORS as exc:
         print(f"tiltlab: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"tiltlab: {exc}", file=sys.stderr)
-        return 2
-    except MethodDisagreement as exc:
-        print(f"tiltlab: internal fault: {exc}", file=sys.stderr)
+    except Exception as exc:  # a fault in tiltlab: one line, no report
+        kind = "" if isinstance(exc, MethodDisagreement) else f"{type(exc).__name__}: "
+        print(f"tiltlab: internal fault: {kind}{exc}", file=sys.stderr)
         return 3
-    _emit(report, args)
     return 0 if ok else 1
 
 

@@ -262,32 +262,26 @@ class RingPair:
     """An extension A -> B with a distinguished non-zero-divisor f of A,
     or the truncated localization of a single ring (B = A[1/f])."""
 
-    kind: str  # "extension" | "localization"
     A: object
     f: object
     B: object = None
     map_fn: object = None
     c_cap: int = 3
     label: str = ""
-    monomial_map: bool = False
+
+    @property
+    def kind(self) -> str:
+        return "localization" if self.B is None else "extension"
 
     @classmethod
-    def extension(cls, A, B, map_fn, f, label="", monomial_map=False):
-        pair = cls(
-            kind="extension",
-            A=A,
-            B=B,
-            f=f,
-            map_fn=map_fn,
-            label=label,
-            monomial_map=monomial_map,
-        )
+    def extension(cls, A, B, map_fn, f, label=""):
+        pair = cls(A=A, B=B, f=f, map_fn=map_fn, label=label)
         pair._verify_map()
         return pair
 
     @classmethod
     def localization(cls, A, f, c_cap=3, label=""):
-        return cls(kind="localization", A=A, f=f, c_cap=c_cap, label=label)
+        return cls(A=A, f=f, c_cap=c_cap, label=label)
 
     def _verify_map(self):
         """Spot-check that map_fn is a unital ring homomorphism."""
@@ -330,12 +324,10 @@ class RingPair:
 # -- absolute index helpers (monogenic layers) --------------------------------
 
 
-def _monomial_index(f: LayerElem) -> int:
-    if len(f.terms) != 1:
-        raise ValueError("expected a monomial")
-    ((_, vt),) = f.terms
-    if any(vt):
-        raise ValueError("expected a t-monomial")
+def _monomial_index(f: LayerElem) -> int | None:
+    """The absolute index of f when f is a t-monomial, else None."""
+    if len(f.terms) != 1 or any(next(iter(f.terms))[1]):
+        return None
     return f.index_valuation()
 
 
@@ -352,20 +344,29 @@ def is_cartesian_mod_f(pair: RingPair) -> Verdict:
     """Decides injectivity of A/fA -> B/fB, the cartesian-square criterion.
 
     For f-torsion-free rings this injectivity is equivalent to the square
-    of A, B and their localizations at f being a pullback.
+    of A, B and their localizations at f being a pullback.  On a layer ring
+    A the index walk decides it when the map sends monomials to monomials;
+    otherwise exact linear algebra does.
     """
     if pair.kind != "extension":
         raise ValueError("the cartesian criterion needs an extension pair")
     pair.check_torsion_free()
-    if pair.monomial_map and isinstance(pair.A, LayerRing):
-        return _cartesian_monomial(pair)
+    if isinstance(pair.A, LayerRing):
+        verdict = _cartesian_monomial(pair)
+        if verdict is not None:
+            return verdict
     return _cartesian_dense(pair)
 
 
-def _cartesian_monomial(pair: RingPair) -> Verdict:
-    A, B = pair.A, pair.B
+def _cartesian_monomial(pair: RingPair) -> Verdict | None:
+    """The index walk over A/fA's monomial basis, or None where it does not
+    apply: f or its image is not a t-monomial, or a basis monomial's image
+    is not one term."""
+    A = pair.A
     s_a = _monomial_index(pair.f)
     s_b = _monomial_index(pair.map_fn(pair.f))
+    if s_a is None or s_b is None:
+        return None
     seen = {}
     for key in A.basis_keys():
         k, vt = key
@@ -373,7 +374,7 @@ def _cartesian_monomial(pair: RingPair) -> Verdict:
             continue  # already in fA
         img = pair.map_fn(A.monomial(k, vt))
         if len(img.terms) != 1:
-            return _cartesian_dense(pair)  # not an index map after all
+            return None
         if _in_monomial_ideal(img, s_b):
             return Verdict(
                 FAIL,
@@ -578,6 +579,8 @@ def almost_integral_witness(pair: RingPair, b, c_cap: int, n_cap: int) -> Verdic
     if not _monogenic(A):
         raise ValueError("almost-integrality search needs a monogenic layer")
     s_f = _monomial_index(pair.f)
+    if s_f is None:
+        raise ValueError("almost-integrality search needs a t-monomial f")
     idx = a.index_valuation()
     if idx is None:
         return Verdict(
@@ -629,7 +632,6 @@ def tower_pairs(handle):
                 lambda x, n=n: handle.transition(n, x),
                 handle.f0(n),
                 label=f"{handle.label}:{n}->{n + 1}",
-                monomial_map=True,
             )
         )
     return out

@@ -50,6 +50,10 @@ class BadVarCap(ValueError):
     pass
 
 
+class BadPrecision(ValueError):
+    pass
+
+
 class RingMismatch(TypeError):
     pass
 
@@ -120,11 +124,11 @@ class PrecisionBudget:
 
     def __post_init__(self):
         if self.n_digits < 1:
-            raise ValueError("n_digits must be >= 1")
+            raise BadPrecision("n_digits must be >= 1")
         cap = Fraction(self.var_degree_cap)
         object.__setattr__(self, "var_degree_cap", cap)
         if cap < 0:
-            raise ValueError("var_degree_cap must be >= 0")
+            raise BadVarCap("var_degree_cap must be >= 0")
         # Cap denominators must be p-powers; checked in layer_make where the
         # prime is known.
 
@@ -575,8 +579,10 @@ class LayerRing:
         """Inverse of a unit c0*(1 + z) with val(z) > 0, by geometric series.
 
         The series 1 + z + z^2 + ... is summed in one dict and reduced mod
-        coeff_mod once, scaled by 1/c0; it is lossy when a nonzero power of
-        z is (a lossy z that is zero leaves an exact inverse).
+        coeff_mod once, scaled by 1/c0.  Products carry their factors' lossy
+        flags, so the first zero power's flag covers every power before it
+        and the variable cap, if that is what zeroed it.  A unit constant
+        (z = 0, even a lossy 0) has an exact inverse.
         """
         x = self.coerce(x)
         c0 = x.terms.get((0, self._zero_vt), 0)
@@ -588,19 +594,17 @@ class LayerRing:
             raise NotInvertible(
                 f"{x.to_text()} is not 1 + (positive valuation) up to a unit"
             )
+        if z.is_zero():
+            return self.from_int(c0_inv)
         acc = {(0, self._zero_vt): 1}
-        lossy = False
-        power = self.one()
-        while True:
-            power = power * z
-            if power.is_zero():
-                break
-            lossy = lossy or power.lossy
+        power = z
+        while not power.is_zero():
             for key, c in power.terms.items():
                 acc[key] = acc.get(key, 0) + c
+            power = power * z
         mod = self.coeff_mod
         terms = {key: r for key, c in acc.items() if (r := c * c0_inv % mod)}
-        return LayerElem(self, terms, lossy)
+        return LayerElem(self, terms, power.lossy)
 
     def idempotents(self):
         """All solutions of x^2 = x.

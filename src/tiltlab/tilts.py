@@ -254,13 +254,5 @@ def tilt_tower(handle, m: int):
         for j in range(handle.start, handle.top - m + 1)
     }
     return TowerHandle(
-        spec=None,
-        p=handle.p,
-        e0=handle.e0,
-        ideal_exp=handle.ideal_exp,
-        start=handle.start,
-        depth=new_depth,
-        rings=rings,
-        char_p=True,
-        label=f"tilt({handle.label}, depth={m})",
+        spec=None, rings=rings, label=f"tilt({handle.label}, depth={m})"
     )

@@ -78,6 +78,11 @@ class TowerSpec:
             raise SpecError("depth must be >= 1")
         if self.start_level < 0:
             raise SpecError("start_level must be >= 0")
+        if self.num_vars < 0:
+            raise SpecError("num_vars must be >= 0")
+        object.__setattr__(self, "var_degree_cap", Fraction(self.var_degree_cap))
+        if self.var_degree_cap < 0:
+            raise SpecError("var_degree_cap must be >= 0")
         if self.kind == "pure":
             eps = Fraction(1) if self.ideal_exp is None else Fraction(self.ideal_exp)
             if eps != 1:
@@ -112,7 +117,6 @@ class TowerSpec:
                     )
         else:
             raise SpecError(f"unknown tower kind {self.kind!r}")
-        object.__setattr__(self, "var_degree_cap", Fraction(self.var_degree_cap))
 
     @property
     def e0(self) -> int:
@@ -151,9 +155,11 @@ class TowerSpec:
                 kind=data.get("kind", "pure"),
                 m=None if data.get("m") is None else _json_int(data["m"], "m"),
                 num_vars=_json_int(data.get("num_vars", 0), "num_vars"),
-                var_degree_cap=Fraction(str(data.get("var_degree_cap", 0))),
+                var_degree_cap=_json_fraction(
+                    data.get("var_degree_cap", 0), "var_degree_cap"
+                ),
                 ideal_exp=(
-                    Fraction(str(data["ideal_exp"]))
+                    _json_fraction(data["ideal_exp"], "ideal_exp")
                     if data.get("ideal_exp") is not None
                     else None
                 ),
@@ -179,8 +185,22 @@ def _json_int(value, field):
     return value
 
 
+def _json_fraction(value, field):
+    """value as a Fraction, from a JSON integer or a string like "3/25"."""
+    try:
+        return Fraction(str(value))
+    except ValueError:
+        raise SpecError(
+            f"the tower spec field {field!r} must be a fraction a/b, not {value!r}"
+        ) from None
+
+
 class TowerHandle:
-    """A realized monogenic-family tower (mixed or characteristic p)."""
+    """A realized monogenic-family tower (mixed or characteristic p).
+
+    Its levels are the keys of rings; its prime, e0, ideal exponent and
+    characteristic are those of its base ring.
+    """
 
     is_product = False
 
@@ -188,26 +208,22 @@ class TowerHandle:
         self,
         *,
         spec: TowerSpec | None,
-        p: int,
-        e0: int,
-        ideal_exp: Fraction,
-        start: int,
-        depth: int,
         rings: dict[int, LayerRing],
-        char_p: bool = False,
         label: str = "",
         pillar_index: int | None = None,
     ):
         self.spec = spec
-        self.p = p
-        self.e0 = e0
-        self.ideal_exp = Fraction(ideal_exp)
-        self.start = start
-        self.depth = depth
-        self.char_p = char_p
         self.label = label or (spec.kind if spec else "tower")
         self._rings = rings
         self._pillar_index = pillar_index
+        self.start = min(rings)
+        self.depth = max(rings) - self.start
+        base = self._base()
+        self.p, self.e0, self.ideal_exp = base.p, base.e0, base.ideal_exp
+        self.char_p = base.mode == CHAR_P
+
+    def _base(self) -> LayerRing:
+        return self.layer(self.start)
 
     # -- structure ---------------------------------------------------------
 
@@ -323,20 +339,18 @@ class ProductTower(TowerHandle):
                   for c in components}
         if len(shapes) > 1:
             raise SpecError("product components must share levels, e0, ideal and pillar")
+        self.components = tuple(components)
         super().__init__(
             spec=spec,
-            p=first.p,
-            e0=first.e0,
-            ideal_exp=first.ideal_exp,
-            start=first.start,
-            depth=first.depth,
             rings={n: ProductRing(tuple(c.layer(n) for c in components))
                    for n in first.levels},
-            char_p=first.char_p,
             label="product(" + ", ".join(c.label for c in components) + ")",
             pillar_index=first.pillar_index(),
         )
-        self.components = tuple(components)
+
+    def _base(self):
+        # Product rings carry no ideal data; the components agree on it.
+        return self.components[0]._base()
 
     def ideal_index(self, n):
         return self.components[0].ideal_index(n)
@@ -400,15 +414,7 @@ def build_tower(spec: TowerSpec, *, pillar_index: int | None = None):
         except (BadIdealExponent, BadVarCap) as exc:
             raise SpecError(str(exc)) from exc
     return TowerHandle(
-        spec=spec,
-        p=spec.prime,
-        e0=spec.e0,
-        ideal_exp=eps,
-        start=spec.start_level,
-        depth=spec.depth,
-        rings=rings,
-        label=spec.kind,
-        pillar_index=pillar_index,
+        spec=spec, rings=rings, label=spec.kind, pillar_index=pillar_index
     )
 
 
@@ -499,15 +505,11 @@ def check_axioms(handle, samples: int = 200, seed: int = 0) -> AxiomReport:
 
 def _check_a(handle) -> Verdict:
     base = handle.layer(handle.start)
-    if base.ideal_exp > 1:
-        return _fail(f"ideal exponent {base.ideal_exp} > 1", level=handle.start)
-    if handle.spec is not None:
-        want_e = handle.e0 * handle.p**handle.start
-        if base.e != want_e or base.p != handle.p:
-            return _fail(
-                f"base layer shape {base!r} does not match the declared tower",
-                level=handle.start,
-            )
+    if base.e != handle.e0 * handle.p**handle.start:
+        return _fail(
+            f"base layer shape {base!r} does not match the declared tower",
+            level=handle.start,
+        )
     p_elem = base.from_int(handle.p)
     if base.mode == CHAR_P:
         if not p_elem.is_zero():

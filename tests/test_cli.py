@@ -323,6 +323,85 @@ def test_var_cap_needs_a_p_power_denominator():
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [
+    "ramify --p 5 --m 2 --prec 0",
+    "axioms --prime 5 --vars -1",
+    "axioms --prime 5 --vars 1 --var-cap -1",
+    "axioms --prime 5 --depth 1",
+    "ramify --p 5 --m 2 --levels 1",
+    "sharp --prime 5 --element t^{1/0}",
+    "sharp --prime 5 --element pflat --tilt-depth 0",
+    "tilt --prime 5 --layer 0 --tilt-depth 9",
+    "ramify --p 4 --m 2",
+    "axioms --prime 5 --start -1",
+])
+def test_named_input_errors_exit_two(argv):
+    code, out, err = invoke(argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith("tiltlab: ") and err.count("\n") == 1, err
+    assert "internal fault" not in err and "invalid ring shape" not in err
+
+
+def test_unparseable_spec_files_exit_two(tmp_path):
+    spec = b'{"prime": 5, "n_digits": 3, "depth": 2, '
+    cases = {
+        "fraction.json": spec + b'"var_degree_cap": "abc"}',
+        "ideal.json": spec + b'"ideal_exp": "x"}',
+        "truncated.json": spec,
+        "latin1.json": b'\xff\xfe',
+    }
+    for name, data in cases.items():
+        path = tmp_path / name
+        path.write_bytes(data)
+        code, out, err = invoke(["axioms", "--spec", str(path)])
+        assert (code, out) == (2, ""), name
+        assert err.startswith("tiltlab: ") and err.count("\n") == 1, err
+        assert "internal fault" not in err
+
+
+def test_an_unwritable_out_file_exits_two(tmp_path):
+    argv = ["--out", str(tmp_path / "missing" / "report.json"),
+            "tilt", "--prime", "5", "--layer", "0", "--tilt-depth", "1"]
+    code, out, err = invoke(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("tiltlab: ") and err.count("\n") == 1, err
+
+
+def test_an_internal_value_error_exits_three(monkeypatch):
+    # axiom (e) reads only NotInvertible from invert; a ValueError from
+    # inside the library is a fault, not a usage error
+    def broken_invert(self, x):
+        raise ValueError("negative powers are not defined here")
+
+    monkeypatch.setattr("tiltlab.core.LayerRing.invert", broken_invert)
+    code, out, err = invoke(
+        ["axioms", "--prime", "5", "--prec", "2", "--depth", "2", "--samples", "2"]
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "tiltlab: internal fault: ValueError: negative powers are not defined here\n"
+    )
+
+
+def test_ramify_markdown_puts_the_delta_table_under_the_header():
+    argv = ["--format", "md", "ramify", "--p", "5", "--m", "2", "--levels", "5",
+            "--prec", "6", "--depth", "2", "--samples", "10", "--seed", "0"]
+    code1, out1, _ = invoke(argv)
+    code2, out2, _ = invoke(argv)
+    assert code1 == code2 == 0
+    assert out1 == out2
+    lines = out1.splitlines()
+    assert lines[:3] == ["# tiltlab ramify", "", "* ok: yes"]
+    table = lines.index("| n | delta_n | p^n * delta_n | annihilator (lattice units) |")
+    params_end = max(i for i, line in enumerate(lines) if line.startswith("* "))
+    assert table == params_end + 2 and lines[params_end + 1] == ""
+    assert [line[:4] for line in lines[table + 2:table + 7]] == [
+        f"| {n} " for n in range(5)
+    ]
+    assert lines[table + 7] == ""
+    assert "delta_table_markdown" not in out1
+
+
 def test_ramify_rejects_zero_precision():
     code, out, err = invoke(
         ["ramify", "--p", "5", "--m", "2", "--levels", "5", "--prec", "0",

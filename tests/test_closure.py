@@ -14,6 +14,7 @@ from tiltlab.closure import (
     UNDECIDED_AT_PRECISION,
     RingPair,
     TorsionPresent,
+    _cartesian_dense,
     almost_integral_witness,
     check_root_closed,
     is_cartesian_mod_f,
@@ -201,17 +202,23 @@ def test_cartesian_on_tower_pairs():
             lambda x, n=n: h.transition(n, x),
             h.f0(n),
             label=f"pure2:{n}",
-            monomial_map=True,
         )
         assert is_cartesian_mod_f(pair).verdict == PASS_EXACT
 
 
 def test_cartesian_identity_pair():
     ring = layer_make(2, PrecisionBudget(2), 2)
-    pair = RingPair.extension(
-        ring, ring, lambda x: x, ring.f0(), label="id", monomial_map=True
-    )
+    pair = RingPair.extension(ring, ring, lambda x: x, ring.f0(), label="id")
     assert is_cartesian_mod_f(pair).verdict == PASS_EXACT
+
+
+def test_cartesian_on_a_non_monomial_f_falls_back_to_linear_algebra():
+    # the index walk needs f to be a t-monomial; t + t^2 is not one
+    ring = layer_make(2, PrecisionBudget(2), 4)
+    pair = RingPair.extension(ring, ring, lambda x: x, ring.parse("t + t^2"))
+    verdict = is_cartesian_mod_f(pair)
+    assert verdict.verdict == PASS_EXACT
+    assert verdict == _cartesian_dense(pair)
 
 
 def test_cartesian_detects_collapse():
@@ -244,7 +251,7 @@ def test_pullback_stability_crosscheck():
         A, B = h.layer(n), h.layer(n + 1)
         pair = RingPair.extension(
             A, B, lambda x, n=n: h.transition(n, x),
-            h.f0(n), label="pb", monomial_map=True,
+            h.f0(n), label="pb",
         )
         assert is_cartesian_mod_f(pair).verdict == PASS_EXACT
         loc_a = RingPair.localization(A, A.f0(), c_cap=2)

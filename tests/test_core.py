@@ -22,6 +22,7 @@ from tiltlab.core import (
     Prime,
     ProductRing,
     RingMismatch,
+    is_prime,
     layer_make,
 )
 
@@ -30,6 +31,24 @@ from test_kernels import eisenstein_oracle
 
 def O(p=5, N=6, e=5, **kw):
     return layer_make(p, PrecisionBudget(N), e, **kw)
+
+
+def _trial_division_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division_past_the_base_primes():
+    # every n > 37 not divisible by a base prime reaches the Miller-Rabin loop
+    assert [n for n in range(5000) if is_prime(n) != _trial_division_prime(n)] == []
+
+
+def test_is_prime_rejects_carmichael_numbers_and_accepts_a_mersenne_prime():
+    # 252601 = 41*61*101 is a Carmichael number with no base-prime factor,
+    # and 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7
+    for n in (561, 1105, 1729, 41041, 252601, 3215031751):
+        assert not is_prime(n)
+    assert is_prime(2**61 - 1)
+    assert not is_prime((2**61 - 1) * (2**31 - 1))
 
 
 # -- construction ------------------------------------------------------------
@@ -339,6 +358,8 @@ def reference_invert(ring, x):
         if power.is_zero():
             break
         acc = acc + power
+    if not z.is_zero():
+        acc = acc + power  # the zero power adds only its lossy flag
     return acc * c0_inv
 
 
@@ -400,6 +421,17 @@ def test_invert_of_a_lossy_unit_constant_is_exact():
     assert reference_invert(ring, x).lossy is False
     inv = ring.invert(x)
     assert inv == ring.from_int(pow(3, -1, 5**6)) and inv.lossy is False
+
+
+def test_invert_reads_the_lossy_flag_of_the_power_the_cap_zeroes():
+    # z = -t^{1/5}*x1^{1/5}; z^2 has variable degree 2/5 past the cap 1/5,
+    # so the cap zeroes it and drops a term of the true inverse
+    ring = layer_make(5, PrecisionBudget(6, Fraction(1, 5)), 5, num_vars=1)
+    x = ring.parse("1 + t^{1/5}*x1^{1/5}")
+    inv = ring.invert(x)
+    assert inv == ring.parse("1 - t^{1/5}*x1^{1/5}")
+    assert (x * inv).is_one() and (x * inv).lossy
+    assert inv.lossy is True and reference_invert(ring, x).lossy is True
 
 
 def test_divide_by_monomial_roundtrip():

@@ -146,6 +146,60 @@ def test_spec_json_roundtrip():
     assert TowerSpec.from_json(json.dumps(prod.to_json_dict())) == prod
 
 
+def test_spec_refuses_malformed_variable_shapes():
+    with pytest.raises(SpecError, match="num_vars"):
+        TowerSpec(prime=5, n_digits=6, depth=2, num_vars=-1)
+    with pytest.raises(SpecError, match="var_degree_cap"):
+        TowerSpec(prime=5, n_digits=6, depth=2, num_vars=1, var_degree_cap=-1)
+    base = {"prime": 5, "n_digits": 6, "depth": 2, "num_vars": 1}
+    with pytest.raises(SpecError, match="'var_degree_cap'"):
+        TowerSpec.from_json_dict({**base, "var_degree_cap": "1/x"})
+
+
+def _shape_of(spec, *, depth=None, char_p=False, label=None):
+    """The describe() a handle realized from spec should give."""
+    return {
+        "label": spec.kind if label is None else label,
+        "prime": spec.prime,
+        "e0": spec.e0,
+        "ideal_exp": str(spec.ideal_exp),
+        "start_level": spec.start_level,
+        "depth": spec.depth if depth is None else depth,
+        "char_p": char_p,
+    }
+
+
+def test_handles_read_their_shape_from_their_rings():
+    from tiltlab.tilts import tilt_tower
+
+    pure = TowerSpec(prime=5, n_digits=6, depth=3)
+    kummer = TowerSpec(prime=5, n_digits=6, depth=3, kind="kummer", m=2,
+                       ideal_exp=Fraction(3, 25), start_level=2)
+    with_vars = TowerSpec(prime=3, n_digits=3, depth=3, num_vars=2,
+                          var_degree_cap=Fraction(1, 3))
+    for spec in (pure, kummer, with_vars):
+        h = build_tower(spec)
+        assert h.describe() == _shape_of(spec)
+        assert h.top == spec.start_level + spec.depth
+        tilted = tilt_tower(h, 1)
+        assert tilted.describe() == _shape_of(
+            spec, depth=spec.depth - 1, char_p=True,
+            label=f"tilt({spec.kind}, depth=1)",
+        )
+    product = TowerSpec(prime=5, n_digits=6, depth=3, kind="product",
+                        components=(pure, pure))
+    h = build_tower(product)
+    assert h.describe() == {
+        "label": "product(pure, pure)",
+        "components": [_shape_of(pure), _shape_of(pure)],
+    }
+    shape = (h.p, h.e0, h.ideal_exp, h.start, h.depth, h.char_p)
+    assert shape == (5, 1, 1, 0, 3, False)
+    tilted = tilt_tower(h, 1)
+    shape = (tilted.e0, tilted.ideal_exp, tilted.depth, tilted.char_p)
+    assert shape == (1, 1, 2, True)
+
+
 # -- transitions and projections -----------------------------------------------------
 
 
@@ -354,17 +408,7 @@ class _LossyRoundTrip(TowerHandle):
 
 
 def _clone(handle, cls):
-    return cls(
-        spec=handle.spec,
-        p=handle.p,
-        e0=handle.e0,
-        ideal_exp=handle.ideal_exp,
-        start=handle.start,
-        depth=handle.depth,
-        rings=handle._rings,
-        char_p=handle.char_p,
-        label="broken",
-    )
+    return cls(spec=handle.spec, rings=handle._rings, label="broken")
 
 
 def test_negative_control_axiom_c():
@@ -436,11 +480,6 @@ def _shifted(h):
     the shape the declared tower promises."""
     return TowerHandle(
         spec=h.spec,
-        p=h.p,
-        e0=h.e0,
-        ideal_exp=h.ideal_exp,
-        start=h.start,
-        depth=h.depth - 1,
         rings={n: h.layer(n + 1) for n in range(h.start, h.top)},
         label="broken",
     )
