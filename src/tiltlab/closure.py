@@ -69,12 +69,6 @@ class ExplicitRing:
     def rank(self):
         return len(self.basis_names)
 
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return id(self)
-
     def __repr__(self):
         return f"ExplicitRing({'+'.join(self.basis_names)} over Z/{self.p}^{self.n_digits})"
 
@@ -156,8 +150,7 @@ class ExplicitRing:
                 artifact += 1
             else:
                 genuine.append(elem)
-        flags = ("PRECISION_ARTIFACT",) if artifact else ()
-        return TorsionReport(genuine=genuine, artifact_dim=artifact, flags=flags)
+        return TorsionReport(genuine=genuine, artifact_dim=artifact)
 
 
 def _mat_apply(cols, vec, mod):

@@ -146,55 +146,54 @@ def _vp(x: int, p: int, cap: int) -> int:
 class LayerRing:
     """One layer of a tower, truncated to finite precision.
 
-    mode MIXED: (Z/p^n_digits)[t]/(t^e - p), basis t^k for 0 <= k < e.
-    mode CHAR_P: F_p[t]/(t^window) with the exponent lattice (1/e)Z, the
-    shape of layer quotients and small-tilt presentations.
+    Given n_digits, the mode is MIXED: (Z/p^n_digits)[t]/(t^e - p), basis
+    t^k for 0 <= k < e.  Given window, it is CHAR_P: F_p[t]/(t^window) with
+    the exponent lattice (1/e)Z, the shape of layer quotients and
+    small-tilt presentations.  Exactly one of the two is given.
 
     ideal_num is the t-index of the distinguished ideal generator f0, so
-    f0 = t^ideal_num has valuation ideal_num/e.
+    f0 = t^ideal_num has valuation ideal_num/e.  The level is v_p(e/e0).
     """
 
     def __init__(
         self,
         *,
-        mode: str,
         p: int,
         e: int,
         ideal_num: int,
         n_digits: int | None = None,
         window: int | None = None,
         e0: int = 1,
-        level: int = 0,
         num_vars: int = 0,
         var_den: int = 1,
         var_cap: Fraction = Fraction(0),
     ):
         if not is_prime(p):
             raise NonPrime(f"{p} is not prime")
-        if mode not in (MIXED, CHAR_P):
-            raise ValueError(f"unknown mode {mode!r}")
-        if e < 1 or e0 < 1 or level < 0 or num_vars < 0 or var_den < 1:
+        if (n_digits is None) == (window is None):
+            raise ValueError("give exactly one of n_digits and window")
+        if e < 1 or e0 < 1 or num_vars < 0 or var_den < 1:
             raise ValueError("invalid ring shape")
-        self.mode = mode
         self.p = p
         self.e = e
         self.e0 = e0
-        self.level = level
         self.num_vars = num_vars
         self.var_den = var_den
         self.var_cap = Fraction(var_cap)
         self.ideal_num = ideal_num
-        if mode == MIXED:
-            if n_digits is None or n_digits < 1:
+        if n_digits is not None:
+            if n_digits < 1:
                 raise ValueError("mixed rings need n_digits >= 1")
+            self.mode = MIXED
             self.n_digits = n_digits
             self.window = None
             self.coeff_mod = p**n_digits
             self.index_cap = e * n_digits
             self.symbol = "t"
         else:
-            if window is None or window < 1:
+            if window < 1:
                 raise ValueError("char-p rings need window >= 1")
+            self.mode = CHAR_P
             self.n_digits = 1
             self.window = window
             self.coeff_mod = p
@@ -223,7 +222,6 @@ class LayerRing:
             self.p,
             self.e,
             self.e0,
-            self.level,
             self.num_vars,
             self.var_den,
             self.var_cap,
@@ -247,6 +245,10 @@ class LayerRing:
             body = f"F_{self.p}[T]/(T^{self.window}) @ lattice 1/{self.e}"
         extra = f", vars={self.num_vars}" if self.num_vars else ""
         return f"LayerRing({body}, level={self.level}{extra})"
+
+    @property
+    def level(self) -> int:
+        return _vp(self.e, self.p, 0) - _vp(self.e0, self.p, 0)
 
     @property
     def ideal_exp(self) -> Fraction:
@@ -348,6 +350,8 @@ class LayerRing:
 
     def monomial(self, k: int, vt=None, coeff: int = 1) -> "LayerElem":
         vt = self._zero_vt if vt is None else tuple(vt)
+        if k < 0:
+            raise ValueError(f"negative t-index {k}")
         if len(vt) != self.num_vars:
             raise ValueError("variable index tuple has wrong length")
         return self._from_items([(k, vt, coeff)])
@@ -479,13 +483,11 @@ class LayerRing:
             if self.ideal_num == 0:
                 raise BadIdealExponent("quotient by the unit ideal is empty")
             self._quotient = LayerRing(
-                mode=CHAR_P,
                 p=self.p,
                 e=self.e,
                 window=self.ideal_num,
                 ideal_num=self.ideal_num,
                 e0=self.e0,
-                level=self.level,
                 num_vars=self.num_vars,
                 var_den=self.var_den,
                 var_cap=self.var_cap,
@@ -626,16 +628,14 @@ class LayerRing:
         f = self.coerce(f)
         if f.is_zero():
             genuine = [self.monomial(k, vt) for k, vt in self.basis_keys()]
-            return TorsionReport(genuine=genuine, artifact_dim=0, flags=())
+            return TorsionReport(genuine=genuine, artifact_dim=0)
         f_idx = f.index_valuation()
         if f_idx == 0:
-            return TorsionReport(genuine=[], artifact_dim=0, flags=())
+            return TorsionReport(genuine=[], artifact_dim=0)
         if any(any(vt) for (_, vt) in f.terms):
             raise ValueError("torsion is only tracked for t-monomial ideals")
         # f_idx >= 1, so f^index_cap kills every basis element at precision
-        artifact = self.rank
-        flags = ("PRECISION_ARTIFACT",) if artifact else ()
-        return TorsionReport(genuine=[], artifact_dim=artifact, flags=flags)
+        return TorsionReport(genuine=[], artifact_dim=self.rank)
 
     # -- parsing and rendering ----------------------------------------------
 
@@ -647,11 +647,14 @@ class LayerRing:
 class TorsionReport:
     genuine: list
     artifact_dim: int
-    flags: tuple
 
     @property
     def is_torsion_free(self) -> bool:
         return not self.genuine
+
+    @property
+    def flags(self) -> tuple:
+        return ("PRECISION_ARTIFACT",) if self.artifact_dim else ()
 
 
 class LayerElem:
@@ -681,24 +684,24 @@ class LayerElem:
         return hash((self.ring, tuple(sorted(self.terms.items()))))
 
     def __add__(self, other):
+        # Both sides are canonical: their keys need no folding and lie
+        # under the cap, so only coefficients are reduced.
         ring = self.ring
         other = ring.coerce(other)
-        lossy = self.lossy or other.lossy
-        if ring.num_vars == 0:
-            acc = {k: c for (k, _), c in self.terms.items()}
-            for (k, _), c in other.terms.items():
-                acc[k] = acc.get(k, 0) + c
-            return ring._from_t_dict(acc, lossy)
-        items = [(k, vt, c) for (k, vt), c in self.terms.items()]
-        items += [(k, vt, c) for (k, vt), c in other.terms.items()]
-        return ring._from_items(items, lossy)
+        acc = dict(self.terms)
+        get = acc.get
+        for key, c in other.terms.items():
+            acc[key] = get(key, 0) + c
+        mod = ring.coeff_mod
+        terms = {key: r for key, c in acc.items() if (r := c % mod)}
+        return LayerElem(ring, terms, self.lossy or other.lossy)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self.ring._from_items(
-            [(k, vt, -c) for (k, vt), c in self.terms.items()], self.lossy
-        )
+        mod = self.ring.coeff_mod
+        terms = {key: r for key, c in self.terms.items() if (r := -c % mod)}
+        return LayerElem(self.ring, terms, self.lossy)
 
     def __sub__(self, other):
         other = self.ring.coerce(other)
@@ -917,18 +920,14 @@ class ProductRing:
         f = self.coerce(f)
         genuine = []
         artifact = 0
-        flags: set = set()
         for i, (factor, f_part) in enumerate(zip(self.factors, f.parts)):
             rep = factor.torsion_submodule(f_part)
             artifact += rep.artifact_dim
-            flags.update(rep.flags)
             for g in rep.genuine:
                 parts = [fac.zero() for fac in self.factors]
                 parts[i] = g
                 genuine.append(self.wrap(parts))
-        return TorsionReport(
-            genuine=genuine, artifact_dim=artifact, flags=tuple(sorted(flags))
-        )
+        return TorsionReport(genuine=genuine, artifact_dim=artifact)
 
 
 class ProductElem:
@@ -1203,7 +1202,6 @@ def layer_make(
     ideal_exp=1,
     *,
     e0: int = 1,
-    level: int = 0,
 ) -> LayerRing:
     """Build one mixed-characteristic layer ring.
 
@@ -1230,13 +1228,11 @@ def layer_make(
         )
     var_den = e // e0 if num_vars else 1
     return LayerRing(
-        mode=MIXED,
         p=p,
         e=e,
         n_digits=precision.n_digits,
         ideal_num=int(ideal_idx),
         e0=e0,
-        level=level,
         num_vars=num_vars,
         var_den=var_den,
         var_cap=precision.var_degree_cap,

@@ -314,7 +314,7 @@ def _unit_ratio(handle, n, value, monomial_elem):
     return True, q.to_text()
 
 
-def idempotent_bijection(handle, m=None) -> Verdict:
+def idempotent_bijection(handle) -> Verdict:
     """sharp restricts to a bijection tilt idempotents -> layer idempotents,
     inverted by the constant-sequence map.
 
@@ -322,8 +322,7 @@ def idempotent_bijection(handle, m=None) -> Verdict:
     has exactly {0, 1} (unique Hensel lifts along the nilpotent maximal
     ideal), and products multiply componentwise.
     """
-    j = handle.start
-    m = handle.depth if m is None else m
+    j, m = handle.start, handle.depth
     pres = small_tilt(handle, j, m)
     deep_ring = handle.layer(j + m)
     deep_quot = handle.quotient(j + m)
@@ -368,19 +367,17 @@ def idempotent_bijection(handle, m=None) -> Verdict:
     )
 
 
-def torsion_bijection(handle, m=None, tilt_pillar_override=None) -> Verdict:
-    """Compare pillar-torsion of each layer with its tilt presentation.
+def torsion_bijection(handle, tilt_pillar_override=None) -> Verdict:
+    """Compare pillar-torsion of each layer below the top with its tilt
+    presentation at full depth (a depth-0 tilt carries no pillar).
 
     For the towers in scope both sides are torsion-free, so the verdict
     records the isomorphism in the trivial case; a mismatch (possible on
     tampered inputs) is a FAIL with the offending side reported.
     """
     levels = {}
-    for j in range(handle.start, handle.top + 1):
-        mj = m if m is not None else handle.top - j
-        if mj < 1 or j + mj > handle.top:
-            continue  # a depth-0 tilt carries no pillar to compare
-        pres = small_tilt(handle, j, mj)
+    for j in range(handle.start, handle.top):
+        pres = small_tilt(handle, j, handle.top - j)
         layer_rep = handle.layer(j).torsion_submodule(handle.pillar_elem(j))
         tilt_f = (
             tilt_pillar_override(pres)

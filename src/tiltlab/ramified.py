@@ -62,6 +62,11 @@ class KummerCoverSpec:
             raise SpecError("cover exponent must be coprime to p (tame case)")
         if self.levels < 1:
             raise SpecError("need at least one level")
+        if self.precision.n_digits < 2:
+            raise SpecError(
+                f"n_digits = {self.precision.n_digits} makes p, the cover "
+                f"layers' ideal generator, vanish; n_digits must be >= 2"
+            )
 
 
 @dataclass
@@ -117,14 +122,6 @@ class EpsilonWitness:
     bound_c: Fraction  # the table's c(S), for assemble_perfectoid; not emitted
     certificate: dict = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "epsilon": str(self.epsilon),
-            "start_level": self.start_level,
-            "delta_used": str(self.delta_used),
-            "certificate": self.certificate,
-        }
-
 
 # -- layers ---------------------------------------------------------------------
 
@@ -138,9 +135,7 @@ def build_cover_layers(spec: KummerCoverSpec) -> list[LayerRing]:
     layers = []
     for n in range(spec.levels + 1):
         e_n = spec.m * spec.prime**n
-        ring = layer_make(
-            spec.prime, spec.precision, e_n, ideal_exp=1, e0=spec.m, level=n
-        )
+        ring = layer_make(spec.prime, spec.precision, e_n, ideal_exp=1, e0=spec.m)
         for idx in (spec.m, spec.prime**n):
             if ring.monomial(idx).is_zero():
                 raise MethodDisagreement(
@@ -441,6 +436,10 @@ def assemble_perfectoid(
     smaller when the checks already pass there, and the report records
     both.
     """
+    if pillar_valuation_override is not None and pillar_valuation_override <= 0:
+        raise SpecError(
+            f"the pillar override {pillar_valuation_override} must be positive"
+        )
     eps = witness.epsilon
     a_priori_bound = witness.start_level
     while (a_priori_bound + 1) * eps < witness.bound_c:

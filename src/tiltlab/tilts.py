@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CHAR_P, LayerRing, ProductRing, parse_element
+from .core import LayerRing, ProductRing, parse_element
 from .towers import LevelOutOfRange, ProductTower, TowerHandle
 
 
@@ -162,10 +162,6 @@ class TiltPresentation:
     def random_element(self, rng, max_terms: int = 3) -> SmallTiltElem:
         return self.from_presentation(self.ring.random_element(rng, max_terms))
 
-    def basis_monomials(self):
-        for key in self.ring.basis_keys():
-            yield self.ring.monomial(*key)
-
     def to_json_dict(self) -> dict:
         gen = self.generator()
         return {
@@ -193,13 +189,11 @@ def _presentation_ring(handle, j: int, m: int):
     src = handle.layer(j)
     deepest = handle.layer(j + m)
     return LayerRing(
-        mode=CHAR_P,
         p=handle.p,
         e=src.e,
         window=handle.ideal_index(j) * handle.p**m,
         ideal_num=handle.ideal_index(j),
         e0=handle.e0,
-        level=j,
         num_vars=src.num_vars,
         var_den=deepest.var_den,
         var_cap=src.var_cap,
@@ -241,9 +235,7 @@ def tilt_tower(handle, m: int):
     the result is a characteristic-p tower over the same ideal data.
     """
     if isinstance(handle, ProductTower):
-        return ProductTower(
-            None, tuple(tilt_tower(c, m) for c in handle.components)
-        )
+        return ProductTower(tuple(tilt_tower(c, m) for c in handle.components))
     new_depth = handle.depth - m
     if new_depth < 2:
         raise InsufficientDepth(
@@ -253,6 +245,4 @@ def tilt_tower(handle, m: int):
         j: _presentation_ring(handle, j, m)
         for j in range(handle.start, handle.top - m + 1)
     }
-    return TowerHandle(
-        spec=None, rings=rings, label=f"tilt({handle.label}, depth={m})"
-    )
+    return TowerHandle(rings=rings, label=f"tilt({handle.label}, depth={m})")

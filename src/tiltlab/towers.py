@@ -117,6 +117,12 @@ class TowerSpec:
                     )
         else:
             raise SpecError(f"unknown tower kind {self.kind!r}")
+        # f0 = t^(ideal_exp * e) and t^(e * n_digits) = p^n_digits = 0
+        if self.ideal_exp is not None and self.ideal_exp >= self.n_digits:
+            raise SpecError(
+                f"n_digits = {self.n_digits} makes the ideal generator f0 of "
+                f"exponent {self.ideal_exp} vanish; n_digits must exceed it"
+            )
 
     @property
     def e0(self) -> int:
@@ -199,7 +205,8 @@ class TowerHandle:
     """A realized monogenic-family tower (mixed or characteristic p).
 
     Its levels are the keys of rings; its prime, e0, ideal exponent and
-    characteristic are those of its base ring.
+    characteristic are those of its base ring.  A pillar_index, if given,
+    is a t-index >= 1.
     """
 
     is_product = False
@@ -207,13 +214,13 @@ class TowerHandle:
     def __init__(
         self,
         *,
-        spec: TowerSpec | None,
         rings: dict[int, LayerRing],
-        label: str = "",
+        label: str,
         pillar_index: int | None = None,
     ):
-        self.spec = spec
-        self.label = label or (spec.kind if spec else "tower")
+        if pillar_index is not None and pillar_index < 1:
+            raise SpecError(f"the pillar index must be >= 1, not {pillar_index}")
+        self.label = label
         self._rings = rings
         self._pillar_index = pillar_index
         self.start = min(rings)
@@ -308,14 +315,6 @@ class TowerHandle:
             q = self.frob(n, q)
         return q
 
-    # -- sampling -------------------------------------------------------------
-
-    def random_layer(self, n: int, rng, max_terms: int = 3) -> LayerElem:
-        return self.layer(n).random_element(rng, max_terms)
-
-    def random_quot(self, n: int, rng, max_terms: int = 3) -> LayerElem:
-        return self.quotient(n).random_element(rng, max_terms)
-
     def describe(self) -> dict:
         return {
             "label": self.label,
@@ -333,7 +332,7 @@ class ProductTower(TowerHandle):
 
     is_product = True
 
-    def __init__(self, spec: TowerSpec | None, components: tuple):
+    def __init__(self, components: tuple):
         first = components[0]
         shapes = {(c.start, c.depth, c.e0, c.ideal_exp, c.pillar_index())
                   for c in components}
@@ -341,7 +340,6 @@ class ProductTower(TowerHandle):
             raise SpecError("product components must share levels, e0, ideal and pillar")
         self.components = tuple(components)
         super().__init__(
-            spec=spec,
             rings={n: ProductRing(tuple(c.layer(n) for c in components))
                    for n in first.levels},
             label="product(" + ", ".join(c.label for c in components) + ")",
@@ -388,7 +386,7 @@ def build_tower(spec: TowerSpec, *, pillar_index: int | None = None):
     """
     if spec.kind == "product":
         subs = (build_tower(sub, pillar_index=pillar_index) for sub in spec.components)
-        return ProductTower(spec, tuple(subs))
+        return ProductTower(tuple(subs))
     precision = PrecisionBudget(
         n_digits=spec.n_digits, var_degree_cap=spec.var_degree_cap
     )
@@ -409,13 +407,10 @@ def build_tower(spec: TowerSpec, *, pillar_index: int | None = None):
                 num_vars=spec.num_vars,
                 ideal_exp=eps,
                 e0=spec.e0,
-                level=n,
             )
         except (BadIdealExponent, BadVarCap) as exc:
             raise SpecError(str(exc)) from exc
-    return TowerHandle(
-        spec=spec, rings=rings, label=spec.kind, pillar_index=pillar_index
-    )
+    return TowerHandle(rings=rings, label=spec.kind, pillar_index=pillar_index)
 
 
 def frob_projection(handle, n: int, x):

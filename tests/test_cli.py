@@ -334,12 +334,30 @@ def test_var_cap_needs_a_p_power_denominator():
     "tilt --prime 5 --layer 0 --tilt-depth 9",
     "ramify --p 4 --m 2",
     "axioms --prime 5 --start -1",
+    "axioms --prime 5 --prec 1 --depth 2 --samples 5",
+    "closure --prime 5 --prec 1 --depth 2",
+    "ramify --p 5 --m 2 --prec 1",
+    "ramify --p 5 --m 2 --levels 5 --prec 6 --depth 2 --samples 10 --pillar-override -1",
+    "ramify --p 5 --m 2 --levels 5 --prec 6 --depth 2 --samples 10 --pillar-override 0",
 ])
 def test_named_input_errors_exit_two(argv):
     code, out, err = invoke(argv.split())
     assert (code, out) == (2, "")
     assert err.startswith("tiltlab: ") and err.count("\n") == 1, err
     assert "internal fault" not in err and "invalid ring shape" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    "axioms --prime 5 --prec 1 --depth 2 --samples 5",
+    "closure --prime 5 --prec 1 --depth 2",
+    "ramify --p 5 --m 2 --prec 1",
+])
+def test_a_precision_at_which_the_ideal_vanishes_is_named(argv):
+    # f0 = p is 0 mod p: the refusal names the precision, not a pair or a
+    # generator the run met later
+    code, out, err = invoke(argv.split())
+    assert (code, out) == (2, "")
+    assert "n_digits = 1" in err, err
 
 
 def test_unparseable_spec_files_exit_two(tmp_path):

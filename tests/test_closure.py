@@ -15,6 +15,7 @@ from tiltlab.closure import (
     RingPair,
     TorsionPresent,
     _cartesian_dense,
+    _cartesian_monomial,
     almost_integral_witness,
     check_root_closed,
     is_cartesian_mod_f,
@@ -22,7 +23,7 @@ from tiltlab.closure import (
     transfer_suite,
 )
 from tiltlab.battery import closure_pair_collection, crafted_negative_pairs
-from tiltlab.core import EnumerationTooLarge, PrecisionBudget, layer_make
+from tiltlab.core import EnumerationTooLarge, LayerRing, PrecisionBudget, layer_make
 from tiltlab.towers import TowerSpec, build_tower
 
 from test_towers import kummer52, pure5
@@ -219,6 +220,59 @@ def test_cartesian_on_a_non_monomial_f_falls_back_to_linear_algebra():
     verdict = is_cartesian_mod_f(pair)
     assert verdict.verdict == PASS_EXACT
     assert verdict == _cartesian_dense(pair)
+
+
+def _substitution(ring, images):
+    """The ring map fixing t and sending x_i to images[i]; the images are
+    homogeneous of degree 1 in the variables, so the degree cap commutes
+    with it."""
+
+    def phi(x):
+        acc = ring.zero()
+        for (k, vt), c in x.terms.items():
+            term = ring.monomial(k, coeff=c)
+            for img, j in zip(images, vt):
+                term = term * img**j
+            acc = acc + term
+        return acc
+
+    return phi
+
+
+def _unit_multiple(ring, a, b):
+    return any(a * u == b for u in range(1, ring.coeff_mod) if u % ring.p)
+
+
+@pytest.mark.parametrize("shape", [{"n_digits": 2}, {"window": 3}])
+def test_cartesian_index_walk_branches_agree_with_linear_algebra(shape):
+    # A = B = (Z/4)[t]/(t^2 - 2) or F_2[T]/(T^3), with variables x1, x2 of
+    # total degree <= 1, and f = t.
+    # x1 -> t*x1 sends the monomial x1 into fB; x1 -> x2 makes x1 and x2
+    # collide mod fB; x1 -> x1 + x2 sends x1 to two terms, where the walk
+    # hands over to linear algebra.
+    ring = LayerRing(p=2, e=2, ideal_num=2, num_vars=2, var_cap=1, **shape)
+    t, x1, x2 = ring.t_gen(), ring.var_gen(0), ring.var_gen(1)
+    cases = {
+        "monomial maps into fB": ((t * x1, x2), x1),
+        "collision mod fB": ((x2, x2), x1 - x2),
+        None: ((x1 + x2, x2), None),
+    }
+    for reason, (images, witness) in cases.items():
+        pair = RingPair.extension(ring, ring, _substitution(ring, images), t)
+        walk = _cartesian_monomial(pair)
+        dense = _cartesian_dense(pair)
+        if reason is None:
+            assert walk is None
+            assert is_cartesian_mod_f(pair) == dense
+            assert dense.verdict == PASS_EXACT
+            continue
+        assert is_cartesian_mod_f(pair) == walk
+        assert (walk.verdict, walk.details["reason"]) == (FAIL, reason)
+        assert dense.verdict == FAIL
+        # the walk names x1 - x2 where linear algebra may name x2 - x1:
+        # both span the same line of the kernel
+        assert ring.parse(walk.witness) == witness
+        assert _unit_multiple(ring, witness, ring.parse(dense.witness))
 
 
 def test_cartesian_detects_collapse():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from tiltlab.core import (
     ABOVE_PRECISION,
-    CHAR_P,
     MIXED,
     BadIdealExponent,
     BadVarCap,
@@ -70,10 +69,30 @@ def test_layer_make_kummer_layer():
     # eps * e must be integral: fails at e=10, works at e=50 with f0 = t^6.
     with pytest.raises(BadIdealExponent):
         O(e=10, ideal_exp=Fraction(3, 25))
-    ring = O(e=50, ideal_exp=Fraction(3, 25), e0=2, level=2)
+    ring = O(e=50, ideal_exp=Fraction(3, 25), e0=2)
     f0 = ring.f0()
     assert f0 == ring.monomial(6)
     assert f0.valuation() == Fraction(3, 25)  # oracle: 6/50
+
+
+def test_mode_and_level_are_read_from_the_shape():
+    kummer = O(e=50, ideal_exp=Fraction(3, 25), e0=2)
+    assert (kummer.mode, kummer.level) == (MIXED, 2)
+    assert repr(kummer) == "LayerRing((Z/5^6)[t]/(t^50 - 5), level=2)"
+    quot = kummer.quotient_ring()
+    assert (quot.mode, quot.level, quot.window) == ("char_p", 2, 6)
+    assert O(e=1).level == 0 and O(e=125).level == 3
+    shape = dict(p=5, e=5, ideal_num=5)
+    for extra in ({}, {"n_digits": 2, "window": 4}):
+        with pytest.raises(ValueError, match="exactly one of n_digits and window"):
+            LayerRing(**shape, **extra)
+
+
+def test_monomial_refuses_a_negative_t_index():
+    with pytest.raises(ValueError, match="negative t-index"):
+        O().monomial(-1)
+    with pytest.raises(ValueError, match="negative t-index"):
+        O().quotient_ring().monomial(-1)
 
 
 def test_layer_make_rejects_bad_input():
@@ -217,7 +236,7 @@ def test_reduce_examples():
     q = ring.reduce_mod_ideal(x)
     assert q == q.ring.parse("1 + T^{1/5}")
 
-    kummer = O(e=50, ideal_exp=Fraction(3, 25), e0=2, level=2)
+    kummer = O(e=50, ideal_exp=Fraction(3, 25), e0=2)
     q2 = kummer.reduce_mod_ideal(kummer.parse("2 + 3*t^{3/50}"))
     # oracle: valuation 3/50 < 6/50, so the term survives
     assert q2 == q2.ring.parse("2 + 3*T^{3/50}")
@@ -259,6 +278,17 @@ def test_torsion_product_with_killed_factor():
     assert all(part.is_zero() for g in rep.genuine for part in (g.parts[0],))
 
 
+def test_torsion_flags_follow_the_artifact_dim():
+    base, ring = O(e=1), O()
+    assert base.torsion_submodule(base.from_int(5)).flags == ("PRECISION_ARTIFACT",)
+    assert ring.torsion_submodule(ring.one()).flags == ()
+    assert ring.torsion_submodule(ring.zero()).flags == ()
+    prod = ProductRing((base, base))
+    half = prod.torsion_submodule(prod.wrap([base.from_int(5), base.one()]))
+    assert (half.artifact_dim, half.flags) == (base.rank, ("PRECISION_ARTIFACT",))
+    assert prod.torsion_submodule(prod.one()).flags == ()
+
+
 def test_torsion_unit_is_empty():
     ring = O()
     rep = ring.torsion_submodule(ring.one() + ring.t_gen())
@@ -278,7 +308,7 @@ def test_variable_degree_cap_marks_lossy():
 
 def test_variable_lattice_parse_and_render():
     ring = layer_make(
-        5, PrecisionBudget(3, var_degree_cap=Fraction(2)), 25, num_vars=1, level=2
+        5, PrecisionBudget(3, var_degree_cap=Fraction(2)), 25, num_vars=1
     )
     x = ring.parse("3*x1^{2/25} * t^{1/25}")
     assert x.to_text() == "3*t^{1/25}*x1^{2/25}"
@@ -306,7 +336,7 @@ def test_parse_rejects_garbage():
 
 def test_render_roundtrip_random():
     rng = random.Random(4)
-    for ring in (O(), O(e=1), O(e=50, ideal_exp=Fraction(3, 25), e0=2, level=2)):
+    for ring in (O(), O(e=1), O(e=50, ideal_exp=Fraction(3, 25), e0=2)):
         for _ in range(100):
             x = ring.random_element(rng, 4)
             assert ring.parse(x.to_text()) == x
@@ -378,7 +408,7 @@ def invert_case(draw):
     cap = Fraction(draw(st.integers(min_value=0, max_value=2)), p) if num_vars else 0
     ring = layer_make(
         p, PrecisionBudget(n, var_degree_cap=cap), e0 * p**level, num_vars,
-        e0=e0, level=level,
+        e0=e0,
     )
     if draw(st.booleans()):
         ring = ring.quotient_ring()
@@ -487,9 +517,9 @@ def monogenic_ring(draw):
     e = draw(st.sampled_from([1, 3, 5, 9, 16, 40]))
     if draw(st.booleans()):
         nd = draw(st.integers(min_value=1, max_value=4))
-        return LayerRing(mode=MIXED, p=p, e=e, n_digits=nd, ideal_num=e)
+        return LayerRing(p=p, e=e, n_digits=nd, ideal_num=e)
     window = draw(st.integers(min_value=1, max_value=2 * e + 8))
-    return LayerRing(mode=CHAR_P, p=p, e=e, window=window, ideal_num=min(e, window))
+    return LayerRing(p=p, e=e, window=window, ideal_num=min(e, window))
 
 
 @st.composite
@@ -536,8 +566,52 @@ def test_monogenic_add_matches_item_path(data):
     _same(a + b, reference_add(a, b), order=True)
 
 
+def reference_neg(a):
+    items = [(k, vt, -c) for (k, vt), c in a.terms.items()]
+    return a.ring._from_items(items, a.lossy)
+
+
+@st.composite
+def sum_case(draw):
+    """A MIXED or CHAR_P ring, with or without variables, and two canonical
+    elements whose keys often coincide, so sums cancel and wrap."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    e = draw(st.sampled_from([1, 3, 5, 9]))
+    num_vars = draw(st.integers(min_value=0, max_value=2))
+    cap = draw(st.fractions(min_value=0, max_value=2, max_denominator=3))
+    shape = dict(p=p, e=e, ideal_num=e, num_vars=num_vars,
+                 var_den=3 if num_vars else 1, var_cap=cap)
+    if draw(st.booleans()):
+        ring = LayerRing(n_digits=draw(st.integers(min_value=1, max_value=3)), **shape)
+    else:
+        ring = LayerRing(window=draw(st.integers(min_value=1, max_value=2 * e)), **shape)
+    keys = ring.basis_keys()
+
+    def elem():
+        items = []
+        for _ in range(draw(st.integers(min_value=0, max_value=6))):
+            k, vt = keys[draw(st.integers(min_value=0, max_value=len(keys) - 1))]
+            items.append((k, vt, draw(st.integers(min_value=1, max_value=ring.coeff_mod))))
+        return ring._from_items(items, draw(st.booleans()))
+
+    a = elem()
+    return ring, a, (a if draw(st.booleans()) else elem())
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(sum_case())
+def test_add_neg_sub_match_item_path(data):
+    # __add__ and __neg__ merge canonical term dicts; the references take
+    # every term through _from_items, which also folds keys and drops
+    # terms at the cap
+    ring, a, b = data
+    _same(a + b, reference_add(a, b), order=True)
+    _same(-a, reference_neg(a), order=True)
+    _same(a - b, reference_add(a, reference_neg(b)), order=True)
+
+
 def test_monogenic_paths_cover_both_sides_of_the_dense_threshold():
-    ring = LayerRing(mode=MIXED, p=5, e=16, n_digits=3, ideal_num=16)
+    ring = LayerRing(p=5, e=16, n_digits=3, ideal_num=16)
     full = ring._from_items([(k, (), k + 1) for k in range(16)])
     small = ring._from_items([(k, (), 5 * k + 2) for k in range(0, 16, 4)])
     assert _dense(ring, full, full) and not _dense(ring, small, small)
@@ -547,7 +621,7 @@ def test_monogenic_paths_cover_both_sides_of_the_dense_threshold():
 
 
 def test_monogenic_mul_folds_and_cancels():
-    ring = LayerRing(mode=MIXED, p=5, e=5, n_digits=2, ideal_num=5)
+    ring = LayerRing(p=5, e=5, n_digits=2, ideal_num=5)
     t4 = ring.monomial(4, coeff=5)
     # t^8 = 5 t^3, times the coefficients 5 * 5: everything cancels mod 25
     assert (t4 * t4).is_zero()
@@ -556,14 +630,14 @@ def test_monogenic_mul_folds_and_cancels():
     _same(prod, reference_mul(x, x), order=True)
     assert prod.lossy and prod == ring.parse("5*t^3 + 20*t^2 + 20*t")
     assert (x + (-x)).is_zero() and (x + (-x)).lossy
-    char_p = LayerRing(mode=CHAR_P, p=5, e=5, window=4, ideal_num=4)
+    char_p = LayerRing(p=5, e=5, window=4, ideal_num=4)
     y = char_p.monomial(2) + char_p.monomial(3)
     _same(y * y, reference_mul(y, y), order=True)
     assert y * y == char_p.zero()  # every product index is past the window
 
 
 def test_zero_product_keeps_the_lossy_flag():
-    ring = LayerRing(mode=CHAR_P, p=2, e=1, window=1, ideal_num=1)
+    ring = LayerRing(p=2, e=1, window=1, ideal_num=1)
     zero = ring._from_items([], lossy=True)
     prod = zero * zero
     _same(prod, reference_mul(zero, zero), order=True)
@@ -590,7 +664,7 @@ def chain_case(draw):
     e0 = draw(st.sampled_from([k for k in (1, 2, 3) if k % p]))
     level = draw(st.integers(min_value=0, max_value=3 if p < 5 else 2))
     n = draw(st.integers(min_value=1, max_value=4))
-    ring = layer_make(p, PrecisionBudget(n), e0 * p**level, e0=e0, level=level)
+    ring = layer_make(p, PrecisionBudget(n), e0 * p**level, e0=e0)
     shape = draw(st.sampled_from(["zero", "monomial", "sparse", "dense"]))
     if shape == "dense":
         keys = range(ring.e)
@@ -632,15 +706,15 @@ def test_p_power_reduces_sparse_steps_before_the_kernel():
     # (1 + t)^(3^i) stays sparse for a few steps, with binomial coefficients
     # far above the step's modulus; the kernel's lanes hold only reduced
     # coefficients (unreduced: a silent carry at m = 8, an overflow at 9)
-    ring = LayerRing(mode=MIXED, p=3, e=243, n_digits=10, ideal_num=243)
+    ring = LayerRing(p=3, e=243, n_digits=10, ideal_num=243)
     x = ring.parse("1 + t")
     for m in (8, 9):
         _same(x.p_power(m), x ** 3**m, order=False)
 
 
 def test_p_power_maps_over_product_parts():
-    pure = O(p=5, N=3, e=25, level=2)
-    kummer = O(p=5, N=3, e=50, e0=2, level=2)
+    pure = O(p=5, N=3, e=25)
+    kummer = O(p=5, N=3, e=50, e0=2)
     prod = ProductRing((pure, kummer))
     rng = random.Random(4)
     dense = pure._from_items([(k, (), rng.randrange(1, 125)) for k in range(25)])
@@ -670,7 +744,7 @@ def test_p_power_maps_over_product_parts():
 )
 def test_cap_index_matches_fraction_rule(var_den, cap, vts, scale):
     ring = LayerRing(
-        mode=MIXED, p=5, e=5, n_digits=2, ideal_num=5,
+        p=5, e=5, n_digits=2, ideal_num=5,
         num_vars=2, var_den=var_den, var_cap=cap,
     )
     for vt in vts:
@@ -682,7 +756,7 @@ def test_cap_index_matches_fraction_rule(var_den, cap, vts, scale):
 
 def test_cap_index_at_fractional_caps():
     ring = LayerRing(
-        mode=MIXED, p=5, e=5, n_digits=2, ideal_num=5,
+        p=5, e=5, n_digits=2, ideal_num=5,
         num_vars=2, var_den=5, var_cap=Fraction(7, 3),
     )
     # 7/3 * 5 = 35/3: index sums up to 11 fit, 12 overflows
@@ -744,8 +818,8 @@ def lattice_map(draw):
         shape = dict(p=p, e=e, ideal_num=e, num_vars=num_vars,
                      var_den=e if num_vars else 1, var_cap=cap)
         if mixed:
-            return LayerRing(mode=MIXED, n_digits=nd, **shape)
-        return LayerRing(mode=CHAR_P, window=width * e, **shape)
+            return LayerRing(n_digits=nd, **shape)
+        return LayerRing(window=width * e, **shape)
 
     kind = draw(st.sampled_from(["up", "copy", "down"]))
     n = draw(st.integers(min_value=0, max_value=2))

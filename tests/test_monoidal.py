@@ -22,9 +22,9 @@ from tiltlab.monoidal import (
     torsion_bijection,
 )
 from tiltlab.tilts import SmallTiltElem, ZeroDepth, p_flat, small_tilt
-from tiltlab.towers import TowerSpec, build_tower
+from tiltlab.towers import ProductTower, TowerHandle, TowerSpec, build_tower
 
-from test_towers import kummer52, pure5
+from test_towers import _clone, _CollidingTbar, _NonUnitSampler, kummer52, pure5
 
 
 def test_sharp_of_p_flat_is_exactly_p():
@@ -225,8 +225,8 @@ def test_idempotent_enumeration_matches_brute_force():
     # oracle: solve x^2 = x exhaustively in the tiny ring F_2[T]/(T^2) x F_2
     from tiltlab.core import LayerRing, ProductRing
 
-    a = LayerRing(mode="char_p", p=2, e=1, window=2, ideal_num=1)
-    b = LayerRing(mode="char_p", p=2, e=1, window=1, ideal_num=1)
+    a = LayerRing(p=2, e=1, window=2, ideal_num=1)
+    b = LayerRing(p=2, e=1, window=1, ideal_num=1)
     prod = ProductRing((a, b))
     brute = [x for x in prod.enumerate_elements() if x * x == x]
     assert len(brute) == len(prod.idempotents()) == 4
@@ -276,6 +276,124 @@ def test_torsion_bijection_detects_tampering():
     res = torsion_bijection(h, tilt_pillar_override=tampered)
     assert res.verdict == "FAIL"
     assert res.witness
+
+
+# -- negative controls: broken handles each monoidal check must refuse ---------
+#
+# Two FAIL branches have no control: check_tilt_quotient_iso's "not
+# injective" and idempotent_bijection's two per-idempotent checks.  sharp
+# sends a basis monomial T^(k, vt) of the presentation to the single term
+# t^(k p^m, vt p^m) or to 0, and dividing indices by p^m gives back (k, vt),
+# so two basis monomials never share an image key; a zero image fails
+# "monomial image not a monomial" first.  sharp(0) = 0 and sharp(1) = 1 in
+# every layer ring, and lift accepts only the deepest quotient's own
+# elements, so the reduction of an idempotent's image is that idempotent.
+
+
+class _NarrowIdeal(TowerHandle):
+    """Above the base, the ideal index is one short of the layer's."""
+
+    def ideal_index(self, n):
+        return super().ideal_index(n) - (n > self.start)
+
+
+class _WideIdeal(TowerHandle):
+    """Above the base, the ideal index is one past the layer's."""
+
+    def ideal_index(self, n):
+        return super().ideal_index(n) + (n > self.start)
+
+
+class _UnreducedBase(TowerHandle):
+    """The base quotient is the base layer itself, coefficients mod p^N."""
+
+    def quotient(self, n):
+        return self.layer(n) if n == self.start else super().quotient(n)
+
+
+class _TimesPTransition(TowerHandle):
+    """The transition multiplies its honest image by p."""
+
+    def transition(self, n, x):
+        return super().transition(n, x) * self.p
+
+
+class _FrobeniusTransition(TowerHandle):
+    """The transition copies indices and raises to the p-th power, so the
+    two stages of sharp agree past the precision they really share."""
+
+    def transition(self, n, x):
+        return self.layer(n + 1).rescale(x) ** self.p
+
+
+class _SquaredPillar(TowerHandle):
+    """The layer pillar is the square of the one the tilt pillar matches."""
+
+    def pillar_elem(self, n):
+        return super().pillar_elem(n) ** 2
+
+
+class _DroppedFactor(ProductTower):
+    """The top level keeps only the first factor's layer."""
+
+    def layer(self, n):
+        return self.components[0].layer(n) if n == self.top else super().layer(n)
+
+
+def _fails(verdict, witness, **details):
+    assert (verdict.verdict, verdict.witness) == ("FAIL", witness)
+    for key, want in details.items():
+        assert verdict.details[key] == want
+
+
+def test_sharp_reduction_refuses_a_colliding_tbar():
+    # tbar at level 1 sends T^{1/5} to the image of 1
+    broken = _clone(pure5(), _CollidingTbar)
+    _fails(check_sharp_reduction(broken, 1, samples=20, seed=0), "T^{1/5}",
+           layer=1, depth=2)
+
+
+def test_tilt_quotient_iso_negative_controls():
+    iso = check_tilt_quotient_iso
+    narrow = _clone(pure5(), _NarrowIdeal)
+    _fails(iso(narrow, 1, 2, samples=5, seed=0), "T^{4/5}", reason="not surjective")
+    # T^{6/50} is past the deepest window, so its image is 0
+    wide = _clone(kummer52(), _WideIdeal)
+    _fails(iso(wide, 3, 1, samples=5, seed=0), "T^{3/25}",
+           reason="monomial image not a monomial")
+    # a product returns its first failing component's verdict
+    product = ProductTower((pure5(), narrow))
+    assert iso(product, 1, 2, samples=5, seed=0) == iso(narrow, 1, 2, samples=5, seed=0)
+    # the base quotient read mod p^N: 4 * 4 = 16, not 1; 1 + 1 = 2, not 0
+    unreduced = _clone(pure5(), _UnreducedBase)
+    _fails(iso(unreduced, 0, 2, samples=20, seed=5), "4 * 4", reason="not multiplicative")
+    unreduced2 = _clone(_pure(2, n=2, depth=3), _UnreducedBase)
+    _fails(iso(unreduced2, 0, 2, samples=20, seed=0), "1 + 1", reason="not additive")
+
+
+def test_pillar_valuation_negative_controls():
+    squared = _clone(pure5(), _SquaredPillar)
+    _fails(check_pillar_valuation(squared, 1), "t^{1/5}", expected="2/5", got="1/5")
+    # the embedded pillar carries a factor p^2 that sharp's value lacks
+    times_p = _clone(pure5(), _TimesPTransition)
+    _fails(check_pillar_valuation(times_p, 1), "t^{1/5}",
+           reason="ratio is not a unit at precision")
+
+
+def test_idempotent_bijection_counts_both_sides():
+    broken = _DroppedFactor((pure5(depth=2), pure5(depth=2)))
+    _fails(idempotent_bijection(broken), "4 tilt vs 2 layer idempotents")
+
+
+def test_trials_count_failures_past_the_measured_precision():
+    # f0 = -1 perturbs the randomized lifts by units
+    lift = lift_independence_trial(_clone(pure5(), _NonUnitSampler), 0, 1,
+                                   trials=20, seed=0)
+    _fails(lift, "4*T^2 + 3*T^4", failures=2)
+    # the stage comparison over-claims, so products miss the bound
+    mult = multiplicativity_trial(_clone(pure5(), _FrobeniusTransition), 1, 1,
+                                  pairs=80, seed=0)
+    _fails(mult, "4*T^{3/5} * 4*T^{3/5}", failures=2)
 
 
 def _eager_sharp(h, x, rng=None):

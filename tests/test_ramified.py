@@ -276,3 +276,23 @@ def test_spec_errors_are_named():
             KummerCoverSpec(
                 prime=5, m=m, precision=PrecisionBudget(6), levels=levels
             )
+
+
+def test_spec_refuses_a_precision_at_which_p_vanishes():
+    # the cover layers carry the ideal (p), which is 0 mod p
+    with pytest.raises(SpecError, match="n_digits = 1"):
+        spec52(n=1)
+    assert spec52(n=2).precision.n_digits == 2
+
+
+def test_assemble_refuses_a_non_positive_pillar_before_building(monkeypatch):
+    w = find_epsilon(spec52(), delta_table(spec52()))
+
+    def no_tower(*args, **kwargs):
+        raise AssertionError("a tower was built")
+
+    monkeypatch.setattr("tiltlab.ramified.build_tower", no_tower)
+    for bad in (Fraction(0), Fraction(-1), Fraction(-1, 5)):
+        with pytest.raises(SpecError, match="must be positive"):
+            assemble_perfectoid(spec52(), w, depth=2, samples=2,
+                                pillar_valuation_override=bad)

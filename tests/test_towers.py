@@ -219,8 +219,8 @@ def test_transition_is_a_ring_hom():
     for h in towers:
         for n in range(h.start, h.top):
             for _ in range(20):
-                a = h.random_layer(n, rng)
-                b = h.random_layer(n, rng)
+                a = h.layer(n).random_element(rng)
+                b = h.layer(n).random_element(rng)
                 assert h.transition(n, a * b) == h.transition(n, a) * h.transition(n, b)
                 assert h.transition(n, a + b) == h.transition(n, a) + h.transition(n, b)
                 assert h.transition(n, h.layer(n).one()).is_one()
@@ -243,7 +243,7 @@ def test_frob_projection_factors_frobenius():
     rng = random.Random(1)
     for n in (0, 1, 2):
         for _ in range(30):
-            x = h.random_quot(n + 1, rng)
+            x = h.quotient(n + 1).random_element(rng)
             assert h.tbar(n, h.frob(n, x)) == x**5
 
 
@@ -328,6 +328,35 @@ def test_product_refuses_components_with_different_pillars():
         )
 
 
+def test_a_pillar_index_below_one_is_refused():
+    # index 0 is the pillar 1, and a negative index is no element at all
+    spec = TowerSpec(prime=5, n_digits=6, depth=2)
+    rings = build_tower(spec)._rings
+    product = TowerSpec(prime=5, n_digits=6, depth=2, kind="product",
+                        components=(spec, spec))
+    for bad in (0, -1):
+        with pytest.raises(SpecError, match="pillar index"):
+            build_tower(spec, pillar_index=bad)
+        with pytest.raises(SpecError, match="pillar index"):
+            build_tower(product, pillar_index=bad)
+        with pytest.raises(SpecError, match="pillar index"):
+            TowerHandle(rings=rings, label="bad", pillar_index=bad)
+
+
+def test_spec_refuses_a_precision_at_which_f0_vanishes():
+    # f0 = t^(ideal_exp * e) and t^e = p, so ideal exponent 1 needs N >= 2
+    with pytest.raises(SpecError, match="n_digits = 1"):
+        TowerSpec(prime=5, n_digits=1, depth=2)
+    sub = {"prime": 5, "n_digits": 1, "depth": 2}
+    with pytest.raises(SpecError, match="n_digits = 1"):
+        TowerSpec.from_json_dict({**sub, "kind": "product", "components": [sub, sub]})
+    kummer = {"prime": 5, "depth": 2, "kind": "kummer", "m": 2, "start_level": 2}
+    with pytest.raises(SpecError, match="n_digits = 1"):
+        TowerSpec(n_digits=1, ideal_exp=Fraction(1), **kummer)
+    # f0 = t^6 at e = 50 is not 0 mod 5
+    assert TowerSpec(n_digits=1, ideal_exp=Fraction(3, 25), **kummer).n_digits == 1
+
+
 def test_pillar_index_is_a_constructor_parameter():
     spec = TowerSpec(prime=5, n_digits=6, depth=2)
     assert build_tower(spec).pillar_index() == 1
@@ -408,7 +437,7 @@ class _LossyRoundTrip(TowerHandle):
 
 
 def _clone(handle, cls):
-    return cls(spec=handle.spec, rings=handle._rings, label="broken")
+    return cls(rings=handle._rings, label="broken")
 
 
 def test_negative_control_axiom_c():
@@ -479,7 +508,6 @@ def _shifted(h):
     """h with every ring moved down one level: the base layer no longer has
     the shape the declared tower promises."""
     return TowerHandle(
-        spec=h.spec,
         rings={n: h.layer(n + 1) for n in range(h.start, h.top)},
         label="broken",
     )
@@ -598,7 +626,7 @@ NEGATIVE_CASES = {
     "g_killed_f0": lambda: _clone(pure5(depth=2), _KilledFactorF0),
     "vars_collapsed_transition": lambda: _clone(_vars5(), _CollapsedTransition),
     "product_honest_x_collapsed": lambda: ProductTower(
-        None, (pure5(depth=2), _clone(pure5(depth=2), _CollapsedTransition))
+        (pure5(depth=2), _clone(pure5(depth=2), _CollapsedTransition))
     ),
 }
 
