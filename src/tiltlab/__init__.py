@@ -10,19 +10,15 @@ from ._backend import backend_name
 from .core import (
     ABOVE_PRECISION,
     BadIdealExponent,
-    BadVarCap,
     EnumerationTooLarge,
     LayerElem,
     LayerRing,
     NonPrime,
     NotInvertible,
     ParseError,
-    PrecisionBudget,
-    Prime,
     ProductElem,
     ProductRing,
     TorsionReport,
-    layer_make,
     parse_element,
 )
 from .towers import (
@@ -71,7 +67,6 @@ from .ramified import (
     AxiomFailure,
     DeltaTable,
     EpsilonWitness,
-    KummerCoverSpec,
     NoWitnessInRange,
     assemble_perfectoid,
     build_cover_layers,

@@ -19,7 +19,6 @@ from .closure import (
     tower_pairs,
     transfer_suite,
 )
-from .core import PrecisionBudget
 from .monoidal import (
     check_pillar_valuation,
     check_sharp_reduction,
@@ -31,7 +30,6 @@ from .monoidal import (
     torsion_bijection,
 )
 from .ramified import (
-    KummerCoverSpec,
     assemble_perfectoid,
     colimit_shadow,
     delta_table,
@@ -60,7 +58,7 @@ def pure_tower(p=5, n=6, depth=3, vars=0, cap=0):
 
 
 def kummer_tower_5_2(seed=0):
-    spec = KummerCoverSpec(prime=5, m=2, precision=PrecisionBudget(6), levels=5)
+    spec = TowerSpec(prime=5, n_digits=6, depth=5, kind="kummer", m=2, ideal_exp=1)
     table = delta_table(spec)
     witness = find_epsilon(spec, table)
     handle, report, n_prime, bound = assemble_perfectoid(
@@ -314,10 +312,9 @@ def run_battery(seed: int = 7) -> dict:
              "iso": iso.verdict, "pillar": val.verdict}
         )
     for j in range(kummer.start, kummer.top):
-        m_j = kummer.top - j
-        red = check_sharp_reduction(kummer, j, samples=100, seed=seed + j, m=m_j)
-        iso = check_tilt_quotient_iso(kummer, j, m_j, samples=100, seed=seed + j)
-        val = check_pillar_valuation(kummer, j, m=m_j)
+        red = check_sharp_reduction(kummer, j, samples=100, seed=seed + j)
+        iso = check_tilt_quotient_iso(kummer, j, kummer.top - j, samples=100, seed=seed + j)
+        val = check_pillar_valuation(kummer, j)
         diag_ok = diag_ok and red.ok() and iso.ok() and val.ok()
         diag_rows.append(
             {"tower": "kummer", "layer": j, "reduction": red.verdict,

@@ -17,12 +17,10 @@ from fractions import Fraction
 
 from .battery import run_battery
 from .closure import TorsionPresent, transfer_suite
-from .core import (BadIdealExponent, BadPrecision, EnumerationTooLarge, NonPrime,
-                   ParseError, PrecisionBudget)
+from .core import BadIdealExponent, EnumerationTooLarge, NonPrime, ParseError
 from .monoidal import sharp
 from .ramified import (
     AxiomFailure,
-    KummerCoverSpec,
     NoWitnessInRange,
     assemble_perfectoid,
     colimit_shadow,
@@ -47,7 +45,7 @@ SCHEMA = 1
 # and an --out file that cannot be written included; any other exception is
 # a fault in tiltlab (exit 3).
 _USAGE_ERRORS = (
-    SpecError, NonPrime, BadIdealExponent, BadPrecision, ParseError,
+    SpecError, NonPrime, BadIdealExponent, ParseError,
     LevelOutOfRange, ZeroDepth, InsufficientDepth, NoWitnessInRange,
     EnumerationTooLarge, TorsionPresent,
     OSError, UnicodeDecodeError, json.JSONDecodeError,
@@ -258,11 +256,15 @@ def _cmd_closure(args) -> tuple[dict, bool]:
 
 
 def _cmd_ramify(args) -> tuple[dict, bool]:
-    spec = KummerCoverSpec(
+    if args.levels < 1:  # the cover's depth; --depth is the assembled tower's
+        raise SpecError(f"--levels must be >= 1, got {args.levels}")
+    spec = TowerSpec(
         prime=args.p,
+        n_digits=args.prec,
+        depth=args.levels,
+        kind="kummer",
         m=args.m,
-        precision=PrecisionBudget(args.prec),
-        levels=args.levels,
+        ideal_exp=1,
     )
     table = delta_table(spec)
     witness = find_epsilon(spec, table)

@@ -46,14 +46,6 @@ class BadIdealExponent(ValueError):
     pass
 
 
-class BadVarCap(ValueError):
-    pass
-
-
-class BadPrecision(ValueError):
-    pass
-
-
 class RingMismatch(TypeError):
     pass
 
@@ -104,33 +96,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class Prime:
-    p: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise NonPrime(f"{self.p} is not prime")
-
-
-@dataclass(frozen=True)
-class PrecisionBudget:
-    """Finite working precision: p-adic digits and variable cap."""
-
-    n_digits: int
-    var_degree_cap: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        if self.n_digits < 1:
-            raise BadPrecision("n_digits must be >= 1")
-        cap = Fraction(self.var_degree_cap)
-        object.__setattr__(self, "var_degree_cap", cap)
-        if cap < 0:
-            raise BadVarCap("var_degree_cap must be >= 0")
-        # Cap denominators must be p-powers; checked in layer_make where the
-        # prime is known.
 
 
 def _vp(x: int, p: int, cap: int) -> int:
@@ -1189,51 +1154,3 @@ def _render_element(x: LayerElem) -> str:
             parts.insert(0, str(c))
         pieces.append("*".join(parts))
     return " + ".join(pieces)
-
-
-# -- public constructor --------------------------------------------------------
-
-
-def layer_make(
-    prime,
-    precision: PrecisionBudget,
-    e: int,
-    num_vars: int = 0,
-    ideal_exp=1,
-    *,
-    e0: int = 1,
-) -> LayerRing:
-    """Build one mixed-characteristic layer ring.
-
-    The ideal generator is f0 = t^(ideal_exp * e); the exponent must land in
-    the ring's own lattice, and must not exceed 1 (p has to lie in the
-    ideal).
-    """
-    p = prime.p if isinstance(prime, Prime) else Prime(prime).p
-    den = precision.var_degree_cap.denominator
-    while den % p == 0:
-        den //= p
-    if den != 1:
-        raise BadVarCap(
-            f"variable degree cap {precision.var_degree_cap} needs a "
-            f"{p}-power denominator"
-        )
-    eps = Fraction(ideal_exp)
-    if eps > 1 or eps <= 0:
-        raise BadIdealExponent(f"ideal exponent {eps} must lie in (0, 1]")
-    ideal_idx = eps * e
-    if ideal_idx.denominator != 1:
-        raise BadIdealExponent(
-            f"f0 exponent {eps} * {e} = {ideal_idx} is not an integer"
-        )
-    var_den = e // e0 if num_vars else 1
-    return LayerRing(
-        p=p,
-        e=e,
-        n_digits=precision.n_digits,
-        ideal_num=int(ideal_idx),
-        e0=e0,
-        num_vars=num_vars,
-        var_den=var_den,
-        var_cap=precision.var_degree_cap,
-    )

@@ -110,8 +110,9 @@ def sharp(handle, x: SmallTiltElem, rng=None) -> SharpResult:
     return SharpResult(value, j, m, measure)
 
 
-def check_sharp_reduction(handle, j, samples=100, seed=0, m=None) -> Verdict:
-    """reduce(sharp(x)) equals the 0-th projection of x, embedded upward.
+def check_sharp_reduction(handle, j, samples=100, seed=0) -> Verdict:
+    """reduce(sharp(x)) equals the 0-th projection of x, embedded upward,
+    for the full-depth tilt at layer j (depth top - j).
 
     This is the commuting triangle tying the monoidal map to the quotient
     projections; it holds exactly at truncation for every element.
@@ -119,7 +120,7 @@ def check_sharp_reduction(handle, j, samples=100, seed=0, m=None) -> Verdict:
     import random
 
     rng = random.Random(seed)
-    m = handle.top - j if m is None else m
+    m = handle.top - j
     pres = small_tilt(handle, j, m)
     deep = handle.layer(j + m)
     checked = 0
@@ -205,11 +206,8 @@ def check_tilt_quotient_iso(handle, j, m, samples=100, seed=0) -> Verdict:
             )
         key = next(iter(img.terms))
         if key in hit:
-            return Verdict(
-                FAIL,
-                name="tilt_quotient_iso",
-                witness=dom.monomial(k, vt).to_text(),
-                details={"layer": j, "reason": "not injective"},
+            raise MethodDisagreement(
+                f"sharp sends two basis monomials to {quot.monomial(*key).to_text()}"
             )
         hit.add(key)
     missing = [key for key in quot.basis_keys() if key not in hit]
@@ -249,12 +247,12 @@ def check_tilt_quotient_iso(handle, j, m, samples=100, seed=0) -> Verdict:
     return Verdict(PASS, name="tilt_quotient_iso", samples=checked, details=details)
 
 
-def check_pillar_valuation(handle, j, m=None, seed=None) -> Verdict:
+def check_pillar_valuation(handle, j, seed=None) -> Verdict:
     """valuation(sharp(tilt pillar)) equals valuation(layer pillar), and
-    their ratio is a unit at precision."""
+    their ratio is a unit at precision, for the full-depth tilt at layer j."""
     import random
 
-    m = handle.top - j if m is None else m
+    m = handle.top - j
     rng = random.Random(seed) if seed is not None else None
     fj_flat = f_flat_generator(handle, j, m)
     result = sharp(handle, fj_flat, rng=rng)
@@ -343,21 +341,16 @@ def idempotent_bijection(handle) -> Verdict:
         x = pres.from_presentation(e_flat)
         value = sharp(handle, x).value
         if value not in layer_pool:
-            return Verdict(
-                FAIL,
-                name="idempotent_bijection",
-                witness=pres.text_of(x),
-                details={"reason": "sharp image is not a layer idempotent"},
+            raise MethodDisagreement(
+                f"sharp sends the idempotent {pres.text_of(x)} to "
+                f"{value.to_text()}, not an unmatched layer idempotent"
             )
         layer_pool.remove(value)
         # Inverse direction: the constant sequence of the image returns x.
         back = SmallTiltElem(handle, j, m, deep_ring.reduce_mod_ideal(value))
         if back != x:
-            return Verdict(
-                FAIL,
-                name="idempotent_bijection",
-                witness=pres.text_of(x),
-                details={"reason": "constant-sequence inverse fails"},
+            raise MethodDisagreement(
+                f"the constant sequence of sharp({pres.text_of(x)}) does not return it"
             )
         matched.append((pres.text_of(x), value.to_text()))
     return Verdict(

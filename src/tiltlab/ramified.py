@@ -22,10 +22,10 @@ arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .core import LayerRing, PrecisionBudget, Prime, layer_make
+from .core import LayerRing
 from .towers import (
     AxiomReport,
     MethodDisagreement,
@@ -45,28 +45,6 @@ class AxiomFailure(RuntimeError):
     def __init__(self, message, report: AxiomReport | None = None):
         super().__init__(message)
         self.report = report
-
-
-@dataclass(frozen=True)
-class KummerCoverSpec:
-    prime: int
-    m: int
-    precision: PrecisionBudget
-    levels: int
-
-    def __post_init__(self):
-        Prime(self.prime)
-        if self.m < 2:
-            raise SpecError("cover exponent must be >= 2")
-        if math.gcd(self.m, self.prime) != 1:
-            raise SpecError("cover exponent must be coprime to p (tame case)")
-        if self.levels < 1:
-            raise SpecError("need at least one level")
-        if self.precision.n_digits < 2:
-            raise SpecError(
-                f"n_digits = {self.precision.n_digits} makes p, the cover "
-                f"layers' ideal generator, vanish; n_digits must be >= 2"
-            )
 
 
 @dataclass
@@ -89,7 +67,7 @@ class DeltaRow:
 
 @dataclass
 class DeltaTable:
-    spec: KummerCoverSpec
+    spec: TowerSpec
     rows: list[DeltaRow]
     bound_c: Fraction  # sup of p^n * delta_n (constant for this family)
 
@@ -118,7 +96,6 @@ class DeltaTable:
 class EpsilonWitness:
     epsilon: Fraction
     start_level: int
-    delta_used: Fraction
     bound_c: Fraction  # the table's c(S), for assemble_perfectoid; not emitted
     certificate: dict = field(default_factory=dict)
 
@@ -126,23 +103,19 @@ class EpsilonWitness:
 # -- layers ---------------------------------------------------------------------
 
 
-def build_cover_layers(spec: KummerCoverSpec) -> list[LayerRing]:
-    """S_0 .. S_levels as truncated valuation rings with lattice 1/(m p^n).
+def _require_cover(spec: TowerSpec) -> None:
+    """A Kummer cover S_0 .. S_depth: kind kummer, ideal (p), start level 0."""
+    if spec.kind != "kummer" or spec.ideal_exp != 1 or spec.start_level != 0:
+        raise SpecError(
+            "a Kummer cover is a kummer tower with ideal exponent 1 from level 0"
+        )
 
-    Construction sanity per layer: the ring contains the images of the
-    generators p^(1/p^n) (index m) and p^(1/m) (index p^n).
-    """
-    layers = []
-    for n in range(spec.levels + 1):
-        e_n = spec.m * spec.prime**n
-        ring = layer_make(spec.prime, spec.precision, e_n, ideal_exp=1, e0=spec.m)
-        for idx in (spec.m, spec.prime**n):
-            if ring.monomial(idx).is_zero():
-                raise MethodDisagreement(
-                    f"generator t^{idx} vanished in level {n}"
-                )
-        layers.append(ring)
-    return layers
+
+def build_cover_layers(spec: TowerSpec) -> list[LayerRing]:
+    """S_0 .. S_depth as truncated valuation rings with lattice 1/(m p^n)."""
+    _require_cover(spec)
+    handle = build_tower(spec)
+    return [handle.layer(n) for n in handle.levels]
 
 
 # -- the delta table --------------------------------------------------------------
@@ -196,9 +169,10 @@ def _least_annihilator_elimination(m: int, p: int, e: int, n_digits: int) -> int
     raise MethodDisagreement("no annihilator exponent below e; impossible")
 
 
-def delta_table(spec: KummerCoverSpec) -> DeltaTable:
+def delta_table(spec: TowerSpec) -> DeltaTable:
     """delta_n = least rational with p^delta_n * S_{n+1} inside the image
-    of R_{n+1} (x) S_n, for n = 0 .. levels-1, by both methods."""
+    of R_{n+1} (x) S_n, for n = 0 .. depth-1, by both methods."""
+    _require_cover(spec)
     p, m = spec.prime, spec.m
     cond = semigroup_conductor(m, p)
 
@@ -208,9 +182,7 @@ def delta_table(spec: KummerCoverSpec) -> DeltaTable:
             raise MethodDisagreement(
                 "lattice too coarse for the conductor; raise the level"
             )
-        s_elim = _least_annihilator_elimination(
-            m, p, e_next, spec.precision.n_digits
-        )
+        s_elim = _least_annihilator_elimination(m, p, e_next, spec.n_digits)
         if s_elim != cond:
             raise MethodDisagreement(
                 f"elimination gives {s_elim}, conductor gives {cond} at n={n}"
@@ -225,7 +197,7 @@ def delta_table(spec: KummerCoverSpec) -> DeltaTable:
             p_n_delta_integral=(pnd.denominator == 1),
         )
 
-    rows = [one_row(n) for n in range(spec.levels)]
+    rows = [one_row(n) for n in range(spec.depth)]
     bound = max(r.p_n_delta for r in rows)
     for r in rows:  # this family has p^n delta_n exactly constant
         if r.p_n_delta != bound:
@@ -233,7 +205,7 @@ def delta_table(spec: KummerCoverSpec) -> DeltaTable:
     return DeltaTable(spec=spec, rows=rows, bound_c=bound)
 
 
-def tilted_delta_table(spec: KummerCoverSpec) -> list[dict]:
+def tilted_delta_table(spec: TowerSpec) -> list[dict]:
     """The same least-annihilator computation on the depth-1 tilted layers.
 
     The tilt-side cokernel is controlled by the same semigroup read in
@@ -243,7 +215,7 @@ def tilted_delta_table(spec: KummerCoverSpec) -> list[dict]:
     p, m = spec.prime, spec.m
     cond = semigroup_conductor(m, p)
     rows = []
-    for n in range(spec.levels - 1):
+    for n in range(spec.depth - 1):
         e_next = m * p ** (n + 1)
         # Cover layers carry the ideal (p), so the depth-1 tilt window at
         # level n+1 is e_{n+1} * p.
@@ -272,7 +244,7 @@ def tilted_delta_table(spec: KummerCoverSpec) -> list[dict]:
     return rows
 
 
-def colimit_shadow(spec: KummerCoverSpec, table: DeltaTable) -> list[dict]:
+def colimit_shadow(spec: TowerSpec, table: DeltaTable) -> list[dict]:
     """Per-level bounds for the multi-step cokernels C_{n,m}, m = 1, 2, 3.
 
     The m-step annihilator equals the geometric aggregation of one-step
@@ -281,9 +253,9 @@ def colimit_shadow(spec: KummerCoverSpec, table: DeltaTable) -> list[dict]:
     p, mm = spec.prime, spec.m
     c_s = table.bound_c
     rows = []
-    for n in range(spec.levels):
+    for n in range(spec.depth):
         for steps in (1, 2, 3):
-            if n + steps > spec.levels:
+            if n + steps > spec.depth:
                 continue
             cond = (mm - 1) * (p**steps - 1)
             direct = Fraction(cond, mm * p ** (n + steps))
@@ -311,7 +283,7 @@ def colimit_shadow(spec: KummerCoverSpec, table: DeltaTable) -> list[dict]:
 # -- epsilon and the assembled tower ----------------------------------------------
 
 
-def find_epsilon(spec: KummerCoverSpec, table: DeltaTable) -> EpsilonWitness:
+def find_epsilon(spec: TowerSpec, table: DeltaTable) -> EpsilonWitness:
     """Least N with (1 - delta_N p^2)/p in (0,1), plus a per-generator
     certificate of (S_{n+1})^p inside S_N-part + p^eps S_{n+1}."""
     p = spec.prime
@@ -319,13 +291,13 @@ def find_epsilon(spec: KummerCoverSpec, table: DeltaTable) -> EpsilonWitness:
     for row in table.rows:
         eps = (1 - row.delta * p**2) / p
         if 0 < eps < 1:
-            chosen = (row.n, eps, row.delta)
+            chosen = (row.n, eps)
             break
     if chosen is None:
         raise NoWitnessInRange(
-            f"no level among 0..{spec.levels - 1} admits epsilon in (0,1)"
+            f"no level among 0..{spec.depth - 1} admits epsilon in (0,1)"
         )
-    n_start, eps, delta_used = chosen
+    n_start, eps = chosen
     lattice_idx = eps * p**n_start * spec.m
     if lattice_idx.denominator != 1:
         raise MethodDisagreement(
@@ -333,12 +305,11 @@ def find_epsilon(spec: KummerCoverSpec, table: DeltaTable) -> EpsilonWitness:
         )
     layers = build_cover_layers(spec)
     cert_rows: dict[str, list] = {}
-    for n in range(n_start, spec.levels):
+    for n in range(n_start, spec.depth):
         cert_rows[str(n)] = _certify_level(layers, n, eps, p)
     witness = EpsilonWitness(
         epsilon=eps,
         start_level=n_start,
-        delta_used=delta_used,
         bound_c=table.bound_c,
         certificate={
             "monomial_rows": cert_rows,
@@ -377,7 +348,7 @@ def _split_p_power(x, p, s_idx):
     return None, [kb, cb]
 
 
-def verify_epsilon_certificate(spec: KummerCoverSpec, witness: EpsilonWitness, rng=None, samples: int = 50) -> bool:
+def verify_epsilon_certificate(spec: TowerSpec, witness: EpsilonWitness, rng=None, samples: int = 50) -> bool:
     """Independent re-verification of the inclusion certificate.
 
     Every stored row is replayed with plain ring arithmetic: the a-part
@@ -421,7 +392,7 @@ def verify_epsilon_certificate(spec: KummerCoverSpec, witness: EpsilonWitness, r
 
 
 def assemble_perfectoid(
-    spec: KummerCoverSpec,
+    spec: TowerSpec,
     witness: EpsilonWitness,
     depth: int = 3,
     samples: int = 200,
@@ -449,15 +420,7 @@ def assemble_perfectoid(
         e_cand = spec.m * spec.prime**cand
         if (eps * e_cand).denominator != 1:
             continue
-        tower_spec = TowerSpec(
-            prime=spec.prime,
-            n_digits=spec.precision.n_digits,
-            depth=depth,
-            kind="kummer",
-            m=spec.m,
-            ideal_exp=eps,
-            start_level=cand,
-        )
+        tower_spec = replace(spec, depth=depth, ideal_exp=eps, start_level=cand)
         pillar_index = None
         if pillar_valuation_override is not None:
             idx = pillar_valuation_override * spec.m * spec.prime**cand

@@ -27,15 +27,12 @@ from fractions import Fraction
 from . import linalg
 from .core import (
     CHAR_P,
-    BadIdealExponent,
-    BadVarCap,
     LayerElem,
     LayerRing,
+    NonPrime,
     NotInvertible,
-    PrecisionBudget,
-    Prime,
     ProductRing,
-    layer_make,
+    is_prime,
 )
 from .verdict import FAIL, NOT_APPLICABLE, PASS, SAMPLED_PASS, Verdict
 
@@ -71,7 +68,8 @@ class TowerSpec:
     components: tuple = ()
 
     def __post_init__(self):
-        Prime(self.prime)
+        if not is_prime(self.prime):
+            raise NonPrime(f"{self.prime} is not prime")
         if self.n_digits < 1:
             raise SpecError("n_digits must be >= 1")
         if self.depth < 1:
@@ -122,6 +120,14 @@ class TowerSpec:
             raise SpecError(
                 f"n_digits = {self.n_digits} makes the ideal generator f0 of "
                 f"exponent {self.ideal_exp} vanish; n_digits must exceed it"
+            )
+        den = self.var_degree_cap.denominator
+        while den % self.prime == 0:
+            den //= self.prime
+        if den != 1:
+            raise SpecError(
+                f"variable degree cap {self.var_degree_cap} needs a "
+                f"{self.prime}-power denominator"
             )
 
     @property
@@ -387,29 +393,26 @@ def build_tower(spec: TowerSpec, *, pillar_index: int | None = None):
     if spec.kind == "product":
         subs = (build_tower(sub, pillar_index=pillar_index) for sub in spec.components)
         return ProductTower(tuple(subs))
-    precision = PrecisionBudget(
-        n_digits=spec.n_digits, var_degree_cap=spec.var_degree_cap
-    )
     eps = spec.ideal_exp
     rings: dict[int, LayerRing] = {}
     for n in range(spec.start_level, spec.start_level + spec.depth + 1):
         e_n = spec.e0 * spec.prime**n
-        if (eps * e_n).denominator != 1:
+        ideal_num = eps * e_n
+        if ideal_num.denominator != 1:
             raise SpecError(
                 f"ideal exponent {eps} does not land in the level-{n} "
                 f"lattice (1/{e_n})Z; start the tower higher"
             )
-        try:
-            rings[n] = layer_make(
-                spec.prime,
-                precision,
-                e_n,
-                num_vars=spec.num_vars,
-                ideal_exp=eps,
-                e0=spec.e0,
-            )
-        except (BadIdealExponent, BadVarCap) as exc:
-            raise SpecError(str(exc)) from exc
+        rings[n] = LayerRing(
+            p=spec.prime,
+            e=e_n,
+            n_digits=spec.n_digits,
+            ideal_num=int(ideal_num),
+            e0=spec.e0,
+            num_vars=spec.num_vars,
+            var_den=e_n // spec.e0 if spec.num_vars else 1,
+            var_cap=spec.var_degree_cap,
+        )
     return TowerHandle(rings=rings, label=spec.kind, pillar_index=pillar_index)
 
 

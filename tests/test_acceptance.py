@@ -15,7 +15,6 @@ import pytest
 
 from tiltlab.battery import closure_oracle_block
 from tiltlab.cli import run as cli_run
-from tiltlab.core import PrecisionBudget
 from tiltlab.monoidal import (
     check_pillar_valuation,
     check_sharp_reduction,
@@ -26,7 +25,6 @@ from tiltlab.monoidal import (
     sharp,
 )
 from tiltlab.ramified import (
-    KummerCoverSpec,
     assemble_perfectoid,
     delta_table,
     find_epsilon,
@@ -59,7 +57,7 @@ def _pure(depth, vars=0, cap=0):
 
 @pytest.fixture(scope="module")
 def kummer():
-    spec = KummerCoverSpec(prime=5, m=2, precision=PrecisionBudget(6), levels=5)
+    spec = TowerSpec(prime=5, n_digits=6, depth=5, kind="kummer", m=2, ideal_exp=1)
     table = delta_table(spec)
     witness = find_epsilon(spec, table)
     handle, report, n_prime, bound = assemble_perfectoid(
@@ -136,7 +134,7 @@ def test_criterion_04_diagram_and_iso(kummer):
     for j in range(handle.start, handle.top):
         m_j = handle.top - j
         ok = ok and check_sharp_reduction(
-            handle, j, samples=100, seed=SEED + j, m=m_j
+            handle, j, samples=100, seed=SEED + j
         ).verdict == "PASS"
         ok = ok and check_tilt_quotient_iso(
             handle, j, m_j, samples=100, seed=SEED + j
@@ -149,7 +147,7 @@ def test_criterion_05_pillar_valuation(kummer):
     h = _pure(4)
     ok = all(check_pillar_valuation(h, j).verdict == "PASS" for j in range(4))
     ok = ok and all(
-        check_pillar_valuation(handle, j, m=handle.top - j).verdict == "PASS"
+        check_pillar_valuation(handle, j).verdict == "PASS"
         for j in range(handle.start, handle.top)
     )
     _verdict(5, ok, "valuation(sharp(pillar)) = valuation(pillar), unit ratio")
@@ -190,7 +188,7 @@ def test_criterion_06_idempotent_bijection():
 
 def test_criterion_07_kummer_constants():
     t0 = time.monotonic()
-    spec = KummerCoverSpec(prime=5, m=2, precision=PrecisionBudget(6), levels=5)
+    spec = TowerSpec(prime=5, n_digits=6, depth=5, kind="kummer", m=2, ideal_exp=1)
     table = delta_table(spec)  # raises MethodDisagreement unless both agree
     rows_ok = all(
         row.delta == Fraction(4, 2 * 5 ** (row.n + 1))

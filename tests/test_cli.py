@@ -360,6 +360,13 @@ def test_a_precision_at_which_the_ideal_vanishes_is_named(argv):
     assert "n_digits = 1" in err, err
 
 
+def test_ramify_names_the_levels_flag():
+    # --levels is the cover's depth, --depth the assembled tower's; the
+    # spec's own "depth must be >= 1" would not say which one
+    code, out, err = invoke("ramify --p 5 --m 2 --levels 0".split())
+    assert (code, out, err) == (2, "", "tiltlab: --levels must be >= 1, got 0\n")
+
+
 def test_unparseable_spec_files_exit_two(tmp_path):
     spec = b'{"prime": 5, "n_digits": 3, "depth": 2, '
     cases = {

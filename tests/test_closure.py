@@ -23,7 +23,7 @@ from tiltlab.closure import (
     transfer_suite,
 )
 from tiltlab.battery import closure_pair_collection, crafted_negative_pairs
-from tiltlab.core import EnumerationTooLarge, LayerRing, PrecisionBudget, layer_make
+from tiltlab.core import EnumerationTooLarge, LayerRing
 from tiltlab.towers import TowerSpec, build_tower
 
 from test_towers import kummer52, pure5
@@ -39,7 +39,7 @@ def small_pure2():
 def test_root_closed_localization_exact_matches_brute_force():
     # oracle: enumerate all of A and test membership by hand on the
     # canonical localization candidates a / f^c
-    ring = layer_make(2, PrecisionBudget(2), 2)
+    ring = LayerRing(p=2, e=2, n_digits=2, ideal_num=2)
     pair = RingPair.localization(ring, ring.f0(), c_cap=2, label="O1(p=2)")
     verdict = check_root_closed(pair, 2, mode="exact")
     assert verdict.verdict == PASS_EXACT
@@ -128,7 +128,7 @@ def test_exact_localization_agrees_with_element_sweep(n_digits, depth, level):
 
 
 def test_root_closed_exact_localization_at_size():
-    ring = layer_make(5, PrecisionBudget(6), 3125)
+    ring = LayerRing(p=5, e=3125, n_digits=6, ideal_num=3125)
     pair = RingPair.localization(ring, ring.f0(), c_cap=3)
     verdict = check_root_closed(pair, 5, mode="exact")
     assert verdict.verdict == PASS_EXACT
@@ -136,7 +136,7 @@ def test_root_closed_exact_localization_at_size():
 
 
 def test_root_closed_rejects_n_below_one():
-    ring = layer_make(2, PrecisionBudget(2), 2)
+    ring = LayerRing(p=2, e=2, n_digits=2, ideal_num=2)
     for pair in (RingPair.localization(ring, ring.f0()), crafted_negative_pairs()[0]):
         with pytest.raises(ValueError):
             check_root_closed(pair, 0)
@@ -208,15 +208,28 @@ def test_cartesian_on_tower_pairs():
 
 
 def test_cartesian_identity_pair():
-    ring = layer_make(2, PrecisionBudget(2), 2)
+    ring = LayerRing(p=2, e=2, n_digits=2, ideal_num=2)
     pair = RingPair.extension(ring, ring, lambda x: x, ring.f0(), label="id")
     assert is_cartesian_mod_f(pair).verdict == PASS_EXACT
 
 
 def test_cartesian_on_a_non_monomial_f_falls_back_to_linear_algebra():
     # the index walk needs f to be a t-monomial; t + t^2 is not one
-    ring = layer_make(2, PrecisionBudget(2), 4)
+    ring = LayerRing(p=2, e=4, n_digits=2, ideal_num=4)
     pair = RingPair.extension(ring, ring, lambda x: x, ring.parse("t + t^2"))
+    verdict = is_cartesian_mod_f(pair)
+    assert verdict.verdict == PASS_EXACT
+    assert verdict == _cartesian_dense(pair)
+
+
+def test_cartesian_walk_matches_linear_algebra_past_the_crosscheck_cap():
+    # the 5 -> 6 pair of pure p=2, N=2 has ranks 32 and 64; the walk's own
+    # dense replay stops at rank 48, so run the dense path here
+    h = build_tower(TowerSpec(prime=2, n_digits=2, depth=6))
+    pair = RingPair.extension(
+        h.layer(5), h.layer(6), lambda x: h.transition(5, x), h.f0(5), label="pure2:5"
+    )
+    assert (pair.A.rank, pair.B.rank) == (32, 64)
     verdict = is_cartesian_mod_f(pair)
     assert verdict.verdict == PASS_EXACT
     assert verdict == _cartesian_dense(pair)
@@ -319,14 +332,14 @@ def test_pullback_stability_crosscheck():
 
 
 def test_almost_integral_unit_has_witness_zero():
-    ring = layer_make(5, PrecisionBudget(6), 5)
+    ring = LayerRing(p=5, e=5, n_digits=6, ideal_num=5)
     pair = RingPair.localization(ring, ring.f0(), c_cap=3)
     v = almost_integral_witness(pair, (ring.one(), 0), c_cap=3, n_cap=10)
     assert v.verdict == PASS_EXACT and v.witness == "c = 0"
 
 
 def test_almost_integral_simplifiable_fraction():
-    ring = layer_make(5, PrecisionBudget(6), 5)
+    ring = LayerRing(p=5, e=5, n_digits=6, ideal_num=5)
     pair = RingPair.localization(ring, ring.f0(), c_cap=3)
     a = ring.f0() * ring.t_gen()  # a in fA, so a/f needs no denominator
     v = almost_integral_witness(pair, (a, 1), c_cap=3, n_cap=10)
@@ -335,7 +348,7 @@ def test_almost_integral_simplifiable_fraction():
 
 def test_almost_integral_frontier_for_negative_valuation():
     # b = t/p has valuation 1/5 - 1 < 0: no witness, frontier reported
-    ring = layer_make(5, PrecisionBudget(6), 5)
+    ring = LayerRing(p=5, e=5, n_digits=6, ideal_num=5)
     pair = RingPair.localization(ring, ring.f0(), c_cap=3)
     v = almost_integral_witness(pair, (ring.t_gen(), 1), c_cap=3, n_cap=10)
     assert v.verdict == UNDECIDED_AT_PRECISION
@@ -346,7 +359,7 @@ def test_almost_integral_frontier_for_negative_valuation():
 
 
 def test_almost_integral_requires_positive_caps():
-    ring = layer_make(5, PrecisionBudget(6), 5)
+    ring = LayerRing(p=5, e=5, n_digits=6, ideal_num=5)
     pair = RingPair.localization(ring, ring.f0(), c_cap=3)
     with pytest.raises(ValueError):
         almost_integral_witness(pair, (ring.one(), 0), c_cap=0, n_cap=5)

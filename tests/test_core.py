@@ -11,25 +11,33 @@ from hypothesis import strategies as st
 from tiltlab.core import (
     ABOVE_PRECISION,
     MIXED,
-    BadIdealExponent,
-    BadVarCap,
     LayerRing,
     NonPrime,
     NotInvertible,
     ParseError,
-    PrecisionBudget,
-    Prime,
     ProductRing,
     RingMismatch,
     is_prime,
-    layer_make,
 )
+from tiltlab.towers import SpecError, TowerSpec, build_tower
 
 from test_kernels import eisenstein_oracle
 
 
-def O(p=5, N=6, e=5, **kw):
-    return layer_make(p, PrecisionBudget(N), e, **kw)
+def O(p=5, N=6, e=5, ideal_exp=1, *, e0=1, num_vars=0, var_cap=0):
+    """The mixed layer ring build_tower would make at index e, built
+    directly: the tests also need N = 1 and indices no tower spec has."""
+    ideal_num = Fraction(ideal_exp) * e
+    assert ideal_num.denominator == 1
+    return LayerRing(
+        p=p, e=e, n_digits=N, ideal_num=int(ideal_num), e0=e0, num_vars=num_vars,
+        var_den=e // e0 if num_vars else 1, var_cap=Fraction(var_cap),
+    )
+
+
+def _tower_layer(level, **spec):
+    """The level-n layer of a one-step tower starting there."""
+    return build_tower(TowerSpec(depth=1, start_level=level, **spec)).layer(level)
 
 
 def _trial_division_prime(n):
@@ -54,22 +62,26 @@ def test_is_prime_rejects_carmichael_numbers_and_accepts_a_mersenne_prime():
 
 
 def test_layer_make_base_layer():
-    ring = O(e=1)
+    ring = _tower_layer(0, prime=5, n_digits=6)
+    assert ring == O(e=1)
     assert ring.e == 1 and ring.coeff_mod == 5**6
     assert ring.f0() == ring.from_int(5)
 
 
 def test_layer_make_first_layer():
-    ring = O(e=5)
+    ring = _tower_layer(1, prime=5, n_digits=6)
+    assert ring == O(e=5)
     assert ring.f0() == ring.t_gen() ** 5
     assert ring.f0() == ring.from_int(5)
 
 
 def test_layer_make_kummer_layer():
     # eps * e must be integral: fails at e=10, works at e=50 with f0 = t^6.
-    with pytest.raises(BadIdealExponent):
-        O(e=10, ideal_exp=Fraction(3, 25))
-    ring = O(e=50, ideal_exp=Fraction(3, 25), e0=2)
+    kummer = dict(prime=5, n_digits=6, kind="kummer", m=2, ideal_exp=Fraction(3, 25))
+    with pytest.raises(SpecError, match="does not land in the level-1 lattice"):
+        _tower_layer(1, **kummer)
+    ring = _tower_layer(2, **kummer)
+    assert ring == O(e=50, ideal_exp=Fraction(3, 25), e0=2)
     f0 = ring.f0()
     assert f0 == ring.monomial(6)
     assert f0.valuation() == Fraction(3, 25)  # oracle: 6/50
@@ -97,11 +109,12 @@ def test_monomial_refuses_a_negative_t_index():
 
 def test_layer_make_rejects_bad_input():
     with pytest.raises(NonPrime):
-        layer_make(6, PrecisionBudget(2), 2)
-    with pytest.raises(BadIdealExponent):
-        O(ideal_exp=Fraction(3, 2))
+        TowerSpec(prime=6, n_digits=2, depth=1)
+    with pytest.raises(SpecError):
+        TowerSpec(prime=5, n_digits=6, depth=1, kind="kummer", m=2,
+                  ideal_exp=Fraction(3, 2))
     with pytest.raises(NonPrime):
-        Prime(1)
+        TowerSpec(prime=1, n_digits=2, depth=1)
 
 
 @pytest.mark.parametrize(
@@ -110,12 +123,12 @@ def test_layer_make_rejects_bad_input():
      ("1/3", False), ("2/15", False), ("1/2", False)],
 )
 def test_layer_make_checks_the_var_cap_denominator(cap, valid):
-    budget = PrecisionBudget(3, var_degree_cap=Fraction(cap))
+    spec = dict(prime=5, n_digits=3, num_vars=1, var_degree_cap=Fraction(cap))
     if valid:
-        assert layer_make(5, budget, 5, num_vars=1).var_cap == Fraction(cap)
+        assert _tower_layer(1, **spec).var_cap == Fraction(cap)
     else:
-        with pytest.raises(BadVarCap):
-            layer_make(5, budget, 5, num_vars=1)
+        with pytest.raises(SpecError, match="needs a 5-power denominator"):
+            _tower_layer(1, **spec)
 
 
 # -- multiplication against the integer oracle --------------------------------
@@ -186,7 +199,7 @@ def ring_and_elems(draw, count):
     p = draw(st.sampled_from([2, 3, 5]))
     e = draw(st.sampled_from([1, 2, 4, 5]))
     nd = draw(st.integers(min_value=1, max_value=4))
-    ring = layer_make(p, PrecisionBudget(nd), e)
+    ring = O(p, nd, e)
     elems = []
     for _ in range(count):
         n_terms = draw(st.integers(min_value=0, max_value=3))
@@ -299,7 +312,7 @@ def test_torsion_unit_is_empty():
 
 
 def test_variable_degree_cap_marks_lossy():
-    ring = layer_make(5, PrecisionBudget(3, var_degree_cap=Fraction(2)), 5, num_vars=1)
+    ring = O(5, 3, 5, num_vars=1, var_cap=2)
     x = ring.var_gen(0)
     assert (x * x * x).is_zero()
     assert (x * x * x).lossy
@@ -307,9 +320,7 @@ def test_variable_degree_cap_marks_lossy():
 
 
 def test_variable_lattice_parse_and_render():
-    ring = layer_make(
-        5, PrecisionBudget(3, var_degree_cap=Fraction(2)), 25, num_vars=1
-    )
+    ring = O(5, 3, 25, num_vars=1, var_cap=2)
     x = ring.parse("3*x1^{2/25} * t^{1/25}")
     assert x.to_text() == "3*t^{1/25}*x1^{2/25}"
     assert ring.parse(x.to_text()) == x
@@ -406,10 +417,7 @@ def invert_case(draw):
     n = draw(st.integers(min_value=1, max_value=3))
     num_vars = draw(st.integers(min_value=1, max_value=2)) if kind == "vars" else 0
     cap = Fraction(draw(st.integers(min_value=0, max_value=2)), p) if num_vars else 0
-    ring = layer_make(
-        p, PrecisionBudget(n, var_degree_cap=cap), e0 * p**level, num_vars,
-        e0=e0,
-    )
+    ring = O(p, n, e0 * p**level, e0=e0, num_vars=num_vars, var_cap=cap)
     if draw(st.booleans()):
         ring = ring.quotient_ring()
 
@@ -456,7 +464,7 @@ def test_invert_of_a_lossy_unit_constant_is_exact():
 def test_invert_reads_the_lossy_flag_of_the_power_the_cap_zeroes():
     # z = -t^{1/5}*x1^{1/5}; z^2 has variable degree 2/5 past the cap 1/5,
     # so the cap zeroes it and drops a term of the true inverse
-    ring = layer_make(5, PrecisionBudget(6, Fraction(1, 5)), 5, num_vars=1)
+    ring = O(5, 6, 5, num_vars=1, var_cap=Fraction(1, 5))
     x = ring.parse("1 + t^{1/5}*x1^{1/5}")
     inv = ring.invert(x)
     assert inv == ring.parse("1 - t^{1/5}*x1^{1/5}")
@@ -664,7 +672,7 @@ def chain_case(draw):
     e0 = draw(st.sampled_from([k for k in (1, 2, 3) if k % p]))
     level = draw(st.integers(min_value=0, max_value=3 if p < 5 else 2))
     n = draw(st.integers(min_value=1, max_value=4))
-    ring = layer_make(p, PrecisionBudget(n), e0 * p**level, e0=e0)
+    ring = O(p, n, e0 * p**level, e0=e0)
     shape = draw(st.sampled_from(["zero", "monomial", "sparse", "dense"]))
     if shape == "dense":
         keys = range(ring.e)

@@ -11,6 +11,10 @@ reading var_cap_index.
 No module of the package maps through tiltlab.parallel (the checks are
 serial), and every name the package exports has a reader somewhere in
 src/, tests/ or perfbench/ beyond its own definition.
+
+A mixed-characteristic layer ring, LayerRing(..., n_digits=...), is built
+in one place, towers.build_tower, core included: every tower layer comes
+from a TowerSpec and its checks.
 """
 
 import ast
@@ -69,6 +73,22 @@ def test_modules_outside_core_do_not_build_from_items():
 def test_modules_outside_core_read_the_cap_through_var_cap_index():
     found = [hit for path in _modules() for hit in _hand_cap_comparisons(path)]
     assert found == []
+
+
+def _mixed_layer_builds(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        f"{path.stem}.{owner}"
+        for owner, node in _functions_and_nodes(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "LayerRing"
+        and any(kw.arg == "n_digits" for kw in node.keywords)
+    ]
+
+
+def test_only_build_tower_builds_a_mixed_layer():
+    found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _mixed_layer_builds(path)]
+    assert found == ["towers.build_tower"]
 
 
 def _imported_modules(tree):

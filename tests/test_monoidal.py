@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiltlab import _backend
+from tiltlab import _backend, monoidal
 from tiltlab.core import ABOVE_PRECISION
 from tiltlab.monoidal import (
+    SharpResult,
     check_pillar_valuation,
     check_sharp_reduction,
     check_tilt_quotient_iso,
@@ -22,7 +23,13 @@ from tiltlab.monoidal import (
     torsion_bijection,
 )
 from tiltlab.tilts import SmallTiltElem, ZeroDepth, p_flat, small_tilt
-from tiltlab.towers import ProductTower, TowerHandle, TowerSpec, build_tower
+from tiltlab.towers import (
+    MethodDisagreement,
+    ProductTower,
+    TowerHandle,
+    TowerSpec,
+    build_tower,
+)
 
 from test_towers import _clone, _CollidingTbar, _NonUnitSampler, kummer52, pure5
 
@@ -280,14 +287,16 @@ def test_torsion_bijection_detects_tampering():
 
 # -- negative controls: broken handles each monoidal check must refuse ---------
 #
-# Two FAIL branches have no control: check_tilt_quotient_iso's "not
-# injective" and idempotent_bijection's two per-idempotent checks.  sharp
-# sends a basis monomial T^(k, vt) of the presentation to the single term
-# t^(k p^m, vt p^m) or to 0, and dividing indices by p^m gives back (k, vt),
-# so two basis monomials never share an image key; a zero image fails
-# "monomial image not a monomial" first.  sharp(0) = 0 and sharp(1) = 1 in
-# every layer ring, and lift accepts only the deepest quotient's own
-# elements, so the reduction of an idempotent's image is that idempotent.
+# Three mismatches no broken handle reaches, so they raise
+# MethodDisagreement rather than return a FAIL: check_tilt_quotient_iso's
+# collision of two basis images and idempotent_bijection's two
+# per-idempotent checks.  sharp sends a basis monomial T^(k, vt) of the
+# presentation to the single term t^(k p^m, vt p^m) or to 0, and dividing
+# indices by p^m gives back (k, vt), so two basis monomials never share an
+# image key; a zero image fails "monomial image not a monomial" first.
+# sharp(0) = 0 and sharp(1) = 1 in every layer ring, and lift accepts only
+# the deepest quotient's own elements, so the reduction of an idempotent's
+# image is that idempotent.  A broken sharp reaches each of them.
 
 
 class _NarrowIdeal(TowerHandle):
@@ -383,6 +392,30 @@ def test_pillar_valuation_negative_controls():
 def test_idempotent_bijection_counts_both_sides():
     broken = _DroppedFactor((pure5(depth=2), pure5(depth=2)))
     _fails(idempotent_bijection(broken), "4 tilt vs 2 layer idempotents")
+
+
+def test_unreachable_mismatches_raise_with_a_broken_sharp(monkeypatch):
+    real = monoidal.sharp
+
+    def broken(value_of):
+        def fake(handle, x, rng=None):
+            value = value_of(handle.layer(x.layer + x.depth), real(handle, x).value)
+            return SharpResult(value, x.layer, x.depth, lambda: Fraction(0))
+
+        return fake
+
+    # every basis monomial goes to 1
+    monkeypatch.setattr(monoidal, "sharp", broken(lambda ring, v: ring.one()))
+    with pytest.raises(MethodDisagreement, match="two basis monomials"):
+        check_tilt_quotient_iso(pure5(), 1, 2, samples=5, seed=0)
+    # 0 goes to p, which is not idempotent
+    monkeypatch.setattr(monoidal, "sharp", broken(lambda ring, v: v + ring.f0()))
+    with pytest.raises(MethodDisagreement, match="not an unmatched layer idempotent"):
+        idempotent_bijection(pure5())
+    # 0 and 1 swap: both images are idempotents, neither reduces back
+    monkeypatch.setattr(monoidal, "sharp", broken(lambda ring, v: ring.one() - v))
+    with pytest.raises(MethodDisagreement, match="does not return it"):
+        idempotent_bijection(pure5())
 
 
 def test_trials_count_failures_past_the_measured_precision():

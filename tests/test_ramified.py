@@ -3,14 +3,13 @@ delta table, the epsilon witness and its certificate, tower assembly."""
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from tiltlab.core import PrecisionBudget
 from tiltlab.ramified import (
     AxiomFailure,
-    KummerCoverSpec,
     NoWitnessInRange,
     assemble_perfectoid,
     build_cover_layers,
@@ -22,13 +21,18 @@ from tiltlab.ramified import (
     tilted_delta_table,
     verify_epsilon_certificate,
 )
-from tiltlab.towers import SpecError
+from tiltlab.towers import SpecError, TowerSpec
+
+
+def cover(prime, m, n_digits, levels):
+    """The Kummer cover S_0 .. S_levels of Z_p[p^(1/p^n)] by p^(1/m)."""
+    return TowerSpec(
+        prime=prime, n_digits=n_digits, depth=levels, kind="kummer", m=m, ideal_exp=1
+    )
 
 
 def spec52(levels=5, n=6):
-    return KummerCoverSpec(
-        prime=5, m=2, precision=PrecisionBudget(n), levels=levels
-    )
+    return cover(5, 2, n, levels)
 
 
 def brute_conductor(m, p, bound=2000):
@@ -69,10 +73,22 @@ def test_cover_layers_small_instance_root_closed_exact():
     # correctness certificate at enumerable size: S_1 for p=2, m=3
     from tiltlab.closure import RingPair, check_root_closed
 
-    small = KummerCoverSpec(prime=2, m=3, precision=PrecisionBudget(2), levels=1)
+    small = cover(2, 3, 2, 1)
     ring = build_cover_layers(small)[1]
     pair = RingPair.localization(ring, ring.f0(), c_cap=2)
     assert check_root_closed(pair, 2, mode="exact").verdict == "PASS_EXACT"
+
+
+def test_cover_functions_refuse_a_tower_that_is_not_a_cover():
+    # a cover is kind kummer with ideal (p) from level 0
+    for spec in (
+        replace(spec52(), ideal_exp=Fraction(3, 25)),
+        replace(spec52(), start_level=1),
+        TowerSpec(prime=5, n_digits=6, depth=5),
+    ):
+        for fn in (build_cover_layers, delta_table):
+            with pytest.raises(SpecError, match="Kummer cover"):
+                fn(spec)
 
 
 def test_delta_table_values():
@@ -102,8 +118,8 @@ def test_delta_table_monotone():
 def test_delta_via_module_elimination_agrees():
     # delta_table raises MethodDisagreement internally if the elimination
     # and the conductor differ; run a second parameter set as well
-    delta_table(KummerCoverSpec(prime=2, m=3, precision=PrecisionBudget(4), levels=4))
-    delta_table(KummerCoverSpec(prime=3, m=2, precision=PrecisionBudget(3), levels=3))
+    delta_table(cover(2, 3, 4, 4))
+    delta_table(cover(3, 2, 3, 3))
 
 
 def test_find_epsilon_values():
@@ -172,7 +188,7 @@ def test_assemble_negative_control_wrong_pillar():
 
 
 def test_assemble_p2_m3():
-    spec = KummerCoverSpec(prime=2, m=3, precision=PrecisionBudget(6), levels=6)
+    spec = cover(2, 3, 6, 6)
     w = find_epsilon(spec, delta_table(spec))
     assert w.epsilon == Fraction(1, 6)
     handle, report, n_prime, bound = assemble_perfectoid(
@@ -206,9 +222,7 @@ FAMILY_START_AND_BOUND = {
     ],
 )
 def test_assemble_other_families(p, m, n_digits, levels, eps):
-    spec = KummerCoverSpec(
-        prime=p, m=m, precision=PrecisionBudget(n_digits), levels=levels
-    )
+    spec = cover(p, m, n_digits, levels)
     table = delta_table(spec)
     assert [r.delta for r in table.rows] == [
         Fraction((m - 1) * (p - 1), m * p ** (n + 1)) for n in range(levels)
@@ -223,6 +237,23 @@ def test_assemble_other_families(p, m, n_digits, levels, eps):
     assert (w.start_level, bound) == FAMILY_START_AND_BOUND[(p, m)]
     assert n_prime == w.start_level
     assert smalltilt_normality_report(handle, samples=100, seed=p)["all_ok"]
+
+
+@pytest.mark.parametrize("p,m,n_digits,levels", [(3, 2, 5, 5), (2, 3, 4, 5), (3, 4, 4, 5)])
+def test_assemble_negative_control_pillar_one_step_up(p, m, n_digits, levels):
+    # the families whose a priori bound is their start level try one start
+    # level; a pillar one lattice step above epsilon lies in that lattice,
+    # so the refusal is axiom (f)'s, not the override's
+    spec = cover(p, m, n_digits, levels)
+    w = find_epsilon(spec, delta_table(spec))
+    assert FAMILY_START_AND_BOUND[(p, m)] == (w.start_level, w.start_level)
+    override = w.epsilon + Fraction(1, m * p**w.start_level)
+    with pytest.raises(AxiomFailure) as err:
+        assemble_perfectoid(spec, w, depth=2, samples=20, seed=p,
+                            pillar_valuation_override=override)
+    f = err.value.report.axioms["f"]
+    assert f.verdict == "FAIL"
+    assert "(f-1)" in f.witness
 
 
 def test_normality_report():
@@ -264,25 +295,23 @@ def test_colimit_shadow_aggregates_exactly():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        KummerCoverSpec(prime=5, m=5, precision=PrecisionBudget(6), levels=3)
+        cover(5, 5, 6, 3)
     with pytest.raises(ValueError):
-        KummerCoverSpec(prime=5, m=1, precision=PrecisionBudget(6), levels=3)
+        cover(5, 1, 6, 3)
 
 
 def test_spec_errors_are_named():
     # m < 2, p | m, levels < 1: spec errors, not bare ValueErrors
     for m, levels in ((1, 3), (5, 3), (10, 3), (2, 0)):
         with pytest.raises(SpecError):
-            KummerCoverSpec(
-                prime=5, m=m, precision=PrecisionBudget(6), levels=levels
-            )
+            cover(5, m, 6, levels)
 
 
 def test_spec_refuses_a_precision_at_which_p_vanishes():
     # the cover layers carry the ideal (p), which is 0 mod p
     with pytest.raises(SpecError, match="n_digits = 1"):
         spec52(n=1)
-    assert spec52(n=2).precision.n_digits == 2
+    assert spec52(n=2).n_digits == 2
 
 
 def test_assemble_refuses_a_non_positive_pillar_before_building(monkeypatch):

@@ -7,6 +7,7 @@ data/negative_controls_golden.json; print a fresh copy with
     PYTHONPATH=src python tests/test_towers.py
 """
 
+import functools
 import json
 import random
 import sys
@@ -14,10 +15,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tiltlab import towers
 from tiltlab.towers import (
     _DENSE_CROSSCHECK_DIM,
     FAIL,
+    _crosscheck_rank,
     PASS,
     SAMPLED_PASS,
     LevelOutOfRange,
@@ -314,6 +319,51 @@ def test_product_tower_is_a_tower_handle():
         assert ProductTower.__dict__[name] is TowerHandle.__dict__[name]
 
 
+@functools.cache
+def _product_53(first):
+    """pure x pure or vars x pure, p = 5, N = 3, depth 3; the variable's
+    cap 2/5 drops terms at every level, so products come out lossy."""
+    pure = TowerSpec(prime=5, n_digits=3, depth=3)
+    vars_ = TowerSpec(prime=5, n_digits=3, depth=3, num_vars=1,
+                      var_degree_cap=Fraction(2, 5))
+    comps = (pure if first == "pure" else vars_, pure)
+    return build_tower(
+        TowerSpec(prime=5, n_digits=3, depth=3, kind="product", components=comps)
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(["pure", "vars"]), st.integers(0, 2), st.integers(0, 2),
+       st.integers(0, 2**32 - 1))
+def test_product_towers_match_their_components(first, n, m, seed):
+    h = _product_53(first)
+    comps = h.components
+    rng = random.Random(seed)
+    x, y = (h.layer(n).random_element(rng, max_terms=4) for _ in range(2))
+    xy = x * y
+    q = h.quotient(n).random_element(rng, max_terms=4)
+    q_up = h.quotient(n + 1).random_element(rng, max_terms=4)
+
+    cases = [
+        (h.transition(n, xy), [c.transition(n, a) for c, a in zip(comps, xy.parts)]),
+        (h.embed(n, h.top, xy),
+         [c.embed(n, h.top, a) for c, a in zip(comps, xy.parts)]),
+        (h.tbar(n, q), [c.tbar(n, a) for c, a in zip(comps, q.parts)]),
+        (h.frob(n, q_up), [c.frob(n, a) for c, a in zip(comps, q_up.parts)]),
+        (xy, [a * b for a, b in zip(x.parts, y.parts)]),
+        (x + xy, [a + b for a, b in zip(x.parts, xy.parts)]),
+        (x.p_power(m), [a.p_power(m) for a in x.parts]),
+        (h.layer(n).reduce_mod_ideal(xy),
+         [c.layer(n).reduce_mod_ideal(a) for c, a in zip(comps, xy.parts)]),
+        (h.layer(n).lift(q), [c.layer(n).lift(a) for c, a in zip(comps, q.parts)]),
+    ]
+    for got, want in cases:
+        assert [(part, part.lossy) for part in got.parts] == [
+            (w, w.lossy) for w in want
+        ]
+        assert got.lossy == any(w.lossy for w in want)
+
+
 def test_product_refuses_components_with_different_pillars():
     # pure (e0 = 1) x Kummer (e0 = 2, ideal 1): p_flat and the tilt pillar
     # are one monomial index in every factor, so the factors must agree
@@ -596,6 +646,27 @@ def test_pair_walk_maps_each_basis_monomial_once():
         want["frob"] += up + down + (up if replayed else 0)
         want["tbar"] += down + up + (down if replayed else 0)
     assert counted.calls == want
+
+
+def test_rank_crosscheck_past_its_size_cap(monkeypatch):
+    # the top pair of pure p=3, N=3, depth 5 has quotient ranks 81 and 243,
+    # past the cap of 200: lift the cap and replay both directions
+    h = build_tower(TowerSpec(prime=3, n_digits=3, depth=5))
+    n = h.top - 1
+    assert (h.quotient(n).rank, h.quotient(n + 1).rank) == (81, 243)
+    assert max(81, 243) > _DENSE_CROSSCHECK_DIM
+    ranks = []
+    real_rank = towers.linalg.matrix_rank_fp
+
+    def counted_rank(rows, p):
+        ranks.append(real_rank(rows, p))
+        return ranks[-1]
+
+    monkeypatch.setattr(towers, "_DENSE_CROSSCHECK_DIM", 10**6)
+    monkeypatch.setattr(towers.linalg, "matrix_rank_fp", counted_rank)
+    _crosscheck_rank(h, n, injective=True)
+    _crosscheck_rank(h, n, injective=False)
+    assert ranks == [81, 81]
 
 
 # -- golden reports of the broken towers ------------------------------------------
