@@ -161,39 +161,31 @@ def _envelope(command: str, params: dict, report, ok: bool) -> dict:
     }
 
 
-def _cmd_axioms(args) -> tuple[dict, bool]:
+def _cmd_axioms(args) -> dict:
     spec = _spec_from_args(args)
     handle = build_tower(spec)
     report = check_axioms(handle, samples=args.samples, seed=args.seed)
-    body = report.to_json_dict()
-    return (
-        _envelope(
-            "axioms",
-            {"spec": spec.to_json_dict(), "samples": args.samples, "seed": args.seed},
-            body,
-            report.all_pass,
-        ),
+    return _envelope(
+        "axioms",
+        {"spec": spec.to_json_dict(), "samples": args.samples, "seed": args.seed},
+        report.to_json_dict(),
         report.all_pass,
     )
 
 
-def _cmd_tilt(args) -> tuple[dict, bool]:
+def _cmd_tilt(args) -> dict:
     spec = _spec_from_args(args)
     handle = build_tower(spec)
     pres = small_tilt(handle, args.layer, args.tilt_depth)
-    body = pres.to_json_dict()
-    return (
-        _envelope(
-            "tilt",
-            {"spec": spec.to_json_dict(), "layer": args.layer, "depth": args.tilt_depth},
-            body,
-            True,
-        ),
+    return _envelope(
+        "tilt",
+        {"spec": spec.to_json_dict(), "layer": args.layer, "depth": args.tilt_depth},
+        pres.to_json_dict(),
         True,
     )
 
 
-def _cmd_sharp(args) -> tuple[dict, bool]:
+def _cmd_sharp(args) -> dict:
     spec = _spec_from_args(args)
     if args.tilt_depth is None:
         args.tilt_depth = max(1, spec.depth - args.layer)
@@ -203,23 +195,20 @@ def _cmd_sharp(args) -> tuple[dict, bool]:
     result = sharp(handle, elem)
     body = result.to_json_dict()
     body["element"] = pres.text_of(elem)
-    return (
-        _envelope(
-            "sharp",
-            {
-                "spec": spec.to_json_dict(),
-                "layer": args.layer,
-                "depth": args.tilt_depth,
-                "element": args.element,
-            },
-            body,
-            True,
-        ),
+    return _envelope(
+        "sharp",
+        {
+            "spec": spec.to_json_dict(),
+            "layer": args.layer,
+            "depth": args.tilt_depth,
+            "element": args.element,
+        },
+        body,
         True,
     )
 
 
-def _cmd_closure(args) -> tuple[dict, bool]:
+def _cmd_closure(args) -> dict:
     from .closure import almost_integral_probes
 
     spec = _spec_from_args(args)
@@ -236,26 +225,22 @@ def _cmd_closure(args) -> tuple[dict, bool]:
     report["almost_integral_probes"] = almost_integral_probes(
         handle, args.ccap, args.ncap
     )
-    ok = report["all_ok"]
-    return (
-        _envelope(
-            "closure",
-            {
-                "spec": spec.to_json_dict(),
-                "mode": args.mode,
-                "samples": args.samples,
-                "ccap": args.ccap,
-                "ncap": args.ncap,
-                "seed": args.seed,
-            },
-            report,
-            ok,
-        ),
-        ok,
+    return _envelope(
+        "closure",
+        {
+            "spec": spec.to_json_dict(),
+            "mode": args.mode,
+            "samples": args.samples,
+            "ccap": args.ccap,
+            "ncap": args.ncap,
+            "seed": args.seed,
+        },
+        report,
+        report["all_ok"],
     )
 
 
-def _cmd_ramify(args) -> tuple[dict, bool]:
+def _cmd_ramify(args) -> dict:
     if args.levels < 1:  # the cover's depth; --depth is the assembled tower's
         raise SpecError(f"--levels must be >= 1, got {args.levels}")
     spec = TowerSpec(
@@ -301,29 +286,25 @@ def _cmd_ramify(args) -> tuple[dict, bool]:
     except AxiomFailure as exc:
         body["axioms"] = exc.report.to_json_dict() if exc.report else str(exc)
         ok = False
-    return (
-        _envelope(
-            "ramify",
-            {
-                "p": args.p,
-                "m": args.m,
-                "levels": args.levels,
-                "prec": args.prec,
-                "depth": args.depth,
-                "samples": args.samples,
-                "seed": args.seed,
-            },
-            body,
-            ok,
-        ),
+    return _envelope(
+        "ramify",
+        {
+            "p": args.p,
+            "m": args.m,
+            "levels": args.levels,
+            "prec": args.prec,
+            "depth": args.depth,
+            "samples": args.samples,
+            "seed": args.seed,
+        },
+        body,
         ok,
     )
 
 
-def _cmd_suite(args) -> tuple[dict, bool]:
+def _cmd_suite(args) -> dict:
     report = run_battery(seed=args.seed)
-    ok = report["ok"]
-    return _envelope("suite", {"seed": args.seed}, report, ok), ok
+    return _envelope("suite", {"seed": args.seed}, report, report["ok"])
 
 
 def _add_spec_flags(sub, depth: int):
@@ -409,7 +390,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        report, ok = args.fn(args)
+        report = args.fn(args)
         _emit(report, args)
     except _USAGE_ERRORS as exc:
         print(f"tiltlab: {exc}", file=sys.stderr)
@@ -418,7 +399,7 @@ def run(argv=None) -> int:
         kind = "" if isinstance(exc, MethodDisagreement) else f"{type(exc).__name__}: "
         print(f"tiltlab: internal fault: {kind}{exc}", file=sys.stderr)
         return 3
-    return 0 if ok else 1
+    return 0 if report["ok"] else 1
 
 
 def main() -> None:

@@ -46,6 +46,11 @@ class TorsionPresent(ValueError):
     pass
 
 
+# is_cartesian_mod_f replays its verdict by dense linear algebra on pairs
+# whose rings both have at most this rank.
+_CARTESIAN_CROSSCHECK_DIM = 48
+
+
 # -- explicit structure-constant rings (for crafted instances) ---------------
 
 
@@ -394,7 +399,7 @@ def _cartesian_monomial(pair: RingPair) -> Verdict | None:
 
 def _cartesian_crosscheck(pair: RingPair, verdict: Verdict):
     A, B = pair.A, pair.B
-    if A.rank > 48 or B.rank > 48:
+    if A.rank > _CARTESIAN_CROSSCHECK_DIM or B.rank > _CARTESIAN_CROSSCHECK_DIM:
         return
     dense = _cartesian_dense(pair)
     if dense.verdict != verdict.verdict:

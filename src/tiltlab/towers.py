@@ -21,7 +21,7 @@ truncation, so the unit-ness of 1 + I is tested on random elements).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from . import linalg
@@ -102,6 +102,10 @@ class TowerSpec:
         elif self.kind == "product":
             if len(self.components) < 2:
                 raise SpecError("a product tower needs >= 2 components")
+            defaults = {f.name: f.default for f in fields(self)}
+            for name in ("m", "ideal_exp", "num_vars", "var_degree_cap"):
+                if getattr(self, name) != defaults[name]:
+                    raise SpecError(f"a product tower takes no {name}; its components do")
             for sub in self.components:
                 if (
                     sub.prime != self.prime
@@ -472,10 +476,10 @@ def check_axioms(handle, samples: int = 200, seed: int = 0) -> AxiomReport:
     Verdicts for (a)-(d), (f), (g) are exact on the finite quotients; (e)
     is a sampled proxy (invertibility of 1 + z for z in the ideal), since
     the Jacobson-radical statement quantifies over all maximal ideals.
-    Axioms (b), (c), (d) and (f-2) share one walk per pair of levels
-    (_check_pairs): each quotient basis monomial is built and mapped once
-    and feeds every axiom that reads it.  Each of the four keeps its own
-    first witness, the one its own loop over the pairs would meet first.
+    Axioms (b), (c), (d) and (f-2) share two passes per pair of levels
+    (_check_pairs), up over quotient(n+1) and down over quotient(n): each
+    basis monomial is built and mapped once and feeds every axiom that
+    reads it, and one failure record keeps each axiom's first witness.
     """
     if handle.depth < 2:
         raise SpecError("the axiom suite needs depth >= 2")
@@ -522,100 +526,78 @@ def _check_a(handle) -> Verdict:
     return Verdict(PASS)
 
 
-def _pair_levels(handle):
-    return range(handle.start, handle.top)
-
-
 def _check_pairs(handle) -> dict[str, Verdict]:
-    """Axioms (b), (c), (d) and (f), in that order, by one walk per pair of
-    levels n, n+1.
+    """Axioms (b), (c), (d) and (f), in that order, by two passes per pair
+    of levels n, n+1 and one failure record.
 
-    The up-walk builds each quotient(n+1) basis monomial once and projects
-    it once; (c)'s up half, (d)'s image set and (f-2)'s kernel and ideal
-    sets all read that one image.  The down-walk builds each quotient(n)
-    basis monomial once and takes its t-bar once, for (b) and (c)'s down
-    half.  Each axiom keeps the first failure its own walk meets, in the
-    order of pairs, up half before down half, and then stops working while
-    the others go on.  No image outlives its basis monomial.
+    The up pass projects each quotient(n+1) basis monomial once; the image
+    feeds (c)'s up half, (d)'s hit set and (f-2)'s kernel and ideal sets
+    and truncation tail.  The down pass takes each quotient(n) monomial's
+    t-bar once, for (b), (c)'s down half and (d)'s missing list.  An axiom
+    is checked while it is absent from ``failed`` and stores its first
+    failure there, up half before down half within a pair.
     """
     p = handle.p
-    verdicts: dict[str, Verdict] = {}
+    failed: dict[str, Verdict] = {}
     # (f-1): the p-th power of the pillar generates the ideal one level up.
     level1 = handle.start + 1
     f1 = handle.pillar_elem(level1)
     f_details = {"f1": f1.to_text(), "f1_level": level1}
     if f1**p != handle.f0(level1):
-        verdicts["f"] = _fail(
+        failed["f"] = _fail(
             f"(f-1) ({f1.to_text()})^{p} != f0 = {handle.f0(level1).to_text()} "
             f"at level {level1}",
             **f_details,
         )
     tail_dims = {}
-    for n in _pair_levels(handle):
+    for n in range(handle.start, handle.top):
         up, down = handle.quotient(n + 1), handle.quotient(n)
-        check_b, check_c, check_d, check_f = (k not in verdicts for k in "bcdf")
-        if check_f:
-            # (f-2): the kernel of the projection is the pillar ideal; with
-            # variables the degree cap adds a declared truncation tail.
-            f1_bar = handle.layer(n + 1).reduce_mod_ideal(
-                handle.embed(level1, n + 1, f1)
-            )
-            kernel, ideal = set(), set()
-        hit = set()
-        if check_c or check_d or check_f:
-            for key in up.basis_keys():
-                mono = up.monomial(*key)
-                img = handle.frob(n, mono)
-                if check_c and handle.tbar(n, img) != mono**p:
-                    verdicts["c"] = _fail(
-                        f"tbar(F({mono.to_text()})) != {mono.to_text()}^p "
-                        f"at level {n}",
-                        level=n,
-                    )
-                    check_c = False
+        # (f-2): the kernel of the projection is the pillar ideal, plus the
+        # declared truncation tail: monomials whose image overflows the cap.
+        # Its keys are distinct, so a list holds them in a fraction of a set's
+        # memory, and the pass's peak is lower.
+        f1_bar = handle.layer(n + 1).reduce_mod_ideal(handle.embed(level1, n + 1, f1))
+        hit, kernel, ideal, tail = set(), set(), set(), []
+        for key in up.basis_keys():
+            mono = up.monomial(*key)
+            img = handle.frob(n, mono)
+            if "c" not in failed and handle.tbar(n, img) != mono**p:
+                failed["c"] = _fail(
+                    f"tbar(F({mono.to_text()})) != {mono.to_text()}^p at level {n}",
+                    level=n,
+                )
+            if img.is_zero():
+                kernel.add(key)
+            else:
+                hit.add(next(iter(img.terms)))
+            if "f" not in failed:
+                ideal.update((f1_bar * mono).terms)
+            if sum(key[1]) * p > up.var_cap_index:
+                tail.append(key)
+        seen, missing = {}, []
+        for key in down.basis_keys():
+            mono = down.monomial(*key)
+            img = handle.tbar(n, mono)
+            if "b" not in failed:
                 if img.is_zero():
-                    if check_f:
-                        kernel.add(key)
-                elif check_d:
-                    hit.add(next(iter(img.terms)))
-                if check_f:
-                    ideal.update((f1_bar * mono).terms)
-                elif not (check_c or check_d):
-                    break
-        if check_b or check_c:
-            seen = {}
-            for key in down.basis_keys():
-                mono = down.monomial(*key)
-                img = handle.tbar(n, mono)
-                if check_b:
-                    if img.is_zero():
-                        verdicts["b"] = _fail(
-                            f"t-bar kills {mono.to_text()} at level {n}", level=n
-                        )
-                        check_b = False
-                    elif (img_key := next(iter(img.terms))) in seen:
-                        witness = (mono - down.monomial(*seen[img_key])).to_text()
-                        verdicts["b"] = _fail(
-                            f"t-bar collides on {witness} at level {n}", level=n
-                        )
-                        check_b = False
-                    else:
-                        seen[img_key] = key
-                if check_c and handle.frob(n, img) != mono**p:
-                    verdicts["c"] = _fail(
-                        f"F(tbar({mono.to_text()})) != {mono.to_text()}^p "
-                        f"at level {n}",
-                        level=n,
-                    )
-                    check_c = False
-                if not (check_b or check_c):
-                    break
-            if check_b:
-                _crosscheck_rank(handle, n, injective=True)
-        if check_d:
-            missing = [k for k in down.basis_keys() if k not in hit]
+                    failed["b"] = _fail(f"t-bar kills {mono.to_text()} at level {n}", level=n)
+                elif (img_key := next(iter(img.terms))) in seen:
+                    witness = (mono - down.monomial(*seen[img_key])).to_text()
+                    failed["b"] = _fail(f"t-bar collides on {witness} at level {n}", level=n)
+                else:
+                    seen[img_key] = key
+            if "c" not in failed and handle.frob(n, img) != mono**p:
+                failed["c"] = _fail(
+                    f"F(tbar({mono.to_text()})) != {mono.to_text()}^p at level {n}",
+                    level=n,
+                )
+            if key not in hit:
+                missing.append(key)
+        if "b" not in failed:
+            _crosscheck_rank(handle, n, injective=True)
+        if "d" not in failed:
             if missing:
-                verdicts["d"] = _fail(
+                failed["d"] = _fail(
                     f"Frobenius projection misses "
                     f"{down.monomial(*missing[0]).to_text()} at level {n}",
                     level=n,
@@ -623,24 +605,21 @@ def _check_pairs(handle) -> dict[str, Verdict]:
                 )
             else:
                 _crosscheck_rank(handle, n, injective=False)
-        if check_f:
-            tail = _truncation_tail(handle, n)
-            expected = ideal | tail
+        if "f" not in failed:
+            expected = ideal.union(tail)
             if kernel != expected:
-                key = sorted(kernel.symmetric_difference(expected))[0]
-                verdicts["f"] = _fail(
-                    f"(f-2) kernel mismatch at level {n}: "
-                    f"{up.monomial(*key).to_text()}",
+                key = min(kernel ^ expected)
+                failed["f"] = _fail(
+                    f"(f-2) kernel mismatch at level {n}: {up.monomial(*key).to_text()}",
                     level=n,
                     **f_details,
                 )
             else:
-                tail_dims[str(n)] = len(tail - ideal)
-    if "f" not in verdicts:
-        if any(tail_dims.values()):
-            f_details["truncation_tail_dim"] = tail_dims
-        verdicts["f"] = Verdict(PASS, details=f_details)
-    return {k: verdicts.get(k, Verdict(PASS)) for k in "bcdf"}
+                tail_dims[str(n)] = len(expected) - len(ideal)
+    if any(tail_dims.values()):
+        f_details["truncation_tail_dim"] = tail_dims
+    passed = {k: Verdict(PASS) for k in "bcd"}
+    return {**passed, "f": Verdict(PASS, details=f_details), **failed}
 
 
 def _crosscheck_rank(handle, n, injective: bool):
@@ -682,21 +661,6 @@ def _check_e(handle, samples: int, rng) -> Verdict:
                 )
             total += 1
     return Verdict(SAMPLED_PASS, samples=total)
-
-
-def _truncation_tail(handle, n) -> set:
-    """Quotient monomials whose Frobenius image overflows the variable cap.
-
-    These are killed by the projection for a reason the truncated model
-    declares up front (the total-degree cap), not by the pillar ideal; the
-    tail is empty in the monogenic case.
-    """
-    up = handle.quotient(n + 1)
-    return {
-        (k, vt)
-        for k, vt in up.basis_keys()
-        if sum(vt) * handle.p > up.var_cap_index
-    }
 
 
 def _check_g(handle) -> Verdict:

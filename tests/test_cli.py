@@ -339,9 +339,16 @@ def test_var_cap_needs_a_p_power_denominator():
     "ramify --p 5 --m 2 --prec 1",
     "ramify --p 5 --m 2 --levels 5 --prec 6 --depth 2 --samples 10 --pillar-override -1",
     "ramify --p 5 --m 2 --levels 5 --prec 6 --depth 2 --samples 10 --pillar-override 0",
+    "axioms --spec PRODUCT_WITH_VARS",
 ])
-def test_named_input_errors_exit_two(argv):
-    code, out, err = invoke(argv.split())
+def test_named_input_errors_exit_two(argv, tmp_path):
+    # PRODUCT_WITH_VARS: a product spec file giving num_vars to the product
+    # itself rather than to its components
+    spec = {"prime": 5, "n_digits": 3, "depth": 2}
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps({**spec, "kind": "product", "num_vars": 2,
+                                "components": [spec, spec]}))
+    code, out, err = invoke(argv.replace("PRODUCT_WITH_VARS", str(path)).split())
     assert (code, out) == (2, "")
     assert err.startswith("tiltlab: ") and err.count("\n") == 1, err
     assert "internal fault" not in err and "invalid ring shape" not in err

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from tiltlab import linalg
+from tiltlab import closure, linalg
 from tiltlab.closure import (
     FAIL,
     PASS_EXACT,
@@ -222,17 +222,29 @@ def test_cartesian_on_a_non_monomial_f_falls_back_to_linear_algebra():
     assert verdict == _cartesian_dense(pair)
 
 
-def test_cartesian_walk_matches_linear_algebra_past_the_crosscheck_cap():
-    # the 5 -> 6 pair of pure p=2, N=2 has ranks 32 and 64; the walk's own
-    # dense replay stops at rank 48, so run the dense path here
+def test_cartesian_walk_matches_linear_algebra_past_the_crosscheck_cap(monkeypatch):
+    # the 5 -> 6 pair of pure p=2, N=2 has ranks 32 and 64, past the cap of
+    # 48: lift the cap and count the walk's own dense replays
     h = build_tower(TowerSpec(prime=2, n_digits=2, depth=6))
     pair = RingPair.extension(
         h.layer(5), h.layer(6), lambda x: h.transition(5, x), h.f0(5), label="pure2:5"
     )
     assert (pair.A.rank, pair.B.rank) == (32, 64)
+    assert 64 > closure._CARTESIAN_CROSSCHECK_DIM
+    replays = []
+    real_dense = closure._cartesian_dense
+
+    def counted_dense(p):
+        replays.append(real_dense(p))
+        return replays[-1]
+
+    monkeypatch.setattr(closure, "_cartesian_dense", counted_dense)
+    assert is_cartesian_mod_f(pair).verdict == PASS_EXACT
+    assert replays == []
+    monkeypatch.setattr(closure, "_CARTESIAN_CROSSCHECK_DIM", 10**6)
     verdict = is_cartesian_mod_f(pair)
     assert verdict.verdict == PASS_EXACT
-    assert verdict == _cartesian_dense(pair)
+    assert replays == [verdict]
 
 
 def _substitution(ring, images):

@@ -151,6 +151,22 @@ def test_spec_json_roundtrip():
     assert TowerSpec.from_json(json.dumps(prod.to_json_dict())) == prod
 
 
+@pytest.mark.parametrize("field, value", [
+    ("m", 7), ("ideal_exp", Fraction(1)), ("num_vars", 2), ("var_degree_cap", Fraction(2)),
+])
+def test_product_spec_refuses_the_fields_it_ignores(field, value):
+    # a product's factors carry these; its own copies would be dropped
+    sub = TowerSpec(prime=5, n_digits=3, depth=2)
+    with pytest.raises(SpecError, match=f"takes no {field};"):
+        TowerSpec(prime=5, n_digits=3, depth=2, kind="product", components=(sub, sub),
+                  **{field: value})
+    # the defaults to_json_dict writes out still load
+    prod = TowerSpec(prime=5, n_digits=3, depth=2, kind="product", components=(sub, sub))
+    assert prod.to_json_dict()["num_vars"] == 0
+    assert prod.to_json_dict()["var_degree_cap"] == "0"
+    assert TowerSpec.from_json_dict(prod.to_json_dict()) == prod
+
+
 def test_spec_refuses_malformed_variable_shapes():
     with pytest.raises(SpecError, match="num_vars"):
         TowerSpec(prime=5, n_digits=6, depth=2, num_vars=-1)
@@ -646,6 +662,26 @@ def test_pair_walk_maps_each_basis_monomial_once():
         want["frob"] += up + down + (up if replayed else 0)
         want["tbar"] += down + up + (down if replayed else 0)
     assert counted.calls == want
+
+
+@pytest.mark.parametrize("vars", [0, 1], ids=["pure", "vars"])
+def test_pair_walk_reads_each_basis_once_per_pair(monkeypatch, vars):
+    # per pair n the up pass reads quotient(n+1)'s basis and the down pass
+    # quotient(n)'s, once each and in that order; the dense rank replays,
+    # which read both again, are stubbed out
+    h = pure5(depth=2, vars=vars, cap=2)
+    reads = []
+    real_keys = towers.LayerRing.basis_keys
+
+    def counted_keys(ring):
+        reads.append(ring)
+        return real_keys(ring)
+
+    monkeypatch.setattr(towers, "_crosscheck_rank", lambda *args, **kwargs: None)
+    monkeypatch.setattr(towers.LayerRing, "basis_keys", counted_keys)
+    assert all(v.ok() for v in towers._check_pairs(h).values())
+    level = {id(h.quotient(n)): n for n in h.levels}
+    assert [level[id(q)] for q in reads] == [1, 0, 2, 1]
 
 
 def test_rank_crosscheck_past_its_size_cap(monkeypatch):
