@@ -177,6 +177,7 @@ class LayerRing:
         self.var_cap_index = math.floor(self.var_cap * var_den)
         self._var_monomials = None
         self._basis = None
+        self._basis_index = None
         self._quotient = None
 
     # -- identity ---------------------------------------------------------
@@ -253,6 +254,26 @@ class LayerRing:
                 terms[key] = c
         return LayerElem(self, terms, lossy)
 
+    def _term(self, k, vt, c, lossy=False) -> "LayerElem":
+        """_from_items([(k, vt, c)], lossy), without the general loop.
+
+        Elements of zero or one term are most of what the maps build: a
+        basis monomial, its image under a transition or projection, its
+        power.  The rules are _from_items' rules, in its order.
+        """
+        if c == 0:
+            return LayerElem(self, {}, lossy)
+        if self._cap_index(vt):
+            return LayerElem(self, {}, True)
+        if self.mode == MIXED:
+            if k >= self.e:
+                q, k = divmod(k, self.e)
+                c *= self.p**q
+        elif k >= self.window:
+            return LayerElem(self, {}, lossy)
+        c %= self.coeff_mod
+        return LayerElem(self, {(k, vt): c} if c else {}, lossy)
+
     def _from_t_dict(self, acc: dict, lossy: bool) -> "LayerElem":
         """Canonical element from {t-index: coeff} on a ring without variables.
 
@@ -295,12 +316,21 @@ class LayerRing:
         Terms past this ring's window or variable cap fold or drop as in
         _from_items, and a cap drop marks the result lossy.
         """
+        terms = x.terms
+        if not terms:
+            return LayerElem(self, {}, x.lossy)
+        if len(terms) == 1:
+            ((k, vt), c), = terms.items()
+            if mul != 1 or div != 1:
+                k = k * mul // div
+                vt = tuple(j * mul // div for j in vt)
+            return self._term(k, vt, c, x.lossy)
         if mul == div == 1:
-            items = [(k, vt, c) for (k, vt), c in x.terms.items()]
+            items = [(k, vt, c) for (k, vt), c in terms.items()]
         else:
             items = [
                 (k * mul // div, tuple(j * mul // div for j in vt), c)
-                for (k, vt), c in x.terms.items()
+                for (k, vt), c in terms.items()
             ]
         return self._from_items(items, x.lossy)
 
@@ -311,7 +341,7 @@ class LayerRing:
         return self.from_int(1)
 
     def from_int(self, n: int) -> "LayerElem":
-        return self._from_items([(0, self._zero_vt, n)])
+        return self._term(0, self._zero_vt, n)
 
     def monomial(self, k: int, vt=None, coeff: int = 1) -> "LayerElem":
         vt = self._zero_vt if vt is None else tuple(vt)
@@ -319,7 +349,7 @@ class LayerRing:
             raise ValueError(f"negative t-index {k}")
         if len(vt) != self.num_vars:
             raise ValueError("variable index tuple has wrong length")
-        return self._from_items([(k, vt, coeff)])
+        return self._term(k, vt, coeff)
 
     def t_gen(self) -> "LayerElem":
         return self.monomial(1)
@@ -350,6 +380,11 @@ class LayerRing:
         lossy = a.lossy or b.lossy
         if not ta or not tb:
             return LayerElem(self, {}, lossy)
+        if len(ta) == 1 and len(tb) == 1:
+            ((ka, va), ca), = ta.items()
+            ((kb, vb), cb), = tb.items()
+            vt = tuple(x + y for x, y in zip(va, vb)) if self.num_vars else va
+            return self._term(ka + kb, vt, ca * cb, lossy)
         if self.num_vars == 0:
             if len(ta) * len(tb) > max(_SPARSE_LIMIT, self.e):
                 return self._mul_dense(ta, tb, lossy)
@@ -461,7 +496,7 @@ class LayerRing:
 
     def reduce_mod_ideal(self, x: "LayerElem") -> "LayerElem":
         x = self.coerce(x)
-        quot = self.quotient_ring()
+        quot = self._quotient or self.quotient_ring()
         items = []
         for (k, vt), c in x.terms.items():
             c %= self.p
@@ -511,7 +546,9 @@ class LayerRing:
 
     def to_vec(self, x: "LayerElem"):
         x = self.coerce(x)
-        idx = {key: i for i, key in enumerate(self.basis_keys())}
+        if self._basis_index is None:
+            self._basis_index = {key: i for i, key in enumerate(self.basis_keys())}
+        idx = self._basis_index
         vec = [0] * self.rank
         for key, c in x.terms.items():
             vec[idx[key]] = c
@@ -687,10 +724,10 @@ class LayerElem:
         if n == 0:
             return self.ring.one()
         if len(self.terms) == 1:
-            ((k, vt), c) = next(iter(self.terms.items()))
-            return self.ring._from_items(
-                [(k * n, tuple(j * n for j in vt), pow(c, n, self.ring.coeff_mod))],
-                self.lossy,
+            ((k, vt), c), = self.terms.items()
+            ring = self.ring
+            return ring._term(
+                k * n, tuple(j * n for j in vt), pow(c, n, ring.coeff_mod), self.lossy
             )
         result = self.ring.one()
         base = self
@@ -796,6 +833,7 @@ class ProductRing:
         self.coeff_mod = factors[0].coeff_mod
         self.p = factors[0].p
         self.n_digits = factors[0].n_digits
+        self._quotient = None
 
     def _key(self):
         return tuple(f._key() for f in self.factors)
@@ -823,7 +861,7 @@ class ProductRing:
 
     def coerce(self, x):
         if isinstance(x, ProductElem):
-            if x.ring != self:
+            if x.ring is not self and x.ring != self:
                 raise RingMismatch("product ring mismatch")
             return x
         if isinstance(x, int):
@@ -837,7 +875,9 @@ class ProductRing:
         return self.wrap(f.monomial(k) for f in self.factors)
 
     def quotient_ring(self):
-        return ProductRing(tuple(f.quotient_ring() for f in self.factors))
+        if self._quotient is None:
+            self._quotient = ProductRing(tuple(f.quotient_ring() for f in self.factors))
+        return self._quotient
 
     def reduce_mod_ideal(self, x):
         x = self.coerce(x)

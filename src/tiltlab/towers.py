@@ -232,6 +232,7 @@ class TowerHandle:
             raise SpecError(f"the pillar index must be >= 1, not {pillar_index}")
         self.label = label
         self._rings = rings
+        self._quotients: dict[int, LayerRing] = {}
         self._pillar_index = pillar_index
         self.start = min(rings)
         self.depth = max(rings) - self.start
@@ -260,7 +261,11 @@ class TowerHandle:
         return self._rings[n]
 
     def quotient(self, n: int) -> LayerRing:
-        return self.layer(n).quotient_ring()
+        # Filled on first use: quotient_ring() raises on a unit ideal.
+        q = self._quotients.get(n)
+        if q is None:
+            q = self._quotients[n] = self.layer(n).quotient_ring()
+        return q
 
     def ideal_index(self, n: int) -> int:
         return self.layer(n).ideal_num

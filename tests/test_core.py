@@ -811,7 +811,7 @@ def reference_rescale(target, x, mul, div):
 
 
 @st.composite
-def lattice_map(draw):
+def lattice_map(draw, min_terms=1, max_terms=4):
     """(source, target, mul, div, x): a transition ("up"), a Frobenius
     projection ("copy") or the inverse of k transitions ("down")."""
     p = draw(st.sampled_from([2, 3, 5]))
@@ -839,7 +839,7 @@ def lattice_map(draw):
         k = draw(st.integers(min_value=1, max_value=2))
         src, dst, mul, div = ring(n + k), ring(n), 1, p**k
     items = []
-    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+    for _ in range(draw(st.integers(min_value=min_terms, max_value=max_terms))):
         t = div * draw(st.integers(min_value=0, max_value=(src.t_range() - 1) // div))
         vt = tuple(
             div * draw(st.integers(min_value=0, max_value=src.var_cap_index // div))
@@ -874,3 +874,77 @@ def test_rescale_matches_the_item_copies(data):
     assert got.lossy == (x.lossy or dropped)
     if mul != div:  # a transition and its inverse keep absolute exponents
         assert got.valuation() == x.valuation()
+
+
+# -- the one-term path against the general loop -------------------------------------
+#
+# LayerRing._term is _from_items on one item.  monomial, from_int, one-term
+# powers, one-by-one products and zero- and one-term rescales take it; each
+# is compared with the item it used to hand _from_items, lossy flag included.
+
+
+def raw_item(ring):
+    """(k, vt, c, lossy) as a caller hands it over: c may be 0 or vanish mod
+    coeff_mod, k may fold through t^e = p or fall off the window, and vt may
+    overflow the variable cap."""
+    mod = ring.coeff_mod
+    return st.tuples(
+        st.integers(min_value=0, max_value=3 * ring.t_range()),
+        st.tuples(*[st.integers(min_value=0, max_value=ring.var_cap_index + 2)]
+                  * ring.num_vars),
+        st.sampled_from([0, mod, -mod, ring.p])
+        | st.integers(min_value=-2 * mod, max_value=2 * mod),
+        st.booleans(),
+    )
+
+
+def _check_one_term_paths(ring, item, other, n):
+    k, vt, c, lossy = item
+    x = ring._from_items([(k, vt, c)], lossy)
+    _same(ring._term(k, vt, c, lossy), x, order=True)
+    _same(ring.monomial(k, vt, c), ring._from_items([(k, vt, c)]), order=True)
+    _same(ring.from_int(c), ring._from_items([(0, ring._zero_vt, c)]), order=True)
+    if len(x.terms) == 1:
+        ((kx, vx), cx), = x.terms.items()
+        power = [(kx * n, tuple(j * n for j in vx), pow(cx, n, ring.coeff_mod))]
+        _same(x**n, ring._from_items(power, x.lossy), order=True)
+    ko, vo, co, lossy_o = other
+    y = ring._from_items([(ko, vo, co)], lossy_o)
+    _same(x * y, reference_mul(x, y), order=True)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lattice_map(min_terms=0, max_terms=1), st.data())
+def test_one_term_paths_match_from_items(case, data):
+    src, dst, mul, div, x = case
+    _same(dst.rescale(x, mul, div), reference_rescale(dst, x, mul, div), order=True)
+    for ring in (src, dst):
+        item, other = data.draw(raw_item(ring)), data.draw(raw_item(ring))
+        _check_one_term_paths(ring, item, other, data.draw(st.integers(1, 2 * ring.p)))
+
+
+def _char_p(window, **shape):
+    return LayerRing(p=5, e=5, window=window, ideal_num=5, **shape)
+
+
+@pytest.mark.parametrize("ring, item, terms, lossy", [
+    (O(), (3, (), 0, True), {}, True),
+    (O(), (3, (), 0, False), {}, False),
+    (O(N=2), (3, (), 50, False), {}, False),
+    (O(N=3), (7, (), 2, False), {(2, ()): 10}, False),
+    (O(N=1), (7, (), 2, True), {}, True),
+    (_char_p(4), (4, (), 1, False), {}, False),
+    (_char_p(4), (3, (), 6, True), {(3, ()): 1}, True),
+    (O(num_vars=1, var_cap=1), (0, (6,), 1, False), {}, True),
+    (_char_p(4, num_vars=2, var_den=5, var_cap=Fraction(1, 5)), (9, (1, 0), 1, False),
+     {}, False),
+    # 5*x1^{3/5}: the square's raw coefficient 25 meets the cap before it
+    # vanishes mod 25, so x*x is lossy; x**2 reduces 5**2 first and is not
+    (O(N=2, num_vars=1, var_cap=1), (0, (3,), 5, False), {(0, (3,)): 5}, False),
+], ids=["zero-lossy", "zero", "zero-mod", "fold", "fold-to-zero", "window",
+        "lossy", "cap", "window-under-cap", "product-past-cap"])
+def test_one_term_paths_at_their_edges(ring, item, terms, lossy):
+    k, vt, c, flag = item
+    got = ring._term(k, vt, c, flag)
+    assert (got.terms, got.lossy) == (terms, lossy)
+    _check_one_term_paths(ring, item, item, 2)

@@ -4,9 +4,9 @@ Exponent bookkeeping stays in tiltlab.core: scaling indices between
 lattices (LayerRing.rescale), the absolute index
 (LayerElem.index_valuation) and the variable-cap rule
 (LayerRing.var_cap_index) each live in one place.  The tests fail when
-another module builds elements from raw items through the private
-_from_items, or compares against var_cap or var_den by hand instead of
-reading var_cap_index.
+another module builds elements from raw keys through either private
+constructor, _from_items or its one-term case _term, or compares against
+var_cap or var_den by hand instead of reading var_cap_index.
 
 No module of the package maps through tiltlab.parallel (the checks are
 serial), and every name the package exports has a reader somewhere in
@@ -26,6 +26,7 @@ PACKAGE = ROOT / "src" / "tiltlab"
 # The epsilon-certificate replay splits x^p by hand on purpose: it re-checks
 # find_epsilon with plain ring arithmetic, independent of the code it checks.
 FROM_ITEMS_ALLOWED = {("ramified.py", "verify_epsilon_certificate")}
+RAW_CONSTRUCTORS = {"_from_items", "_term"}
 
 
 def _modules():
@@ -42,13 +43,13 @@ def _functions_and_nodes(tree):
             yield name, node
 
 
-def _from_items_calls(path):
+def _raw_constructor_calls(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     return [
         f"{path.name}:{node.lineno} in {owner}"
         for owner, node in _functions_and_nodes(tree)
         if isinstance(node, ast.Attribute)
-        and node.attr == "_from_items"
+        and node.attr in RAW_CONSTRUCTORS
         and (path.name, owner) not in FROM_ITEMS_ALLOWED
     ]
 
@@ -66,7 +67,7 @@ def _hand_cap_comparisons(path):
 
 
 def test_modules_outside_core_do_not_build_from_items():
-    found = [hit for path in _modules() for hit in _from_items_calls(path)]
+    found = [hit for path in _modules() for hit in _raw_constructor_calls(path)]
     assert found == []
 
 

@@ -664,6 +664,32 @@ def test_pair_walk_maps_each_basis_monomial_once():
     assert counted.calls == want
 
 
+def _counting(calls, name, real):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    return counted
+
+
+def test_pair_walk_resolves_each_quotient_once(monkeypatch):
+    # The handle resolves each level's quotient once and keeps it.  Basis
+    # monomials and their images have one term each and skip _from_items;
+    # what is left is one reduction of f1 per pair, whatever the basis size.
+    counts, ranks = {}, {}
+    for cap in (1, 2):
+        h = pure5(depth=2, vars=1, cap=cap)
+        calls = counts[cap] = {"quotient_ring": 0, "_from_items": 0}
+        with monkeypatch.context() as patch:
+            for name in calls:
+                real = getattr(towers.LayerRing, name)
+                patch.setattr(towers.LayerRing, name, _counting(calls, name, real))
+            assert all(v.ok() for v in towers._check_pairs(h).values())
+        ranks[cap] = h.quotient(h.top).rank
+    assert ranks[1] < ranks[2]
+    assert counts[1] == counts[2] == {"quotient_ring": 3, "_from_items": 2}
+
+
 @pytest.mark.parametrize("vars", [0, 1], ids=["pure", "vars"])
 def test_pair_walk_reads_each_basis_once_per_pair(monkeypatch, vars):
     # per pair n the up pass reads quotient(n+1)'s basis and the down pass
