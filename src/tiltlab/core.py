@@ -178,6 +178,7 @@ class LayerRing:
         self._var_monomials = None
         self._basis = None
         self._basis_index = None
+        self._vt_index = None
         self._quotient = None
 
     # -- identity ---------------------------------------------------------
@@ -228,6 +229,18 @@ class LayerRing:
             return False
         return sum(vt) > self.var_cap_index
 
+    def keeps_key(self, k, vt) -> bool:
+        """True when a CHAR_P ring keeps the key (k, vt): k lies below the
+        window and vt under the variable cap.
+
+        The one keying rule of a characteristic-p ring: _term drops any
+        other key (marking the result lossy when the cap drops it), so a
+        caller can predict the key of a monomial product or power without
+        building it.
+        """
+        # _cap_index's test, inlined: _term asks this of every char-p term.
+        return k < self.window and (not self.num_vars or sum(vt) <= self.var_cap_index)
+
     def _from_items(self, items, lossy=False) -> "LayerElem":
         acc: dict = {}
         p = self.p
@@ -259,18 +272,20 @@ class LayerRing:
 
         Elements of zero or one term are most of what the maps build: a
         basis monomial, its image under a transition or projection, its
-        power.  The rules are _from_items' rules, in its order.
+        power.  The rules are _from_items' rules, with the same outcome when
+        several apply; on a CHAR_P ring the window and cap drop is
+        keeps_key.
         """
         if c == 0:
             return LayerElem(self, {}, lossy)
-        if self._cap_index(vt):
-            return LayerElem(self, {}, True)
         if self.mode == MIXED:
+            if self._cap_index(vt):
+                return LayerElem(self, {}, True)
             if k >= self.e:
                 q, k = divmod(k, self.e)
                 c *= self.p**q
-        elif k >= self.window:
-            return LayerElem(self, {}, lossy)
+        elif not self.keeps_key(k, vt):
+            return LayerElem(self, {}, lossy or self._cap_index(vt))
         c %= self.coeff_mod
         return LayerElem(self, {(k, vt): c} if c else {}, lossy)
 
@@ -539,6 +554,19 @@ class LayerRing:
                 for vt in self.var_monomials()
             ]
         return self._basis
+
+    def basis_key(self, k, vt):
+        """The tuple of basis_keys() equal to (k, vt), a key this ring keeps.
+
+        Callers that hold many keys at once share the basis's tuples
+        instead of building their own.  The basis runs through the
+        t-indices in order, each with every variable monomial in
+        var_monomials() order.
+        """
+        index = self._vt_index
+        if index is None:
+            index = self._vt_index = {v: i for i, v in enumerate(self.var_monomials())}
+        return (self._basis or self.basis_keys())[k * len(index) + index[vt]]
 
     @property
     def rank(self) -> int:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from operator import add
 
 from . import linalg
 from .core import (
@@ -483,8 +484,12 @@ def check_axioms(handle, samples: int = 200, seed: int = 0) -> AxiomReport:
     the Jacobson-radical statement quantifies over all maximal ideals.
     Axioms (b), (c), (d) and (f-2) share two passes per pair of levels
     (_check_pairs), up over quotient(n+1) and down over quotient(n): each
-    basis monomial is built and mapped once and feeds every axiom that
-    reads it, and one failure record keeps each axiom's first witness.
+    basis monomial is built once, the handle's maps are called on it once
+    per pass, and the images feed every axiom that reads them.  What the
+    images are compared against (p-th powers, the pillar ideal) is index
+    arithmetic on the basis keys, replayed with ring arithmetic on pairs
+    small enough for the dense cross-checks.  One failure record keeps
+    each axiom's first witness.
     """
     if handle.depth < 2:
         raise SpecError("the axiom suite needs depth >= 2")
@@ -535,12 +540,20 @@ def _check_pairs(handle) -> dict[str, Verdict]:
     """Axioms (b), (c), (d) and (f), in that order, by two passes per pair
     of levels n, n+1 and one failure record.
 
-    The up pass projects each quotient(n+1) basis monomial once; the image
-    feeds (c)'s up half, (d)'s hit set and (f-2)'s kernel and ideal sets
-    and truncation tail.  The down pass takes each quotient(n) monomial's
-    t-bar once, for (b), (c)'s down half and (d)'s missing list.  An axiom
-    is checked while it is absent from ``failed`` and stores its first
-    failure there, up half before down half within a pair.
+    The handle's maps are called once per basis key and pass: the up pass
+    projects each quotient(n+1) monomial and lifts the image back with one
+    t-bar; the down pass takes each quotient(n) monomial's t-bar and
+    projects it back.  The projections feed (c)'s up half, (d)'s hit set
+    and (f-2)'s kernel and truncation tail; the t-bars feed (b), (c)'s
+    down half and (d)'s missing list.  The checker's own side is index
+    arithmetic on keys: a monomial's p-th power is its key times p
+    (_power_terms), and f1_bar times a monomial is the key shifted by each
+    key of f1_bar (_ideal_keys), both kept or dropped by the quotient's
+    keeps_key.  On pairs within _DENSE_CROSSCHECK_DIM the walk replays that
+    side with ring arithmetic (``mono**p``, ``f1_bar * mono``) and raises
+    MethodDisagreement where the two differ.  An axiom is checked while it
+    is absent from ``failed`` and stores its first failure there, up half
+    before down half within a pair.
     """
     p = handle.p
     failed: dict[str, Verdict] = {}
@@ -557,30 +570,48 @@ def _check_pairs(handle) -> dict[str, Verdict]:
     tail_dims = {}
     for n in range(handle.start, handle.top):
         up, down = handle.quotient(n + 1), handle.quotient(n)
+        up_keys, down_keys = up.basis_keys(), down.basis_keys()
+        replay = max(len(up_keys), len(down_keys)) <= _DENSE_CROSSCHECK_DIM
         # (f-2): the kernel of the projection is the pillar ideal, plus the
         # declared truncation tail: monomials whose image overflows the cap.
-        # Its keys are distinct, so a list holds them in a fraction of a set's
-        # memory, and the pass's peak is lower.
+        # The kernel's and the tail's keys are distinct, so lists hold them
+        # in a fraction of a set's memory, and the pass's peak is lower.  The
+        # ideal set holds the basis's own key tuples, not fresh ones, and
+        # takes the tail in place, for the same reason.
         f1_bar = handle.layer(n + 1).reduce_mod_ideal(handle.embed(level1, n + 1, f1))
-        hit, kernel, ideal, tail = set(), set(), set(), []
-        for key in up.basis_keys():
+        shifts = list(f1_bar.terms)
+        hit, ideal, kernel, tail = set(), set(), [], []
+        for key in up_keys:
             mono = up.monomial(*key)
             img = handle.frob(n, mono)
-            if "c" not in failed and handle.tbar(n, img) != mono**p:
-                failed["c"] = _fail(
-                    f"tbar(F({mono.to_text()})) != {mono.to_text()}^p at level {n}",
-                    level=n,
-                )
+            if "c" not in failed:
+                want = _power_terms(up, key)
+                if replay and (mono**p).terms != want:
+                    raise MethodDisagreement(
+                        f"{mono.to_text()}^{p} disagrees with its key at level {n + 1}"
+                    )
+                out = handle.tbar(n, img)
+                if out.ring != up or out.terms != want:
+                    failed["c"] = _fail(
+                        f"tbar(F({mono.to_text()})) != {mono.to_text()}^p at level {n}",
+                        level=n,
+                    )
             if img.is_zero():
-                kernel.add(key)
+                kernel.append(key)
             else:
                 hit.add(next(iter(img.terms)))
             if "f" not in failed:
-                ideal.update((f1_bar * mono).terms)
+                keys = _ideal_keys(up, key, shifts)
+                if replay and (f1_bar * mono).terms.keys() != set(keys):
+                    raise MethodDisagreement(
+                        f"f1 * {mono.to_text()} disagrees with its key shifts "
+                        f"at level {n + 1}"
+                    )
+                ideal.update(keys)
             if sum(key[1]) * p > up.var_cap_index:
                 tail.append(key)
         seen, missing = {}, []
-        for key in down.basis_keys():
+        for key in down_keys:
             mono = down.monomial(*key)
             img = handle.tbar(n, mono)
             if "b" not in failed:
@@ -591,11 +622,18 @@ def _check_pairs(handle) -> dict[str, Verdict]:
                     failed["b"] = _fail(f"t-bar collides on {witness} at level {n}", level=n)
                 else:
                     seen[img_key] = key
-            if "c" not in failed and handle.frob(n, img) != mono**p:
-                failed["c"] = _fail(
-                    f"F(tbar({mono.to_text()})) != {mono.to_text()}^p at level {n}",
-                    level=n,
-                )
+            if "c" not in failed:
+                want = _power_terms(down, key)
+                if replay and (mono**p).terms != want:
+                    raise MethodDisagreement(
+                        f"{mono.to_text()}^{p} disagrees with its key at level {n}"
+                    )
+                out = handle.frob(n, img)
+                if out.ring != down or out.terms != want:
+                    failed["c"] = _fail(
+                        f"F(tbar({mono.to_text()})) != {mono.to_text()}^p at level {n}",
+                        level=n,
+                    )
             if key not in hit:
                 missing.append(key)
         if "b" not in failed:
@@ -611,20 +649,46 @@ def _check_pairs(handle) -> dict[str, Verdict]:
             else:
                 _crosscheck_rank(handle, n, injective=False)
         if "f" not in failed:
-            expected = ideal.union(tail)
-            if kernel != expected:
-                key = min(kernel ^ expected)
+            expected, n_ideal = ideal, len(ideal)
+            expected.update(tail)
+            if len(kernel) != len(expected) or not expected.issuperset(kernel):
+                key = min(expected.symmetric_difference(kernel))
                 failed["f"] = _fail(
                     f"(f-2) kernel mismatch at level {n}: {up.monomial(*key).to_text()}",
                     level=n,
                     **f_details,
                 )
             else:
-                tail_dims[str(n)] = len(expected) - len(ideal)
+                tail_dims[str(n)] = len(expected) - n_ideal
     if any(tail_dims.values()):
         f_details["truncation_tail_dim"] = tail_dims
     passed = {k: Verdict(PASS) for k in "bcd"}
     return {**passed, "f": Verdict(PASS, details=f_details), **failed}
+
+
+def _power_terms(ring, key) -> dict:
+    """``(ring.monomial(*key) ** p).terms`` from the key alone: the key
+    times p with coefficient 1, or nothing once keeps_key drops it."""
+    p = ring.p
+    k, vt = key
+    k, vt = k * p, tuple([j * p for j in vt])
+    return {(k, vt): 1} if ring.keeps_key(k, vt) else {}
+
+
+def _ideal_keys(ring, key, shifts) -> list:
+    """The keys of ``f1_bar * ring.monomial(*key)``, given f1_bar's keys as
+    shifts: key plus each shift that keeps_key keeps, as the basis's tuple.
+
+    f1_bar's coefficients are nonzero mod p, and the sums are distinct, so
+    no term of the product cancels.
+    """
+    k, vt = key
+    out = []
+    for a, va in shifts:
+        s, st = k + a, tuple(map(add, vt, va))
+        if ring.keeps_key(s, st):
+            out.append(ring.basis_key(s, st))
+    return out
 
 
 def _crosscheck_rank(handle, n, injective: bool):

@@ -948,3 +948,29 @@ def test_one_term_paths_at_their_edges(ring, item, terms, lossy):
     got = ring._term(k, vt, c, flag)
     assert (got.terms, got.lossy) == (terms, lossy)
     _check_one_term_paths(ring, item, item, 2)
+
+
+@pytest.mark.parametrize("ring", [
+    _char_p(4),
+    _char_p(4, num_vars=2, var_den=25, var_cap=Fraction(1, 5)),
+], ids=["monogenic", "two-vars"])
+def test_keeps_key_is_the_drop_rule_of_term(ring):
+    # keeps_key is the rule _term drops by: on either side of the window
+    # (index 3 | 4) and of the variable cap (index sum 5 | 6), a key is kept
+    # exactly when its one-term element is non-zero, and a drop is lossy
+    # exactly when the cap made it.
+    assert ring.window == 4 and ring.var_cap_index == (5 if ring.num_vars else 0)
+    vts = [(0, 0), (5, 0), (2, 3), (6, 0), (3, 3)] if ring.num_vars else [()]
+    for k in (0, 3, 4, 5):
+        for vt in vts:
+            got = ring._term(k, vt, 1)
+            assert ring.keeps_key(k, vt) == bool(got.terms) == (k < 4 and sum(vt) <= 5)
+            assert got.lossy == ring._cap_index(vt)
+
+
+def test_basis_key_returns_the_basis_tuple():
+    for ring in (O(num_vars=1, var_cap=1), _char_p(4),
+                 _char_p(4, num_vars=2, var_den=25, var_cap=Fraction(1, 5))):
+        for key in ring.basis_keys():
+            k, vt = key
+            assert ring.basis_key(k, tuple(list(vt))) is key

@@ -2,11 +2,15 @@
 
 Exponent bookkeeping stays in tiltlab.core: scaling indices between
 lattices (LayerRing.rescale), the absolute index
-(LayerElem.index_valuation) and the variable-cap rule
-(LayerRing.var_cap_index) each live in one place.  The tests fail when
-another module builds elements from raw keys through either private
-constructor, _from_items or its one-term case _term, or compares against
-var_cap or var_den by hand instead of reading var_cap_index.
+(LayerElem.index_valuation), the variable-cap rule
+(LayerRing.var_cap_index) and the keying rule of a characteristic-p ring
+(LayerRing.keeps_key: below the window and under the cap) each live in one
+place.  The tests fail when another module builds elements from raw keys
+through either private constructor, _from_items or its one-term case
+_term, compares against var_cap or var_den by hand instead of reading
+var_cap_index, or reads a ring's window instead of asking keeps_key; and
+when keeps_key is defined anywhere but LayerRing or _term stops dropping
+keys by it.
 
 No module of the package maps through tiltlab.parallel (the checks are
 serial), and every name the package exports has a reader somewhere in
@@ -74,6 +78,42 @@ def test_modules_outside_core_do_not_build_from_items():
 def test_modules_outside_core_read_the_cap_through_var_cap_index():
     found = [hit for path in _modules() for hit in _hand_cap_comparisons(path)]
     assert found == []
+
+
+def _window_reads(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "window"
+    ]
+
+
+def test_modules_outside_core_key_through_keeps_key():
+    found = [hit for path in _modules() for hit in _window_reads(path)]
+    assert found == []
+
+
+def _methods_reading(tree, attr):
+    """Names of the functions whose bodies read the attribute attr."""
+    return {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(n, ast.Attribute) and n.attr == attr for n in ast.walk(node))
+    }
+
+
+def test_the_keying_rule_has_one_definition_in_core():
+    defined = [
+        f"{path.stem}.{owner}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for owner, node in _functions_and_nodes(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "keeps_key"
+    ]
+    assert defined == ["core.LayerRing"]
+    core = ast.parse((PACKAGE / "core.py").read_text(encoding="utf-8"))
+    assert "_term" in _methods_reading(core, "keeps_key")
 
 
 def _mixed_layer_builds(path):

@@ -35,6 +35,7 @@ from tiltlab.towers import (
     check_axioms,
     frob_projection,
 )
+from tiltlab.tilts import small_tilt
 
 
 def pure5(depth=3, vars=0, cap=0, n=6):
@@ -708,6 +709,117 @@ def test_pair_walk_reads_each_basis_once_per_pair(monkeypatch, vars):
     assert all(v.ok() for v in towers._check_pairs(h).values())
     level = {id(h.quotient(n)): n for n in h.levels}
     assert [level[id(q)] for q in reads] == [1, 0, 2, 1]
+
+
+def test_pair_walk_builds_no_reference_elements(monkeypatch):
+    # (c)'s p-th powers and (f-2)'s ideal products are index arithmetic on
+    # keys: with the small-pair replay off, _check_pairs multiplies nothing
+    # and takes only the (f-1) power.  The replay, on pairs within
+    # _DENSE_CROSSCHECK_DIM, adds one power per key of both quotients and
+    # one f1_bar product per key of the upper one.
+    h = pure5(depth=2, vars=1, cap=2)
+    ranks = [(h.quotient(n + 1).rank, h.quotient(n).rank) for n in range(h.start, h.top)]
+    assert ranks == [(55, 3), (1275, 55)]
+    small = [(up, down) for up, down in ranks if max(up, down) <= _DENSE_CROSSCHECK_DIM]
+    for dim, want in [
+        (0, {"_mul": 0, "__pow__": 1}),
+        (
+            _DENSE_CROSSCHECK_DIM,
+            {"_mul": sum(up for up, _ in small), "__pow__": 1 + sum(map(sum, small))},
+        ),
+    ]:
+        calls = {"_mul": 0, "__pow__": 0}
+        with monkeypatch.context() as patch:
+            patch.setattr(towers, "_DENSE_CROSSCHECK_DIM", dim)
+            for cls, name in ((towers.LayerRing, "_mul"), (towers.LayerElem, "__pow__")):
+                patch.setattr(cls, name, _counting(calls, name, getattr(cls, name)))
+            assert all(v.ok() for v in towers._check_pairs(h).values())
+        assert calls == want
+
+
+def _tower_quotients(h):
+    """Every quotient of h, each with the f1_bar that _check_pairs reduces
+    there (None at the start level, which has none)."""
+    level1 = h.start + 1
+    f1 = h.pillar_elem(level1)
+    for n in h.levels:
+        f1_bar = None
+        if n >= level1:
+            f1_bar = h.layer(n).reduce_mod_ideal(h.embed(level1, n, f1))
+        yield h.quotient(n), f1_bar
+
+
+KEYING_CASES = {
+    "pure5_cap1": lambda: _tower_quotients(pure5(depth=2, vars=1, cap=1)),
+    "pure5_cap2": lambda: _tower_quotients(pure5(depth=2, vars=1, cap=2)),
+    "pure3_two_vars": lambda: _tower_quotients(build_tower(TowerSpec(
+        prime=3, n_digits=6, depth=2, num_vars=2, var_degree_cap=Fraction(1)
+    ))),
+    "kummer52": lambda: _tower_quotients(kummer52(depth=2)),
+    "small_tilt": lambda: [
+        (small_tilt(pure5(depth=2, vars=1, cap=1), 0, 2).ring, None)
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(KEYING_CASES))
+def test_key_side_matches_ring_arithmetic(case):
+    # On every basis key the walk's reference side equals what ring
+    # arithmetic gives: the p-th power's terms, and the keys of f1_bar
+    # times the monomial for the tower's own f1_bar, a hand-built one with
+    # two terms and the zero element.  Ideal keys are the basis's tuples.
+    for ring, f1_bar in KEYING_CASES[case]():
+        keys = ring.basis_keys()
+        basis = {key: key for key in keys}
+        factors = [ring.zero()]
+        if f1_bar is not None:
+            factors.append(f1_bar)
+        if len(keys) > 1:
+            two = ring.monomial(*keys[-2]) + ring.monomial(*keys[-1], coeff=ring.p - 1)
+            assert len(two.terms) == 2
+            factors.append(two)
+        for key in keys:
+            mono = ring.monomial(*key)
+            assert towers._power_terms(ring, key) == (mono**ring.p).terms
+            for f in factors:
+                got = towers._ideal_keys(ring, key, list(f.terms))
+                assert sorted(got) == sorted((f * mono).terms)
+                assert all(k is basis[k] for k in got)
+
+
+def _corrupt_first_key(real):
+    """real, except that its answer for the first basis key it is asked
+    about loses one entry or gains a bogus one."""
+    first = []
+
+    def corrupted(ring, key, *rest):
+        out = real(ring, key, *rest)
+        first[:] = first or [key]
+        if key != first[0]:
+            return out
+        if isinstance(out, dict):
+            return {} if out else {key: 1}
+        return out[1:] if out else [key]
+
+    return corrupted
+
+
+@pytest.mark.parametrize("name", ["_power_terms", "_ideal_keys"])
+def test_replay_catches_a_corrupted_key_side(monkeypatch, name):
+    # A wrong key-side reference on a small pair is an internal fault, not
+    # a verdict.  With the replay off, the same corruption reads as a FAIL
+    # of (c) or (f), so the replay is what stands between them.
+    h = pure5(depth=2)
+    assert h.quotient(h.top).rank <= _DENSE_CROSSCHECK_DIM
+    axiom = {"_power_terms": "c", "_ideal_keys": "f"}[name]
+    with monkeypatch.context() as patch:
+        patch.setattr(towers, name, _corrupt_first_key(getattr(towers, name)))
+        with pytest.raises(MethodDisagreement, match="disagrees with its key"):
+            towers._check_pairs(h)
+    with monkeypatch.context() as patch:
+        patch.setattr(towers, name, _corrupt_first_key(getattr(towers, name)))
+        patch.setattr(towers, "_DENSE_CROSSCHECK_DIM", 0)
+        assert towers._check_pairs(h)[axiom].verdict == FAIL
 
 
 def test_rank_crosscheck_past_its_size_cap(monkeypatch):
