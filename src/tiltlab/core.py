@@ -10,9 +10,10 @@ ramified extension:
 
 Optional "perfectoid" variables x1..xv carry exponents with p-power
 denominators and are truncated by a fixed total-degree cap; dropping a
-term at the cap is the one operation that genuinely discards information,
-and it marks the result as lossy.  Everything else is exact modulo the
-stated precision (p^N, respectively t^K).
+nonzero term at the cap is the one operation that genuinely discards
+information, and it marks the result as lossy (LayerRing.keeps_key).
+Everything else is exact modulo the stated precision (p^N, respectively
+t^K).
 
 Elements are sparse maps from exponent keys (t-index, variable-index
 tuple) to nonzero residues; exponent indices are integers in the lattice
@@ -230,41 +231,36 @@ class LayerRing:
         return sum(vt) > self.var_cap_index
 
     def keeps_key(self, k, vt) -> bool:
-        """True when a CHAR_P ring keeps the key (k, vt): k lies below the
-        window and vt under the variable cap.
+        """True when the ring keeps the key (k, vt): t^k is nonzero at the
+        ring's precision (k below index_cap, on a CHAR_P ring the window)
+        and vt lies under the variable cap.
 
-        The one keying rule of a characteristic-p ring: _term drops any
-        other key (marking the result lossy when the cap drops it), so a
-        caller can predict the key of a monomial product or power without
-        building it.
+        The one keying rule.  _from_items and _term fold through t^e = p,
+        reduce mod coeff_mod, then keep a nonzero term by this rule; a
+        nonzero term the cap drops marks the result lossy.
         """
-        # _cap_index's test, inlined: _term asks this of every char-p term.
-        return k < self.window and (not self.num_vars or sum(vt) <= self.var_cap_index)
+        # _cap_index's test, inlined: _term asks this of every nonzero term.
+        return k < self.index_cap and (not self.num_vars or sum(vt) <= self.var_cap_index)
 
     def _from_items(self, items, lossy=False) -> "LayerElem":
         acc: dict = {}
-        p = self.p
+        get = acc.get
+        mixed = self.mode == MIXED
         for k, vt, c in items:
-            if c == 0:
-                continue
-            if self._cap_index(vt):
-                lossy = True
-                continue
-            if self.mode == MIXED:
-                if k >= self.e:
-                    q, k = divmod(k, self.e)
-                    c *= p**q
-            else:
-                if k >= self.window:
-                    continue
+            if mixed and k >= self.e:
+                q, k = divmod(k, self.e)
+                c *= self.p**q
             key = (k, vt)
-            acc[key] = acc.get(key, 0) + c
-        mod = self.coeff_mod
+            acc[key] = get(key, 0) + c
+        mod, keeps = self.coeff_mod, self.keeps_key
         terms = {}
         for key, c in acc.items():
             c %= mod
             if c:
-                terms[key] = c
+                if keeps(*key):
+                    terms[key] = c
+                elif not lossy:
+                    lossy = self._cap_index(key[1])
         return LayerElem(self, terms, lossy)
 
     def _term(self, k, vt, c, lossy=False) -> "LayerElem":
@@ -272,22 +268,17 @@ class LayerRing:
 
         Elements of zero or one term are most of what the maps build: a
         basis monomial, its image under a transition or projection, its
-        power.  The rules are _from_items' rules, with the same outcome when
-        several apply; on a CHAR_P ring the window and cap drop is
-        keeps_key.
+        power.
         """
-        if c == 0:
-            return LayerElem(self, {}, lossy)
-        if self.mode == MIXED:
-            if self._cap_index(vt):
-                return LayerElem(self, {}, True)
-            if k >= self.e:
-                q, k = divmod(k, self.e)
-                c *= self.p**q
-        elif not self.keeps_key(k, vt):
-            return LayerElem(self, {}, lossy or self._cap_index(vt))
+        if self.mode == MIXED and k >= self.e:
+            q, k = divmod(k, self.e)
+            c *= self.p**q
         c %= self.coeff_mod
-        return LayerElem(self, {(k, vt): c} if c else {}, lossy)
+        if not c:
+            return LayerElem(self, {}, lossy)
+        if self.keeps_key(k, vt):
+            return LayerElem(self, {(k, vt): c}, lossy)
+        return LayerElem(self, {}, lossy or self._cap_index(vt))
 
     def _from_t_dict(self, acc: dict, lossy: bool) -> "LayerElem":
         """Canonical element from {t-index: coeff} on a ring without variables.
@@ -328,8 +319,7 @@ class LayerRing:
         by p, the Frobenius projection and lifts copy them into another
         lattice, and inverting a composite reduction divides them by p^k
         (div must divide every scaled index; sharp checks that it does).
-        Terms past this ring's window or variable cap fold or drop as in
-        _from_items, and a cap drop marks the result lossy.
+        Terms fold or drop by _from_items' rule.
         """
         terms = x.terms
         if not terms:

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .core import LayerRing
+from .core import CHAR_P, LayerRing
 from .towers import (
     AxiomReport,
     MethodDisagreement,
@@ -449,7 +449,7 @@ def smalltilt_normality_report(handle, samples: int = 1000, seed: int = 0) -> di
     """Per-level normality evidence for the small tilts of an assembled
     tower: exact monogenic-presentation check plus sampled p-root
     closedness of the presentation ring."""
-    from .closure import RingPair, check_root_closed
+    from .closure import RingPair, _monogenic, check_root_closed
     from .tilts import small_tilt
 
     rows = []
@@ -457,11 +457,7 @@ def smalltilt_normality_report(handle, samples: int = 1000, seed: int = 0) -> di
         m_j = handle.top - j
         pres = small_tilt(handle, j, m_j)
         ring = pres.ring
-        monogenic = (
-            isinstance(ring, LayerRing)
-            and ring.num_vars == 0
-            and ring.mode == "char_p"
-        )
+        monogenic = _monogenic(ring) and ring.mode == CHAR_P
         if monogenic:
             pair = RingPair.localization(
                 ring, ring.f0(), c_cap=2, label=f"tilt level {j}"

@@ -220,8 +220,6 @@ class TowerHandle:
     is a t-index >= 1.
     """
 
-    is_product = False
-
     def __init__(
         self,
         *,
@@ -345,8 +343,6 @@ class TowerHandle:
 
 class ProductTower(TowerHandle):
     """Componentwise product of towers sharing levels, e0, ideal and pillar."""
-
-    is_product = True
 
     def __init__(self, components: tuple):
         first = components[0]

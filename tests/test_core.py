@@ -868,9 +868,18 @@ def test_rescale_matches_the_item_copies(data):
     _, dst, mul, div, x = data
     got = dst.rescale(x, mul, div)
     _same(got, reference_rescale(dst, x, mul, div), order=True)
-    dropped = any(
-        Fraction(sum(vt) * mul, div * dst.var_den) > dst.var_cap for _, vt in x.terms
-    )
+    # A drop is lossy when the cap drops a term that is nonzero once folded
+    # through t^e = p, summed with the terms that fold onto its key and
+    # reduced; a term that vanishes mod coeff_mod loses nothing.
+    capped = {}
+    for (k, vt), c in x.terms.items():
+        k, vt = k * mul // div, tuple(j * mul // div for j in vt)
+        if Fraction(sum(vt), dst.var_den) > dst.var_cap:
+            if dst.mode == MIXED:
+                c *= dst.p ** (k // dst.e)
+                k %= dst.e
+            capped[k, vt] = capped.get((k, vt), 0) + c
+    dropped = any(c % dst.coeff_mod for c in capped.values())
     assert got.lossy == (x.lossy or dropped)
     if mul != div:  # a transition and its inverse keep absolute exponents
         assert got.valuation() == x.valuation()
@@ -938,8 +947,8 @@ def _char_p(window, **shape):
     (O(num_vars=1, var_cap=1), (0, (6,), 1, False), {}, True),
     (_char_p(4, num_vars=2, var_den=5, var_cap=Fraction(1, 5)), (9, (1, 0), 1, False),
      {}, False),
-    # 5*x1^{3/5}: the square's raw coefficient 25 meets the cap before it
-    # vanishes mod 25, so x*x is lossy; x**2 reduces 5**2 first and is not
+    # 5*x1^{3/5}: its square 25*x1^{6/5} is past the cap but vanishes mod
+    # 25, so x*x and x**2 are both a zero that is not lossy
     (O(N=2, num_vars=1, var_cap=1), (0, (3,), 5, False), {(0, (3,)): 5}, False),
 ], ids=["zero-lossy", "zero", "zero-mod", "fold", "fold-to-zero", "window",
         "lossy", "cap", "window-under-cap", "product-past-cap"])
@@ -966,6 +975,51 @@ def test_keeps_key_is_the_drop_rule_of_term(ring):
             got = ring._term(k, vt, 1)
             assert ring.keeps_key(k, vt) == bool(got.terms) == (k < 4 and sum(vt) <= 5)
             assert got.lossy == ring._cap_index(vt)
+
+
+def test_square_past_the_cap_that_vanishes_is_not_lossy():
+    ring = O(N=2, num_vars=1, var_cap=1)
+    x = ring.parse("5*x1^{3/5}")
+    for square in (x**2, x * x):
+        assert square.is_zero() and not square.lossy
+    # one nonzero term past the cap still marks its drop
+    y = ring.parse("x1^{3/5}")
+    for square in (y**2, y * y):
+        assert square.is_zero() and square.lossy
+
+
+@st.composite
+def one_term_on_a_variable_ring(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    level = draw(st.integers(min_value=0, max_value=2))
+    ring = O(
+        p=p, N=draw(st.integers(min_value=1, max_value=3)), e=p**level,
+        num_vars=draw(st.integers(min_value=1, max_value=2)),
+        var_cap=draw(st.fractions(min_value=0, max_value=2, max_denominator=4)),
+    )
+    k = draw(st.integers(min_value=0, max_value=ring.e - 1))
+    vt = tuple(
+        draw(st.integers(min_value=0, max_value=ring.var_cap_index))
+        for _ in range(ring.num_vars)
+    )
+    shift = draw(st.integers(min_value=0, max_value=ring.n_digits - 1))
+    unit = draw(st.integers(min_value=1, max_value=ring.coeff_mod - 1))
+    return ring._term(k, vt, unit * p**shift, draw(st.booleans()))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(one_term_on_a_variable_ring())
+def test_square_and_self_product_agree(x):
+    square, product = x**2, x * x
+    assert (square.terms, square.lossy) == (product.terms, product.lossy)
+
+
+def test_from_items_cancelling_at_a_capped_key_is_not_lossy():
+    ring = O(N=2, num_vars=1, var_cap=1)
+    zero = ring._from_items([(0, (6,), 7), (0, (6,), 18)])
+    assert zero.is_zero() and not zero.lossy
+    # the same items with a nonzero sum drop a term, and say so
+    assert ring._from_items([(0, (6,), 7), (0, (6,), 17)]).lossy
 
 
 def test_basis_key_returns_the_basis_tuple():

@@ -3,14 +3,15 @@
 Exponent bookkeeping stays in tiltlab.core: scaling indices between
 lattices (LayerRing.rescale), the absolute index
 (LayerElem.index_valuation), the variable-cap rule
-(LayerRing.var_cap_index) and the keying rule of a characteristic-p ring
-(LayerRing.keeps_key: below the window and under the cap) each live in one
+(LayerRing.var_cap_index) and the keying rule (LayerRing.keeps_key: under
+the cap and, in characteristic p, below the window) each live in one
 place.  The tests fail when another module builds elements from raw keys
 through either private constructor, _from_items or its one-term case
 _term, compares against var_cap or var_den by hand instead of reading
 var_cap_index, or reads a ring's window instead of asking keeps_key; and
-when keeps_key is defined anywhere but LayerRing or _term stops dropping
-keys by it.
+when keeps_key is defined anywhere but LayerRing, or either of
+_from_items and _term stops keeping keys by it or tests the window or the
+cap itself.
 
 No module of the package maps through tiltlab.parallel (the checks are
 serial), and every name the package exports has a reader somewhere in
@@ -113,7 +114,10 @@ def test_the_keying_rule_has_one_definition_in_core():
     ]
     assert defined == ["core.LayerRing"]
     core = ast.parse((PACKAGE / "core.py").read_text(encoding="utf-8"))
-    assert "_term" in _methods_reading(core, "keeps_key")
+    canonicalisers = {"_from_items", "_term"}
+    assert canonicalisers <= _methods_reading(core, "keeps_key")
+    for attr in ("window", "var_cap_index"):
+        assert canonicalisers.isdisjoint(_methods_reading(core, attr)), attr
 
 
 def _mixed_layer_builds(path):

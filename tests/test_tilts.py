@@ -15,6 +15,7 @@ from tiltlab.tilts import (
 )
 from tiltlab.towers import (
     LevelOutOfRange,
+    ProductTower,
     TowerSpec,
     build_tower,
     check_axioms,
@@ -210,4 +211,4 @@ def test_product_tilt_is_componentwise():
     left, right = gen.deepest.parts
     assert left == right
     tilted = tilt_tower(h, 0)
-    assert tilted.is_product
+    assert isinstance(tilted, ProductTower)
