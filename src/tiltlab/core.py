@@ -178,7 +178,6 @@ class LayerRing:
         self.var_cap_index = math.floor(self.var_cap * var_den)
         self._var_monomials = None
         self._basis = None
-        self._basis_index = None
         self._vt_index = None
         self._quotient = None
 
@@ -545,18 +544,22 @@ class LayerRing:
             ]
         return self._basis
 
+    def _position(self, k, vt) -> int:
+        """Where (k, vt), a key this ring keeps, sits in basis_keys(): the
+        basis runs through the t-indices in order, each with every variable
+        monomial in var_monomials() order."""
+        index = self._vt_index
+        if index is None:
+            index = self._vt_index = {v: i for i, v in enumerate(self.var_monomials())}
+        return k * len(index) + index[vt]
+
     def basis_key(self, k, vt):
         """The tuple of basis_keys() equal to (k, vt), a key this ring keeps.
 
         Callers that hold many keys at once share the basis's tuples
-        instead of building their own.  The basis runs through the
-        t-indices in order, each with every variable monomial in
-        var_monomials() order.
+        instead of building their own.
         """
-        index = self._vt_index
-        if index is None:
-            index = self._vt_index = {v: i for i, v in enumerate(self.var_monomials())}
-        return (self._basis or self.basis_keys())[k * len(index) + index[vt]]
+        return (self._basis or self.basis_keys())[self._position(k, vt)]
 
     @property
     def rank(self) -> int:
@@ -564,12 +567,9 @@ class LayerRing:
 
     def to_vec(self, x: "LayerElem"):
         x = self.coerce(x)
-        if self._basis_index is None:
-            self._basis_index = {key: i for i, key in enumerate(self.basis_keys())}
-        idx = self._basis_index
-        vec = [0] * self.rank
-        for key, c in x.terms.items():
-            vec[idx[key]] = c
+        vec = [0] * (self.t_range() * len(self.var_monomials()))
+        for (k, vt), c in x.terms.items():
+            vec[self._position(k, vt)] = c
         return vec
 
     def element_count(self) -> int:

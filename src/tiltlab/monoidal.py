@@ -40,7 +40,7 @@ class SharpResult:
 
     effective_precision is measured on first access by calling measure,
     then cached; callers that only need the value never pay for the
-    comparison stage.
+    comparison stage.  reduced, the value mod the ideal, is cached too.
     """
 
     value: object
@@ -51,6 +51,10 @@ class SharpResult:
     @cached_property
     def effective_precision(self) -> Fraction:
         return self.measure()
+
+    @cached_property
+    def reduced(self):
+        return self.value.ring.reduce_mod_ideal(self.value)
 
     def to_json_dict(self) -> dict:
         return {
@@ -102,12 +106,12 @@ def sharp(handle, x: SmallTiltElem, rng=None) -> SharpResult:
         cap = deep.val_cap
         return cap if v is ABOVE_PRECISION else min(v, cap)
 
-    red = deep.reduce_mod_ideal(value)
-    if not _image_scale_ok(red, handle.transition_scale() ** m):
+    result = SharpResult(value, j, m, measure)
+    if not _image_scale_ok(result.reduced, handle.transition_scale() ** m):
         raise MethodDisagreement(
             "sharp value fails the mod-ideal membership invariant"
         )
-    return SharpResult(value, j, m, measure)
+    return result
 
 
 def check_sharp_reduction(handle, j, samples=100, seed=0) -> Verdict:
@@ -122,10 +126,9 @@ def check_sharp_reduction(handle, j, samples=100, seed=0) -> Verdict:
     rng = random.Random(seed)
     m = handle.top - j
     pres = small_tilt(handle, j, m)
-    deep = handle.layer(j + m)
     checked = 0
     for x in _sample_tilts(pres, rng, samples):
-        lhs = deep.reduce_mod_ideal(sharp(handle, x).value)
+        lhs = sharp(handle, x).reduced
         rhs = handle.tbar_multi(j, j + m, x.component(0))
         if lhs != rhs:
             return Verdict(
@@ -183,9 +186,7 @@ def check_tilt_quotient_iso(handle, j, m, samples=100, seed=0) -> Verdict:
     scale = handle.p**m
 
     def induced(pres_elem):
-        x = pres.from_presentation(pres_elem)
-        value = sharp(handle, x).value
-        red = handle.layer(j + m).reduce_mod_ideal(value)
+        red = sharp(handle, pres.from_presentation(pres_elem)).reduced
         return quot.rescale(red, div=scale)  # invert tbar_multi on its image
 
     hit = set()
@@ -339,7 +340,8 @@ def idempotent_bijection(handle) -> Verdict:
     layer_pool = list(layer_idems)
     for e_flat in tilt_idems:
         x = pres.from_presentation(e_flat)
-        value = sharp(handle, x).value
+        result = sharp(handle, x)
+        value = result.value
         if value not in layer_pool:
             raise MethodDisagreement(
                 f"sharp sends the idempotent {pres.text_of(x)} to "
@@ -347,7 +349,7 @@ def idempotent_bijection(handle) -> Verdict:
             )
         layer_pool.remove(value)
         # Inverse direction: the constant sequence of the image returns x.
-        back = SmallTiltElem(handle, j, m, deep_ring.reduce_mod_ideal(value))
+        back = SmallTiltElem(handle, j, m, result.reduced)
         if back != x:
             raise MethodDisagreement(
                 f"the constant sequence of sharp({pres.text_of(x)}) does not return it"

@@ -226,8 +226,6 @@ def tilted_delta_table(spec: TowerSpec) -> list[dict]:
             if all(reach[k + s] for k in range(window - s)):
                 least = s
                 break
-        if least is None:
-            least = cond
         agrees = least == cond
         if not agrees:
             raise MethodDisagreement(

@@ -483,9 +483,10 @@ def check_axioms(handle, samples: int = 200, seed: int = 0) -> AxiomReport:
     basis monomial is built once, the handle's maps are called on it once
     per pass, and the images feed every axiom that reads them.  What the
     images are compared against (p-th powers, the pillar ideal) is index
-    arithmetic on the basis keys, replayed with ring arithmetic on pairs
-    small enough for the dense cross-checks.  One failure record keeps
-    each axiom's first witness.
+    arithmetic on the basis keys.  On pairs small enough for the dense
+    cross-checks it is replayed with ring arithmetic, and the F_p rank
+    oracle of (b) and (d) reads the images the two passes already hold.
+    One failure record keeps each axiom's first witness.
     """
     if handle.depth < 2:
         raise SpecError("the axiom suite needs depth >= 2")
@@ -546,10 +547,12 @@ def _check_pairs(handle) -> dict[str, Verdict]:
     (_power_terms), and f1_bar times a monomial is the key shifted by each
     key of f1_bar (_ideal_keys), both kept or dropped by the quotient's
     keeps_key.  On pairs within _DENSE_CROSSCHECK_DIM the walk replays that
-    side with ring arithmetic (``mono**p``, ``f1_bar * mono``) and raises
-    MethodDisagreement where the two differ.  An axiom is checked while it
-    is absent from ``failed`` and stores its first failure there, up half
-    before down half within a pair.
+    side with ring arithmetic (``mono**p``, ``f1_bar * mono``), and the rank
+    oracle reads the images the passes hold: while (b), resp. (d), holds,
+    the dense F_p rank of the t-bars, resp. projections, is quotient(n)'s
+    rank.  A replay that differs raises MethodDisagreement.  An axiom is
+    checked while it is absent from ``failed`` and stores its first failure
+    there, up half before down half within a pair.
     """
     p = handle.p
     failed: dict[str, Verdict] = {}
@@ -576,22 +579,15 @@ def _check_pairs(handle) -> dict[str, Verdict]:
         # takes the tail in place, for the same reason.
         f1_bar = handle.layer(n + 1).reduce_mod_ideal(handle.embed(level1, n + 1, f1))
         shifts = list(f1_bar.terms)
-        hit, ideal, kernel, tail = set(), set(), [], []
+        hit, ideal, kernel, tail, projections = set(), set(), [], [], []
         for key in up_keys:
             mono = up.monomial(*key)
             img = handle.frob(n, mono)
-            if "c" not in failed:
-                want = _power_terms(up, key)
-                if replay and (mono**p).terms != want:
-                    raise MethodDisagreement(
-                        f"{mono.to_text()}^{p} disagrees with its key at level {n + 1}"
-                    )
-                out = handle.tbar(n, img)
-                if out.ring != up or out.terms != want:
-                    failed["c"] = _fail(
-                        f"tbar(F({mono.to_text()})) != {mono.to_text()}^p at level {n}",
-                        level=n,
-                    )
+            if replay:
+                projections.append(img)
+            if "c" not in failed and _not_a_power(up, key, mono, handle.tbar(n, img), replay):
+                witness = f"tbar(F({mono.to_text()})) != {mono.to_text()}^p at level {n}"
+                failed["c"] = _fail(witness, level=n)
             if img.is_zero():
                 kernel.append(key)
             else:
@@ -606,10 +602,12 @@ def _check_pairs(handle) -> dict[str, Verdict]:
                 ideal.update(keys)
             if sum(key[1]) * p > up.var_cap_index:
                 tail.append(key)
-        seen, missing = {}, []
+        seen, missing, lifts = {}, [], []
         for key in down_keys:
             mono = down.monomial(*key)
             img = handle.tbar(n, mono)
+            if replay:
+                lifts.append(img)
             if "b" not in failed:
                 if img.is_zero():
                     failed["b"] = _fail(f"t-bar kills {mono.to_text()} at level {n}", level=n)
@@ -618,22 +616,13 @@ def _check_pairs(handle) -> dict[str, Verdict]:
                     failed["b"] = _fail(f"t-bar collides on {witness} at level {n}", level=n)
                 else:
                     seen[img_key] = key
-            if "c" not in failed:
-                want = _power_terms(down, key)
-                if replay and (mono**p).terms != want:
-                    raise MethodDisagreement(
-                        f"{mono.to_text()}^{p} disagrees with its key at level {n}"
-                    )
-                out = handle.frob(n, img)
-                if out.ring != down or out.terms != want:
-                    failed["c"] = _fail(
-                        f"F(tbar({mono.to_text()})) != {mono.to_text()}^p at level {n}",
-                        level=n,
-                    )
+            if "c" not in failed and _not_a_power(down, key, mono, handle.frob(n, img), replay):
+                witness = f"F(tbar({mono.to_text()})) != {mono.to_text()}^p at level {n}"
+                failed["c"] = _fail(witness, level=n)
             if key not in hit:
                 missing.append(key)
-        if "b" not in failed:
-            _crosscheck_rank(handle, n, injective=True)
+        if replay and "b" not in failed:
+            _rank_oracle(up, lifts, len(down_keys), n)
         if "d" not in failed:
             if missing:
                 failed["d"] = _fail(
@@ -642,8 +631,8 @@ def _check_pairs(handle) -> dict[str, Verdict]:
                     level=n,
                     missing=len(missing),
                 )
-            else:
-                _crosscheck_rank(handle, n, injective=False)
+            elif replay:
+                _rank_oracle(down, projections, len(down_keys), n)
         if "f" not in failed:
             expected, n_ideal = ideal, len(ideal)
             expected.update(tail)
@@ -660,6 +649,17 @@ def _check_pairs(handle) -> dict[str, Verdict]:
         f_details["truncation_tail_dim"] = tail_dims
     passed = {k: Verdict(PASS) for k in "bcd"}
     return {**passed, "f": Verdict(PASS, details=f_details), **failed}
+
+
+def _not_a_power(ring, key, mono, out, replay) -> bool:
+    """(c) on a basis monomial: True when out, its image there and back,
+    is not ``mono**p`` as _power_terms reads it off the key (replayed)."""
+    want = _power_terms(ring, key)
+    if replay and (mono**ring.p).terms != want:
+        raise MethodDisagreement(
+            f"{mono.to_text()}^{ring.p} disagrees with its key at level {ring.level}"
+        )
+    return out.ring != ring or out.terms != want
 
 
 def _power_terms(ring, key) -> dict:
@@ -687,16 +687,9 @@ def _ideal_keys(ring, key, shifts) -> list:
     return out
 
 
-def _crosscheck_rank(handle, n, injective: bool):
-    """Replay the combinatorial verdict with a dense F_p rank computation."""
-    src = handle.quotient(n) if injective else handle.quotient(n + 1)
-    dst = handle.quotient(n + 1) if injective else handle.quotient(n)
-    if src.rank > _DENSE_CROSSCHECK_DIM or dst.rank > _DENSE_CROSSCHECK_DIM:
-        return
-    fn = (lambda q: handle.tbar(n, q)) if injective else (lambda q: handle.frob(n, q))
-    rows = [dst.to_vec(fn(src.monomial(*key))) for key in src.basis_keys()]
-    rank = linalg.matrix_rank_fp(rows, handle.p)
-    want = src.rank if injective else dst.rank
+def _rank_oracle(ring, images, want, n):
+    """Replay a combinatorial verdict: the images' dense F_p rank in ring."""
+    rank = linalg.matrix_rank_fp([ring.to_vec(x) for x in images], ring.p)
     if rank != want:
         raise MethodDisagreement(
             f"dense rank {rank} contradicts the combinatorial check at "

@@ -1028,3 +1028,19 @@ def test_basis_key_returns_the_basis_tuple():
         for key in ring.basis_keys():
             k, vt = key
             assert ring.basis_key(k, tuple(list(vt))) is key
+
+
+@pytest.mark.parametrize("ring", [
+    O(), O(num_vars=1, var_cap=1), O(N=2, num_vars=2, var_cap=Fraction(2, 5)),
+    _char_p(4), _char_p(3, num_vars=1, var_den=5, var_cap=1),
+    _char_p(4, num_vars=2, var_den=25, var_cap=Fraction(1, 5)),
+], ids=["mixed", "mixed-1var", "mixed-2vars", "char_p", "char_p-1var", "char_p-2vars"])
+def test_to_vec_places_each_basis_monomial_at_its_basis_position(ring):
+    # to_vec and basis_key share one position rule: the monomial of the
+    # i-th basis key is the i-th unit vector
+    keys = ring.basis_keys()
+    assert len(ring.var_monomials()) > 1 or not ring.num_vars
+    for i, key in enumerate(keys):
+        unit = [0] * len(keys)
+        unit[i] = 1
+        assert ring.to_vec(ring.monomial(*key)) == unit

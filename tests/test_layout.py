@@ -20,6 +20,10 @@ src/, tests/ or perfbench/ beyond its own definition.
 A mixed-characteristic layer ring, LayerRing(..., n_digits=...), is built
 in one place, towers.build_tower, core included: every tower layer comes
 from a TowerSpec and its checks.
+
+The axioms walk the tower's maps once per pair of levels: in towers.py only
+the pair walk, frob_projection and the handles' own methods call .frob or
+.tbar, so no second walk, an oracle's included, maps the basis again.
 """
 
 import ast
@@ -186,3 +190,22 @@ def test_every_export_has_a_reader():
             if path != init:
                 read.update(_references(ast.parse(path.read_text(encoding="utf-8"))))
     assert sorted(exported - read) == []
+
+
+MAP_CALLERS = {"_check_pairs", "frob_projection", "TowerHandle", "ProductTower"}
+
+
+def _map_calls(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        f"{path.name}:{node.lineno} in {owner}"
+        for owner, node in _functions_and_nodes(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in {"frob", "tbar"}
+        and owner not in MAP_CALLERS
+    ]
+
+
+def test_only_the_pair_walk_maps_the_basis_in_towers():
+    assert _map_calls(PACKAGE / "towers.py") == []

@@ -180,6 +180,29 @@ def test_sharp_reduction_diagram_500_samples_depth4():
     assert res.verdict == "PASS" and res.samples >= 500
 
 
+def test_sharp_reduction_reduces_each_sharp_value_once(monkeypatch):
+    # sharp's membership invariant and the diagram read one cached
+    # reduction of the value
+    from tiltlab.core import LayerRing
+
+    calls = {"sharp": 0, "reduce_mod_ideal": 0}
+    real_sharp, real_reduce = monoidal.sharp, LayerRing.reduce_mod_ideal
+
+    def counted_sharp(*args, **kwargs):
+        calls["sharp"] += 1
+        return real_sharp(*args, **kwargs)
+
+    def counted_reduce(*args, **kwargs):
+        calls["reduce_mod_ideal"] += 1
+        return real_reduce(*args, **kwargs)
+
+    monkeypatch.setattr(monoidal, "sharp", counted_sharp)
+    monkeypatch.setattr(LayerRing, "reduce_mod_ideal", counted_reduce)
+    assert check_sharp_reduction(pure5(), 0, samples=20, seed=0).verdict == "PASS"
+    assert calls["sharp"] == 23
+    assert calls["reduce_mod_ideal"] == calls["sharp"]
+
+
 def test_tilt_quotient_iso():
     h = pure5(depth=4)
     # worked instances: j=0 collapses to F_5, j=1 is F_5[T]/(T^5) -> F_5[t]/(t^5)

@@ -325,3 +325,14 @@ def test_assemble_refuses_a_non_positive_pillar_before_building(monkeypatch):
         with pytest.raises(SpecError, match="must be positive"):
             assemble_perfectoid(spec52(), w, depth=2, samples=2,
                                 pillar_valuation_override=bad)
+
+
+def test_tilted_delta_table_without_an_annihilator_is_a_disagreement(monkeypatch):
+    # no shift of the window lies in the semigroup: the tilted side finds
+    # no annihilator, and does not claim agreement with the mixed table
+    from tiltlab import ramified
+    from tiltlab.towers import MethodDisagreement
+
+    monkeypatch.setattr(ramified, "_reachable_table", lambda m, p, bound: [False] * bound)
+    with pytest.raises(MethodDisagreement, match="tilted annihilator None"):
+        tilted_delta_table(spec52())

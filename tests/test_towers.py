@@ -19,10 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiltlab import towers
+from tiltlab.core import RingMismatch
 from tiltlab.towers import (
     _DENSE_CROSSCHECK_DIM,
     FAIL,
-    _crosscheck_rank,
     PASS,
     SAMPLED_PASS,
     LevelOutOfRange,
@@ -635,6 +635,25 @@ def test_axiom_b_rank_oracle_catches_dependent_images():
         check_axioms(broken, samples=5, seed=0)
 
 
+class _UnreducedTbar(TowerHandle):
+    """t-bar lands in the layer ring, not its quotient: keys stay honest."""
+
+    def tbar(self, n, q):
+        return self.layer(n + 1).rescale(super().tbar(n, q))
+
+
+def test_a_wrong_ring_tbar_image_surfaces_at_the_rank_oracle(monkeypatch):
+    # (c)'s up half fails on the first key and (b) reads keys only, so the
+    # t-bar's ring first meets a reader in (b)'s dense rank oracle after the
+    # down pass; without the oracle the report stands
+    with pytest.raises(RingMismatch):
+        check_axioms(_clone(pure5(depth=2), _UnreducedTbar), samples=5, seed=0)
+    monkeypatch.setattr(towers, "_DENSE_CROSSCHECK_DIM", 0)
+    axioms = check_axioms(_clone(pure5(depth=2), _UnreducedTbar), samples=5, seed=0).axioms
+    assert axioms["c"].witness == "tbar(F(1)) != 1^p at level 0"
+    assert all(axioms[k].verdict == PASS for k in "bdf")
+
+
 class _CountingMaps(TowerHandle):
     """The honest tower, counting its t-bar and Frobenius calls."""
 
@@ -651,18 +670,18 @@ def test_pair_walk_maps_each_basis_monomial_once():
     # Counters carry no noise: per pair n, the up-walk projects each
     # quotient(n+1) basis monomial once and (c) lifts that image back with
     # one t-bar; the down-walk takes each quotient(n) monomial's t-bar once
-    # and (c) projects it back once.  The dense rank replays of (b) and (d)
-    # map each monomial once more, on pairs small enough for them.
-    counted = _clone(pure5(depth=2, vars=1, cap=2), _CountingMaps)
-    counted.calls = {"tbar": 0, "frob": 0}
-    assert check_axioms(counted, samples=5, seed=0).all_pass
-    want = {"tbar": 0, "frob": 0}
-    for n in range(counted.start, counted.top):
-        up, down = counted.quotient(n + 1).rank, counted.quotient(n).rank
-        replayed = max(up, down) <= _DENSE_CROSSCHECK_DIM
-        want["frob"] += up + down + (up if replayed else 0)
-        want["tbar"] += down + up + (down if replayed else 0)
-    assert counted.calls == want
+    # and (c) projects it back once.  The dense rank oracle of (b) and (d)
+    # reads those images and maps nothing again.
+    for make, total in [(pure5, 186), (lambda: pure5(depth=2, vars=1, cap=2), 1388)]:
+        counted = _clone(make(), _CountingMaps)
+        counted.calls = {"tbar": 0, "frob": 0}
+        assert check_axioms(counted, samples=5, seed=0).all_pass
+        want = sum(
+            counted.quotient(n + 1).rank + counted.quotient(n).rank
+            for n in range(counted.start, counted.top)
+        )
+        assert want == total
+        assert counted.calls == {"tbar": want, "frob": want}
 
 
 def _counting(calls, name, real):
@@ -694,8 +713,8 @@ def test_pair_walk_resolves_each_quotient_once(monkeypatch):
 @pytest.mark.parametrize("vars", [0, 1], ids=["pure", "vars"])
 def test_pair_walk_reads_each_basis_once_per_pair(monkeypatch, vars):
     # per pair n the up pass reads quotient(n+1)'s basis and the down pass
-    # quotient(n)'s, once each and in that order; the dense rank replays,
-    # which read both again, are stubbed out
+    # quotient(n)'s, once each and in that order; the dense rank oracle,
+    # which runs on both pairs here, reads neither again
     h = pure5(depth=2, vars=vars, cap=2)
     reads = []
     real_keys = towers.LayerRing.basis_keys
@@ -704,7 +723,6 @@ def test_pair_walk_reads_each_basis_once_per_pair(monkeypatch, vars):
         reads.append(ring)
         return real_keys(ring)
 
-    monkeypatch.setattr(towers, "_crosscheck_rank", lambda *args, **kwargs: None)
     monkeypatch.setattr(towers.LayerRing, "basis_keys", counted_keys)
     assert all(v.ok() for v in towers._check_pairs(h).values())
     level = {id(h.quotient(n)): n for n in h.levels}
@@ -824,7 +842,8 @@ def test_replay_catches_a_corrupted_key_side(monkeypatch, name):
 
 def test_rank_crosscheck_past_its_size_cap(monkeypatch):
     # the top pair of pure p=3, N=3, depth 5 has quotient ranks 81 and 243,
-    # past the cap of 200: lift the cap and replay both directions
+    # past the cap of 200: lift the cap and walk every pair with the rank
+    # oracle on, (b)'s t-bars before (d)'s projections in each
     h = build_tower(TowerSpec(prime=3, n_digits=3, depth=5))
     n = h.top - 1
     assert (h.quotient(n).rank, h.quotient(n + 1).rank) == (81, 243)
@@ -838,9 +857,9 @@ def test_rank_crosscheck_past_its_size_cap(monkeypatch):
 
     monkeypatch.setattr(towers, "_DENSE_CROSSCHECK_DIM", 10**6)
     monkeypatch.setattr(towers.linalg, "matrix_rank_fp", counted_rank)
-    _crosscheck_rank(h, n, injective=True)
-    _crosscheck_rank(h, n, injective=False)
-    assert ranks == [81, 81]
+    assert all(v.ok() for v in towers._check_pairs(h).values())
+    assert len(ranks) == 2 * h.depth
+    assert ranks[-2:] == [81, 81]
 
 
 # -- golden reports of the broken towers ------------------------------------------
