@@ -303,7 +303,7 @@ def run_battery(seed: int = 7) -> dict:
     spec52, table, witness, kummer, k_report, n_prime, bound = kummer_tower_5_2(seed)
     diag_rows, diag_ok = [], True
     for j in range(0, 4):
-        red = check_sharp_reduction(h4, j, samples=100, seed=seed + j)
+        red = check_sharp_reduction(h4, j)
         iso = check_tilt_quotient_iso(h4, j, min(2, 4 - j), samples=100, seed=seed + j)
         val = check_pillar_valuation(h4, j)
         diag_ok = diag_ok and red.ok() and iso.ok() and val.ok()
@@ -312,7 +312,7 @@ def run_battery(seed: int = 7) -> dict:
              "iso": iso.verdict, "pillar": val.verdict}
         )
     for j in range(kummer.start, kummer.top):
-        red = check_sharp_reduction(kummer, j, samples=100, seed=seed + j)
+        red = check_sharp_reduction(kummer, j)
         iso = check_tilt_quotient_iso(kummer, j, kummer.top - j, samples=100, seed=seed + j)
         val = check_pillar_valuation(kummer, j)
         diag_ok = diag_ok and red.ok() and iso.ok() and val.ok()

@@ -127,15 +127,13 @@ def test_criterion_04_diagram_and_iso(kummer):
     h = _pure(4)
     ok = True
     for j in range(0, 4):
-        ok = ok and check_sharp_reduction(h, j, samples=100, seed=SEED + j).verdict == "PASS"
+        ok = ok and check_sharp_reduction(h, j).verdict == "PASS"
         ok = ok and check_tilt_quotient_iso(
             h, j, min(2, 4 - j), samples=100, seed=SEED + j
         ).verdict == "PASS"
     for j in range(handle.start, handle.top):
         m_j = handle.top - j
-        ok = ok and check_sharp_reduction(
-            handle, j, samples=100, seed=SEED + j
-        ).verdict == "PASS"
+        ok = ok and check_sharp_reduction(handle, j).verdict == "PASS"
         ok = ok and check_tilt_quotient_iso(
             handle, j, m_j, samples=100, seed=SEED + j
         ).verdict == "PASS"
