@@ -412,9 +412,17 @@ class LayerRing:
                         k = ka + kb
                         acc[k] = get(k, 0) + ca * cb
             return self._from_t_dict(acc, lossy)
+        # Once the product is lossy, a pair whose variable degrees sum past
+        # the cap can only be dropped: no kept key receives it, and the flag
+        # it could set is already set.
+        cap = self.var_cap_index
+        row = [(kb, vb, sum(vb), cb) for (kb, vb), cb in tb.items()]
         items = []
         for (ka, va), ca in ta.items():
-            for (kb, vb), cb in tb.items():
+            room = cap - sum(va)
+            for kb, vb, db, cb in row:
+                if lossy and db > room:
+                    continue
                 vt = tuple(x + y for x, y in zip(va, vb))
                 items.append((ka + kb, vt, ca * cb))
         return self._from_items(items, lossy)
@@ -563,11 +571,11 @@ class LayerRing:
 
     @property
     def rank(self) -> int:
-        return len(self.basis_keys())
+        return self.t_range() * len(self.var_monomials())
 
     def to_vec(self, x: "LayerElem"):
         x = self.coerce(x)
-        vec = [0] * (self.t_range() * len(self.var_monomials()))
+        vec = [0] * self.rank
         for (k, vt), c in x.terms.items():
             vec[self._position(k, vt)] = c
         return vec
@@ -587,12 +595,15 @@ class LayerRing:
             )
 
     def random_element(self, rng, max_terms: int = 3) -> "LayerElem":
-        basis = self.basis_keys()
+        """Up to max_terms random terms on keys drawn as positions in
+        basis_keys(), without building the basis."""
+        mons = self.var_monomials()
+        size = self.rank
         n_terms = rng.randint(1, max_terms)
         items = []
         for _ in range(n_terms):
-            k, vt = basis[rng.randrange(len(basis))]
-            items.append((k, vt, rng.randrange(1, self.coeff_mod)))
+            k, v = divmod(rng.randrange(size), len(mons))
+            items.append((k, mons[v], rng.randrange(1, self.coeff_mod)))
         return self._from_items(items)
 
     # -- units, idempotents, torsion ----------------------------------------

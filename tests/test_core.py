@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from tiltlab.core import (
     ABOVE_PRECISION,
     MIXED,
+    LayerElem,
     LayerRing,
     NonPrime,
     NotInvertible,
@@ -1044,3 +1045,87 @@ def test_to_vec_places_each_basis_monomial_at_its_basis_position(ring):
         unit = [0] * len(keys)
         unit[i] = 1
         assert ring.to_vec(ring.monomial(*key)) == unit
+
+
+# -- variable-layer products ----------------------------------------------------------
+
+
+@st.composite
+def variable_pair(draw):
+    """A ring with perfectoid variables and two elements on its kept keys,
+    each lossy or not."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    e = p ** draw(st.integers(min_value=0, max_value=2))
+    shape = dict(p=p, e=e, ideal_num=e, num_vars=draw(st.integers(1, 2)), var_den=e,
+                 var_cap=draw(st.fractions(min_value=0, max_value=2, max_denominator=4)))
+    if draw(st.booleans()):
+        ring = LayerRing(n_digits=draw(st.integers(1, 3)), **shape)
+    else:
+        ring = LayerRing(window=draw(st.integers(1, 3)) * e, **shape)
+    keys = st.tuples(st.integers(0, ring.t_range() - 1), st.sampled_from(ring.var_monomials()))
+
+    def elem():
+        terms = draw(st.dictionaries(keys, st.integers(1, ring.coeff_mod - 1),
+                                     min_size=1, max_size=6))
+        return ring._from_items([(k, vt, c) for (k, vt), c in terms.items()], draw(st.booleans()))
+
+    return ring, elem(), elem()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(variable_pair())
+def test_variable_mul_matches_item_path(data):
+    # a lossy product skips the pairs past the cap; terms, order and flag
+    # are those of every pair through _from_items
+    _, a, b = data
+    _same(a * b, reference_mul(a, b), order=True)
+    _same(a * a, reference_mul(a, a), order=True)
+
+
+def test_lossy_variable_mul_hands_over_no_pair_past_the_cap(monkeypatch):
+    ring = O(N=2, num_vars=1, var_cap=1)
+    seen = []
+    real = ring._from_items
+
+    def counted(items, lossy=False):
+        seen.append(len(items))
+        return real(items, lossy)
+
+    x = ring.parse("1 + x1^{3/5}")
+    monkeypatch.setattr(ring, "_from_items", counted)
+    # x1^{6/5} lies past the cap: summed and dropped while the inputs are
+    # exact, skipped once an input's flag has set the product's
+    square = x * x
+    assert square.lossy and seen == [4]
+    lossy = LayerElem(ring, x.terms, True)
+    assert (lossy * lossy).terms == square.terms and seen == [4, 3]
+
+
+# -- rank and random elements without a basis -----------------------------------------
+
+
+def reference_random_element(ring, rng, max_terms=3):
+    """random_element as a draw of basis_keys() positions."""
+    basis = ring.basis_keys()
+    items = []
+    for _ in range(rng.randint(1, max_terms)):
+        k, vt = basis[rng.randrange(len(basis))]
+        items.append((k, vt, rng.randrange(1, ring.coeff_mod)))
+    return ring._from_items(items)
+
+
+@pytest.mark.parametrize("ring", [
+    O(), O(num_vars=1, var_cap=1), O(N=2, num_vars=2, var_cap=Fraction(2, 5)),
+    _char_p(4), _char_p(3, num_vars=1, var_den=5, var_cap=1),
+    _char_p(4, num_vars=2, var_den=25, var_cap=Fraction(1, 5)),
+], ids=["mixed", "mixed-1var", "mixed-2vars", "char_p", "char_p-1var", "char_p-2vars"])
+def test_random_element_draws_basis_positions_without_the_basis(ring):
+    assert ring.rank == len(ring.basis_keys())
+    ring._basis = None
+    for seed in range(20):
+        rng, ref = random.Random(seed), random.Random(seed)
+        got = ring.random_element(rng, 4)
+        assert ring._basis is None
+        _same(got, reference_random_element(ring, ref, 4), order=True)
+        assert rng.getstate() == ref.getstate()
+        ring._basis = None

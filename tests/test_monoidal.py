@@ -508,6 +508,58 @@ def test_trials_count_failures_past_the_measured_precision():
     _fails(mult, "4*T^{3/5} * 4*T^{3/5}", failures=2)
 
 
+def _sharp_recording_measures(monkeypatch, perturb=None):
+    """Patch monoidal.sharp to log each stage comparison it runs, and to
+    add perturb(result, rng), when given, to the value."""
+    measured = []
+    real = monoidal.sharp
+
+    def patched(handle, x, rng=None):
+        result = real(handle, x, rng)
+        if perturb is not None:
+            result.value = result.value + perturb(result, x, rng)
+        measure = result.measure
+
+        def recorded():
+            measured.append(x)
+            return measure()
+
+        result.measure = recorded
+        return result
+
+    monkeypatch.setattr(monoidal, "sharp", patched)
+    return measured
+
+
+def test_trials_read_the_bound_only_when_it_decides(monkeypatch):
+    # The battery's trials on pure p=5, N=6, depth 4 at its seed 7: every
+    # difference is exactly zero, so no (m-1)-st stage is ever computed
+    h4 = pure5(depth=4)
+    measured = _sharp_recording_measures(monkeypatch)
+    mult = multiplicativity_trial(h4, 0, 4, pairs=500, seed=7)
+    lift = lift_independence_trial(h4, 0, 4, trials=100, seed=8)
+    assert (mult.verdict, mult.samples, lift.verdict, lift.samples) == ("PASS", 500, "PASS", 100)
+    assert measured == []
+
+
+def test_trials_measure_a_difference_past_a_high_t_power(monkeypatch):
+    # sharp plus t^(eN - 1), on multi-term inputs and randomized lifts:
+    # the differences are nonzero, so the bound is read and decides
+    def top_monomial(result, x, rng):
+        ring = result.value.ring
+        if rng is not None or len(x.deepest.terms) > 1:
+            return ring.monomial(ring.index_cap - 1)
+        return ring.zero()
+
+    measured = _sharp_recording_measures(monkeypatch, top_monomial)
+    h = pure5(depth=3)
+    mult = multiplicativity_trial(h, 0, 2, pairs=30, seed=0)
+    _fails(mult, "T^10 + T^23 * 4*T^7 + 2*T^8 + 3*T^11", failures=4)
+    lift = lift_independence_trial(h, 0, 2, trials=20, seed=0)
+    _fails(lift, "T^10", failures=5)
+    assert measured
+
+
 def _eager_sharp(h, x, rng=None):
     """sharp with its stage comparison done up front, as a reference: the
     value and the agreement valuation of the m-th and (m-1)-st stages."""

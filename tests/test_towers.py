@@ -309,6 +309,14 @@ def test_axioms_pass_with_variable_and_report_tail():
     assert report.axioms["f"].details.get("truncation_tail_dim")
 
 
+def test_axioms_build_no_layer_basis():
+    # (e) samples layer elements by basis position and (g) reads the rank:
+    # neither materialises the layer rings' bases
+    h = pure5(depth=2, vars=1)
+    assert check_axioms(h, samples=10, seed=7).all_pass
+    assert [h.layer(n)._basis for n in h.levels] == [None] * len(h.levels)
+
+
 def test_axioms_pass_on_kummer_tower():
     report = check_axioms(kummer52(), samples=20, seed=7)
     assert report.all_pass
