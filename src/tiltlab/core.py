@@ -653,8 +653,7 @@ class LayerRing:
 
         Multiplication by t is injective below the precision cap, so on a
         single layer every kernel element of a nonzero f is an artifact of
-        truncation; genuinely killed elements only arise from f = 0 (and,
-        through product rings, from factors where f vanishes).
+        truncation; genuinely killed elements only arise from f = 0.
         """
         f = self.coerce(f)
         if f.is_zero():
@@ -949,19 +948,6 @@ class ProductRing:
     def idempotents(self):
         per_factor = [f.idempotents() for f in self.factors]
         return [self.wrap(parts) for parts in itertools.product(*per_factor)]
-
-    def torsion_submodule(self, f):
-        f = self.coerce(f)
-        genuine = []
-        artifact = 0
-        for i, (factor, f_part) in enumerate(zip(self.factors, f.parts)):
-            rep = factor.torsion_submodule(f_part)
-            artifact += rep.artifact_dim
-            for g in rep.genuine:
-                parts = [fac.zero() for fac in self.factors]
-                parts[i] = g
-                genuine.append(self.wrap(parts))
-        return TorsionReport(genuine=genuine, artifact_dim=artifact)
 
 
 class ProductElem:

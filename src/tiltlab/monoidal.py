@@ -37,7 +37,7 @@ from functools import cached_property
 from .core import ABOVE_PRECISION, Fraction, NotInvertible, ProductElem
 from .tilts import SmallTiltElem, ZeroDepth, f_flat_generator, small_tilt
 from .towers import MethodDisagreement, ProductTower
-from .verdict import FAIL, PASS, TRIVIAL_CASE, Verdict
+from .verdict import FAIL, PASS, TRIVIAL_CASE, Verdict, per_component
 
 # The sampled oracle behind check_sharp_reduction's basis decision.
 _ORACLE_SAMPLES = 10
@@ -136,16 +136,18 @@ def check_sharp_reduction(handle, j) -> Verdict:
     additive maps agree everywhere iff they agree on a basis: this is the
     finite form of x^sharp = x^(0) mod p (Scholze, "Perfectoid spaces",
     Lemma 3.4).  The first basis monomial that differs is the FAIL
-    witness; a PASS is exact and records basis_dim.  As an independent
-    oracle, _ORACLE_SAMPLES multi-term inputs drawn at _ORACLE_SEED are
-    compared too; a mismatch there after a basis pass is a
-    MethodDisagreement.  Product towers are decided per component.
+    witness; a PASS is exact and records basis_dim.  Monomials past the
+    variable cap map to 0 on both sides (_past_cap) and are counted, not
+    compared.  As an independent oracle, _ORACLE_SAMPLES multi-term inputs
+    over the whole basis, drawn at _ORACLE_SEED, are compared too; a
+    mismatch there after a basis pass is a MethodDisagreement.
     """
     if isinstance(handle, ProductTower):
-        return _per_component(handle, lambda c, i: check_sharp_reduction(c, j))
+        return per_component(check_sharp_reduction(c, j) for c in handle.components)
     m = handle.top - j
     pres = small_tilt(handle, j, m)
     dom = pres.ring
+    scale = handle.p**m
 
     def agrees(pres_elem):
         x = pres.from_presentation(pres_elem)
@@ -153,7 +155,11 @@ def check_sharp_reduction(handle, j) -> Verdict:
 
     details = {"layer": j, "depth": m}
     basis = dom.basis_keys()
+    restricted = 0
     for k, vt in basis:
+        if _past_cap(dom, vt, scale):
+            restricted += 1
+            continue
         mono = dom.monomial(k, vt)
         if not agrees(mono):
             return Verdict(FAIL, witness=mono.to_text(), name="sharp_reduction",
@@ -167,24 +173,16 @@ def check_sharp_reduction(handle, j) -> Verdict:
         if not agrees(x):
             raise MethodDisagreement(f"diagram fails off the basis at {x.to_text()}")
     details["basis_dim"] = len(basis)
+    if restricted:
+        details["window_restricted_monomials"] = restricted
     return Verdict(PASS, name="sharp_reduction", details=details)
 
 
-def _per_component(handle, check) -> Verdict:
-    """The product rule: sharp, the projections and tbar act componentwise,
-    so a product tower's verdict is its first failing component's, else a
-    PASS with each component's details.  check(component, index) runs the
-    check on one component."""
-    parts = [check(c, i) for i, c in enumerate(handle.components)]
-    bad = next((p for p in parts if not p.ok()), None)
-    if bad is not None:
-        return bad
-    return Verdict(
-        PASS,
-        name=parts[0].name,
-        samples=None if parts[0].samples is None else sum(p.samples for p in parts),
-        details={"components": [p.details for p in parts]},
-    )
+def _past_cap(dom, vt, scale) -> bool:
+    """Whether a presentation monomial with variable exponents vt maps to 0
+    under sharp and under the projections: both raise it to the scale-th
+    (p^m-th) power, which puts its variable degree past the cap."""
+    return sum(vt) * scale > dom.var_cap_index
 
 
 def check_tilt_quotient_iso(handle, j, m, samples=100, seed=0) -> Verdict:
@@ -197,8 +195,9 @@ def check_tilt_quotient_iso(handle, j, m, samples=100, seed=0) -> Verdict:
     stay below the degree cap (recorded in the details).
     """
     if isinstance(handle, ProductTower):
-        return _per_component(
-            handle, lambda c, i: check_tilt_quotient_iso(c, j, m, samples, seed + i)
+        return per_component(
+            check_tilt_quotient_iso(c, j, m, samples, seed + i)
+            for i, c in enumerate(handle.components)
         )
     rng = random.Random(seed)
     pres = small_tilt(handle, j, m)
@@ -216,8 +215,8 @@ def check_tilt_quotient_iso(handle, j, m, samples=100, seed=0) -> Verdict:
     for k, vt in dom.basis_keys():
         if k >= c_j:
             continue
-        if sum(vt) * scale > dom.var_cap_index:
-            restricted += 1  # image would overflow the cap: out of window
+        if _past_cap(dom, vt, scale):
+            restricted += 1
             continue
         img = induced(dom.monomial(k, vt))
         if len(img.terms) != 1:
@@ -274,6 +273,8 @@ def check_tilt_quotient_iso(handle, j, m, samples=100, seed=0) -> Verdict:
 def check_pillar_valuation(handle, j, seed=None) -> Verdict:
     """valuation(sharp(tilt pillar)) equals valuation(layer pillar), and
     their ratio is a unit at precision, for the full-depth tilt at layer j."""
+    if isinstance(handle, ProductTower):
+        return per_component(check_pillar_valuation(c, j, seed) for c in handle.components)
     m = handle.top - j
     rng = random.Random(seed) if seed is not None else None
     fj_flat = f_flat_generator(handle, j, m)
@@ -289,7 +290,7 @@ def check_pillar_valuation(handle, j, seed=None) -> Verdict:
             details={"layer": j, "expected": str(want), "got": str(got)},
         )
     fj_deep = handle.embed(j, j + m, fj)
-    unit_ok, unit_text = _unit_ratio(handle, j + m, result.value, fj_deep)
+    unit_ok, unit_text = _unit_ratio(handle.layer(j + m), result.value, fj_deep)
     if not unit_ok:
         return Verdict(
             FAIL,
@@ -304,24 +305,13 @@ def check_pillar_valuation(handle, j, seed=None) -> Verdict:
     )
 
 
-def _unit_ratio(handle, n, value, monomial_elem):
-    """value / monomial as a unit certificate (componentwise on products).
+def _unit_ratio(ring, value, monomial_elem):
+    """value / monomial as a unit certificate.
 
     The divisor's coefficient may carry p-powers (t-index folds at the
     Eisenstein relation), so the division uses the absolute index and the
     coefficient's unit part, whose p-power is p^((absolute - t-index) / e).
     """
-    if isinstance(handle, ProductTower):
-        texts = []
-        for comp, v_part, m_part in zip(
-            handle.components, value.parts, monomial_elem.parts
-        ):
-            ok, text = _unit_ratio(comp, n, v_part, m_part)
-            if not ok:
-                return False, text
-            texts.append(text)
-        return True, "(" + " | ".join(texts) + ")"
-    ring = handle.layer(n)
     (k, _), c = next(iter(monomial_elem.terms.items()))
     idx = monomial_elem.index_valuation()
     unit = c // ring.p ** ((idx - k) // ring.e)
@@ -391,6 +381,10 @@ def torsion_bijection(handle, tilt_pillar_override=None) -> Verdict:
     records the isomorphism in the trivial case; a mismatch (possible on
     tampered inputs) is a FAIL with the offending side reported.
     """
+    if isinstance(handle, ProductTower):
+        return per_component(
+            torsion_bijection(c, tilt_pillar_override) for c in handle.components
+        )
     levels = {}
     for j in range(handle.start, handle.top):
         pres = small_tilt(handle, j, handle.top - j)

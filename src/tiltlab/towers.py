@@ -35,7 +35,7 @@ from .core import (
     ProductRing,
     is_prime,
 )
-from .verdict import FAIL, NOT_APPLICABLE, PASS, SAMPLED_PASS, Verdict
+from .verdict import FAIL, PASS, SAMPLED_PASS, Verdict, per_component
 
 
 class SpecError(ValueError):
@@ -454,24 +454,6 @@ def _fail(witness: str, **details) -> Verdict:
     return Verdict(FAIL, witness=witness, details=details)
 
 
-def _merge_verdicts(parts: list[Verdict]) -> Verdict:
-    for i, v in enumerate(parts):
-        if v.verdict == FAIL:
-            return Verdict(
-                FAIL, witness=f"component {i}: {v.witness}", details=v.details
-            )
-    samples = [v.samples for v in parts if v.samples is not None]
-    details: dict = {}
-    for i, v in enumerate(parts):
-        if v.details:
-            details[f"component_{i}"] = v.details
-    if any(v.verdict == SAMPLED_PASS for v in parts):
-        return Verdict(SAMPLED_PASS, samples=sum(samples), details=details)
-    if all(v.verdict == NOT_APPLICABLE for v in parts):
-        return Verdict(NOT_APPLICABLE, details=details)
-    return Verdict(PASS, details=details)
-
-
 def check_axioms(handle, samples: int = 200, seed: int = 0) -> AxiomReport:
     """Run the seven tower axioms on every realized pair of levels.
 
@@ -496,7 +478,7 @@ def check_axioms(handle, samples: int = 200, seed: int = 0) -> AxiomReport:
             for i, c in enumerate(handle.components)
         ]
         axioms = {
-            key: _merge_verdicts([r.axioms[key] for r in reports])
+            key: per_component(r.axioms[key] for r in reports)
             for key in reports[0].axioms
         }
         return AxiomReport(axioms=axioms, tower=handle.describe())

@@ -18,6 +18,15 @@ return a Verdict.  The words are part of the report bytes:
 - NOT_APPLICABLE: the statement does not apply to the input.
 - FAIL: a counterexample, reported as the witness.
 - UNDECIDED_AT_PRECISION: a bounded search found nothing; not a refutation.
+
+Product towers have one rule, per_component: tilts, sharp and the
+projections act componentwise, so a check on a ProductTower runs on each
+component and combines the parts.  The first part that does not pass is
+the product's verdict, its witness prefixed "component i: ".  Otherwise
+the product is sampled if any part is, else it keeps the word its parts
+share (PASS when they differ); samples are summed and each part's details
+sit under "component_i".  idempotent_bijection alone is decided on the
+product ring, because its statement counts the product's idempotents.
 """
 
 from __future__ import annotations
@@ -33,9 +42,8 @@ NOT_APPLICABLE = "NOT_APPLICABLE"
 FAIL = "FAIL"
 UNDECIDED_AT_PRECISION = "UNDECIDED_AT_PRECISION"
 
-PASSING = frozenset(
-    {PASS, PASS_EXACT, SAMPLED_PASS, PASS_SAMPLED, TRIVIAL_CASE, NOT_APPLICABLE}
-)
+SAMPLED = frozenset({SAMPLED_PASS, PASS_SAMPLED})
+PASSING = frozenset({PASS, PASS_EXACT, TRIVIAL_CASE, NOT_APPLICABLE}) | SAMPLED
 
 
 @dataclass
@@ -61,3 +69,25 @@ class Verdict:
         if self.details:
             out["details"] = self.details
         return out
+
+
+def per_component(parts) -> Verdict:
+    """Combine the verdicts of a product tower's components, in order."""
+    parts = list(parts)
+    for i, v in enumerate(parts):
+        if not v.ok():
+            return Verdict(v.verdict, witness=f"component {i}: {v.witness}",
+                           samples=v.samples, details=v.details, name=v.name)
+    sampled = [v.verdict for v in parts if v.verdict in SAMPLED]
+    words = {v.verdict for v in parts}
+    if sampled:
+        word = sampled[0]
+    else:
+        word = words.pop() if len(words) == 1 else PASS
+    counts = [v.samples for v in parts if v.samples is not None]
+    return Verdict(
+        word,
+        samples=sum(counts) if counts else None,
+        details={f"component_{i}": v.details for i, v in enumerate(parts) if v.details},
+        name=parts[0].name,
+    )

@@ -21,12 +21,16 @@ A mixed-characteristic layer ring, LayerRing(..., n_digits=...), is built
 in one place, towers.build_tower, core included: every tower layer comes
 from a TowerSpec and its checks.
 
+Product towers have one rule, verdict.per_component: no other module
+builds a "component_i" details key or a "component i: " witness prefix.
+
 The axioms walk the tower's maps once per pair of levels: in towers.py only
 the pair walk, frob_projection and the handles' own methods call .frob or
 .tbar, so no second walk, an oracle's included, maps the basis again.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -209,3 +213,32 @@ def _map_calls(path):
 
 def test_only_the_pair_walk_maps_the_basis_in_towers():
     assert _map_calls(PACKAGE / "towers.py") == []
+
+
+# "component_{i}" keys and "component {i}: " prefixes, with an f-string's
+# fields read as {}; "component {i} of a depth-m tilt" is not one.
+PRODUCT_RULE_TEXT = re.compile(r"component(_| (\{\}|\d+): )")
+
+
+def _product_rule_strings(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr):
+            text = "".join(
+                v.value if isinstance(v, ast.Constant) else "{}" for v in node.values
+            )
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            text = node.value
+        else:
+            continue
+        if PRODUCT_RULE_TEXT.search(text):
+            out.append(f"{path.name}:{node.lineno}")
+    return out
+
+
+def test_only_verdict_builds_the_product_rule():
+    found = [
+        hit for path in sorted(PACKAGE.glob("*.py")) for hit in _product_rule_strings(path)
+    ]
+    assert found and all(hit.startswith("verdict.py:") for hit in found), found

@@ -235,14 +235,35 @@ def test_sharp_reduction_on_products_is_decided_per_component():
     h = _product_tower(2)
     res = check_sharp_reduction(h, 0)
     part = check_sharp_reduction(h.components[0], 0)
-    assert res.verdict == "PASS" and res.samples is None
-    assert res.details == {"components": [part.details, part.details]}
+    assert (res.verdict, res.name, res.samples) == ("PASS", "sharp_reduction", None)
+    assert res.details == {"component_0": part.details, "component_1": part.details}
     assert part.details["basis_dim"] == 25
-    # a product returns its first failing component's verdict
+    # a product returns its first failing component's verdict, witness prefixed
     broken = _clone(pure5(), _CollidingTbar)
-    product = ProductTower((pure5(), broken))
-    assert check_sharp_reduction(product, 1) == check_sharp_reduction(broken, 1)
-    assert check_sharp_reduction(product, 1).verdict == "FAIL"
+    alone = check_sharp_reduction(broken, 1)
+    failed = check_sharp_reduction(ProductTower((pure5(), broken)), 1)
+    _fails(failed, "component 1: " + alone.witness, **alone.details)
+    assert failed.name == "sharp_reduction"
+
+
+def test_sharp_reduction_counts_the_monomials_past_the_cap():
+    # with a variable, sharp and the projections raise a basis monomial to
+    # the p^m-th power; past the cap both sides are 0, so it is not compared
+    h = build_tower(
+        TowerSpec(prime=5, n_digits=3, depth=2, num_vars=1, var_degree_cap=Fraction(1))
+    )
+    res = check_sharp_reduction(h, 0)
+    assert res.verdict == "PASS"
+    assert (res.details["basis_dim"], res.details["window_restricted_monomials"]) == (650, 600)
+    pres = small_tilt(h, 0, 2)
+    both_zero = set()
+    for key in pres.ring.basis_keys():  # oracle: map every basis monomial
+        x = pres.from_presentation(pres.ring.monomial(*key))
+        if sharp(h, x).reduced.is_zero() and h.tbar_multi(0, 2, x.component(0)).is_zero():
+            both_zero.add(key)
+    skipped = {key for key in pres.ring.basis_keys() if monoidal._past_cap(pres.ring, key[1], 25)}
+    assert len(skipped) == 600 and skipped <= both_zero
+    assert check_sharp_reduction(pure5(), 0).details.keys() == {"layer", "depth", "basis_dim"}
 
 
 def test_tilt_quotient_iso_maps_each_sampled_pair_once(monkeypatch):
@@ -331,9 +352,14 @@ def test_monoidal_checks_on_product_towers():
     h = _product_tower(2)
     assert check_sharp_reduction(h, 0).verdict == "PASS"
     iso = check_tilt_quotient_iso(h, 1, 1, samples=20, seed=0)
-    assert iso.verdict == "PASS" and len(iso.details["components"]) == 2
-    assert check_pillar_valuation(h, 0).verdict == "PASS"
-    assert torsion_bijection(h).verdict == "TRIVIAL_CASE"
+    assert (iso.verdict, iso.samples) == ("PASS", 40)
+    assert sorted(iso.details) == ["component_0", "component_1"]
+    val = check_pillar_valuation(h, 0)
+    assert val.verdict == "PASS" and val.details["component_1"]["unit"] == "1"
+    torsion = torsion_bijection(h)
+    assert torsion.verdict == "TRIVIAL_CASE" and sorted(torsion.details) == [
+        "component_0", "component_1"
+    ]
 
 
 def test_nested_product_tilts_componentwise():
@@ -351,18 +377,24 @@ def test_nested_product_tilts_componentwise():
 
 
 def test_torsion_bijection_detects_tampering():
-    # negative control: compare against a tilt-side pillar that is zero in
-    # one factor, which fabricates genuine torsion on the tilt side only
+    # negative control: the second component's tilt-side pillar is 0, which
+    # fabricates genuine torsion on the tilt side of that component only
     h = _product_tower(2)
+    killed = h.components[1]
 
     def tampered(pres):
-        ring = pres.ring
-        left, right = ring.factors
-        return ring.wrap([left.f0(), right.zero()])
+        return pres.ring.zero() if pres.handle is killed else pres.ring.f0()
 
     res = torsion_bijection(h, tilt_pillar_override=tampered)
-    assert res.verdict == "FAIL"
-    assert res.witness
+    assert (res.verdict, res.name) == ("FAIL", "torsion_bijection")
+    assert res.witness.startswith("component 1: layer 0:")
+    # oracle: a zero pillar kills every basis element of the tilt side
+    rank = small_tilt(killed, 0, killed.top).ring.rank
+    assert res.details["0"] == {
+        "layer_genuine": 0, "tilt_genuine": rank,
+        "layer_flags": ["PRECISION_ARTIFACT"], "tilt_flags": [],
+    }
+    assert torsion_bijection(h.components[0], tilt_pillar_override=tampered).ok()
 
 
 # -- negative controls: broken handles each monoidal check must refuse ---------
@@ -449,9 +481,11 @@ def test_tilt_quotient_iso_negative_controls():
     wide = _clone(kummer52(), _WideIdeal)
     _fails(iso(wide, 3, 1, samples=5, seed=0), "T^{3/25}",
            reason="monomial image not a monomial")
-    # a product returns its first failing component's verdict
-    product = ProductTower((pure5(), narrow))
-    assert iso(product, 1, 2, samples=5, seed=0) == iso(narrow, 1, 2, samples=5, seed=0)
+    # a product returns its first failing component's verdict, witness prefixed
+    alone = iso(narrow, 1, 2, samples=5, seed=1)
+    failed = iso(ProductTower((pure5(), narrow)), 1, 2, samples=5, seed=0)
+    _fails(failed, "component 1: " + alone.witness, **alone.details)
+    assert failed.name == "tilt_quotient_iso"
     # the base quotient read mod p^N: 4 * 4 = 16, not 1; 1 + 1 = 2, not 0
     unreduced = _clone(pure5(), _UnreducedBase)
     _fails(iso(unreduced, 0, 2, samples=20, seed=5), "4 * 4", reason="not multiplicative")

@@ -1,11 +1,22 @@
 """Golden bytes for product towers: every check, componentwise.
 
 The reports in data/product_golden.json were recorded before ProductTower
-shared TowerHandle's code; a refactor of the product rule must reproduce
-them byte for byte.  The two library sharp_reduction entries alone were
-re-recorded when that check moved from seeded samples to a decision on
-the monomial basis: their samples count went, and per-component details
-with basis_dim arrived.  Print a fresh copy with
+shared TowerHandle's code; a refactor must reproduce them byte for byte.
+Two sets of library entries were re-recorded since:
+
+- sharp_reduction, when that check moved from seeded samples to a
+  decision on the monomial basis: its samples count went, and
+  per-component details with basis_dim arrived.
+- sharp_reduction, tilt_quotient_iso, pillar_valuation and
+  torsion_bijection in both cases, when every product check moved to the
+  one product rule, verdict.per_component: each component's details now
+  sit under "component_i" (pillar_valuation's "(1 | 1)" unit and
+  torsion_bijection's shared level table split per component), and
+  vars_x_pure's sharp_reduction counts its window_restricted_monomials.
+  No verdict word changed, and the axioms and CLI entries kept their
+  bytes.
+
+Print a fresh copy with
 
     PYTHONPATH=src python tests/test_product_golden.py
 """
