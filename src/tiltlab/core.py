@@ -234,9 +234,9 @@ class LayerRing:
         ring's precision (k below index_cap, on a CHAR_P ring the window)
         and vt lies under the variable cap.
 
-        The one keying rule.  _from_items and _term fold through t^e = p,
-        reduce mod coeff_mod, then keep a nonzero term by this rule; a
-        nonzero term the cap drops marks the result lossy.
+        The one keying rule.  _from_items, _term and key_image fold through
+        t^e = p, reduce mod coeff_mod, then keep a nonzero term by this
+        rule; a nonzero term the cap drops marks the result lossy.
         """
         # _cap_index's test, inlined: _term asks this of every nonzero term.
         return k < self.index_cap and (not self.num_vars or sum(vt) <= self.var_cap_index)
@@ -337,6 +337,29 @@ class LayerRing:
                 for (k, vt), c in terms.items()
             ]
         return self._from_items(items, x.lossy)
+
+    def key_image(self, key, mul: int = 1, lossy: bool = False):
+        """(terms, lossy) of ``rescale(LayerElem(src, {key: 1}, lossy), mul)``,
+        without building either element: the key's indices times mul,
+        folded and kept or dropped by _term's rule.
+
+        The handles' key-level maps are this, so their images come out
+        keyed as the ring keys them.
+        """
+        k, vt = key
+        if mul != 1:
+            k *= mul
+            if vt:
+                vt = tuple([j * mul for j in vt])
+        c = 1
+        if self.mode == MIXED and k >= self.e:
+            q, k = divmod(k, self.e)
+            c = self.p**q % self.coeff_mod
+            if not c:
+                return {}, lossy
+        if self.keeps_key(k, vt):
+            return {(k, vt): c}, lossy
+        return {}, lossy or self._cap_index(vt)
 
     def zero(self) -> "LayerElem":
         return LayerElem(self, {}, False)

@@ -139,8 +139,9 @@ def check_sharp_reduction(handle, j) -> Verdict:
     witness; a PASS is exact and records basis_dim.  Monomials past the
     variable cap map to 0 on both sides (_past_cap) and are counted, not
     compared.  As an independent oracle, _ORACLE_SAMPLES multi-term inputs
-    over the whole basis, drawn at _ORACLE_SEED, are compared too; a
-    mismatch there after a basis pass is a MethodDisagreement.
+    over the monomials the basis pass compared, drawn at _ORACLE_SEED, are
+    compared too; a mismatch there after a basis pass is a
+    MethodDisagreement.
     """
     if isinstance(handle, ProductTower):
         return per_component(check_sharp_reduction(c, j) for c in handle.components)
@@ -155,26 +156,23 @@ def check_sharp_reduction(handle, j) -> Verdict:
 
     details = {"layer": j, "depth": m}
     basis = dom.basis_keys()
-    restricted = 0
-    for k, vt in basis:
-        if _past_cap(dom, vt, scale):
-            restricted += 1
-            continue
-        mono = dom.monomial(k, vt)
+    in_window = [key for key in basis if not _past_cap(dom, key[1], scale)]
+    for key in in_window:
+        mono = dom.monomial(*key)
         if not agrees(mono):
             return Verdict(FAIL, witness=mono.to_text(), name="sharp_reduction",
                            details=details)
     rng = random.Random(_ORACLE_SEED)
-    width = min(3, len(basis))  # the basis has at least p >= 2 keys
+    width = min(3, len(in_window))  # every key (k, 0) is in it: p >= 2 of them
     for _ in range(_ORACLE_SAMPLES):
         x = dom.zero()
-        for key in rng.sample(basis, width):
+        for key in rng.sample(in_window, width):
             x = x + dom.monomial(*key, rng.randrange(1, dom.p))
         if not agrees(x):
             raise MethodDisagreement(f"diagram fails off the basis at {x.to_text()}")
     details["basis_dim"] = len(basis)
-    if restricted:
-        details["window_restricted_monomials"] = restricted
+    if len(in_window) < len(basis):
+        details["window_restricted_monomials"] = len(basis) - len(in_window)
     return Verdict(PASS, name="sharp_reduction", details=details)
 
 

@@ -13,9 +13,15 @@ are index bookkeeping:
   get multiplied by p; entries pushed past the window or the variable
   degree cap vanish.
 
-The axiom checker works on these finite quotients exactly; only the
-Zariskian condition is sampled (the global statement is not decidable at
-truncation, so the unit-ness of 1 + I is tested on random elements).
+A handle defines the transition, its reduction tbar and the Frobenius
+projection once each, on basis keys (transition_key, tbar_key, frob_key:
+LayerRing.key_image of the key, scaled by transition_scale() or copied),
+and derives its element maps from them by linearity.
+
+The axiom checker works on these finite quotients exactly, calling the
+key-level maps on basis keys; only the Zariskian condition is sampled (the
+global statement is not decidable at truncation, so the unit-ness of
+1 + I is tested on random elements).
 """
 
 from __future__ import annotations
@@ -288,12 +294,62 @@ class TowerHandle:
         return self.layer(n).f0()
 
     # -- maps ----------------------------------------------------------------
+    #
+    # Each map is defined once, on basis keys: a hook takes a key of the
+    # source's basis and the input's lossy mark, and returns the image's
+    # terms in the target and the image's lossy mark.  The element maps
+    # extend a hook linearly (_map_terms); the axiom pair walk calls the
+    # hooks on keys.
+
+    def transition_key(self, n: int, key, lossy: bool = False):
+        """The canonical injection on one key: indices times transition_scale()."""
+        return self.layer(n + 1).key_image(key, self.transition_scale(), lossy)
+
+    def tbar_key(self, n: int, key, lossy: bool = False):
+        """The reduced transition on one key of quotient n: indices times
+        transition_scale() in quotient n+1."""
+        return self.quotient(n + 1).key_image(key, self.transition_scale(), lossy)
+
+    def frob_key(self, n: int, key, lossy: bool = False):
+        """The Frobenius projection on one key of quotient n+1: the indices
+        are kept and read one lattice down, so an entry past the target
+        window or variable cap vanishes."""
+        return self.quotient(n).key_image(key, 1, lossy)
+
+    def _map_terms(self, hook, n: int, dst, terms: dict, lossy: bool):
+        """(terms, lossy) in dst of the hook extended linearly to terms.
+
+        Each key's image, already keyed in dst, is scaled by the key's
+        coefficient, and equal keys are summed and reduced mod dst's
+        coeff_mod, as LayerElem.__add__ sums canonical terms.  A term with
+        coefficient 1 maps as the hook says.
+        """
+        if len(terms) == 1:
+            (key, c), = terms.items()
+            image, mark = hook(n, key, lossy)
+            if c == 1:
+                return image, mark
+            scaled, mod = {}, dst.coeff_mod
+            for k, d in image.items():
+                if r := c * d % mod:
+                    scaled[k] = r
+            return scaled, mark
+        if not terms:
+            return {}, lossy
+        acc, marks = {}, lossy
+        get = acc.get
+        for key, c in terms.items():
+            image, mark = hook(n, key, lossy)
+            marks = marks or mark
+            for k, d in image.items():
+                acc[k] = get(k, 0) + c * d
+        mod = dst.coeff_mod
+        return {k: r for k, c in acc.items() if (r := c % mod)}, marks
 
     def transition(self, n: int, x: LayerElem) -> LayerElem:
         """Canonical injection layer n -> layer n+1."""
-        src, dst = self.layer(n), self.layer(n + 1)
-        src.coerce(x)
-        return dst.rescale(x, self.transition_scale())
+        dst, x = self.layer(n + 1), self.layer(n).coerce(x)
+        return LayerElem(dst, *self._map_terms(self.transition_key, n, dst, x.terms, x.lossy))
 
     def embed(self, n_from: int, n_to: int, x: LayerElem) -> LayerElem:
         if n_to < n_from:
@@ -304,9 +360,8 @@ class TowerHandle:
 
     def tbar(self, n: int, q: LayerElem) -> LayerElem:
         """Reduction of the transition: quotient n -> quotient n+1."""
-        src, dst = self.quotient(n), self.quotient(n + 1)
-        src.coerce(q)
-        return dst.rescale(q, self.transition_scale())
+        dst, q = self.quotient(n + 1), self.quotient(n).coerce(q)
+        return LayerElem(dst, *self._map_terms(self.tbar_key, n, dst, q.terms, q.lossy))
 
     def tbar_multi(self, n_from: int, n_to: int, q: LayerElem) -> LayerElem:
         for n in range(n_from, n_to):
@@ -314,14 +369,9 @@ class TowerHandle:
         return q
 
     def frob(self, n: int, q: LayerElem) -> LayerElem:
-        """Frobenius projection: quotient n+1 -> quotient n.
-
-        Indices are preserved and reinterpreted one lattice down; entries
-        past the target window or variable cap vanish.
-        """
-        src, dst = self.quotient(n + 1), self.quotient(n)
-        src.coerce(q)
-        return dst.rescale(q)
+        """Frobenius projection: quotient n+1 -> quotient n."""
+        dst, q = self.quotient(n), self.quotient(n + 1).coerce(q)
+        return LayerElem(dst, *self._map_terms(self.frob_key, n, dst, q.terms, q.lossy))
 
     def frob_multi(self, n_to: int, n_from: int, q: LayerElem) -> LayerElem:
         """Compose projections from quotient n_from down to quotient n_to."""
@@ -461,14 +511,15 @@ def check_axioms(handle, samples: int = 200, seed: int = 0) -> AxiomReport:
     is a sampled proxy (invertibility of 1 + z for z in the ideal), since
     the Jacobson-radical statement quantifies over all maximal ideals.
     Axioms (b), (c), (d) and (f-2) share two passes per pair of levels
-    (_check_pairs), up over quotient(n+1) and down over quotient(n): each
-    basis monomial is built once, the handle's maps are called on it once
-    per pass, and the images feed every axiom that reads them.  What the
-    images are compared against (p-th powers, the pillar ideal) is index
-    arithmetic on the basis keys.  On pairs small enough for the dense
-    cross-checks it is replayed with ring arithmetic, and the F_p rank
-    oracle of (b) and (d) reads the images the two passes already hold.
-    One failure record keeps each axiom's first witness.
+    (_check_pairs), up over quotient(n+1) and down over quotient(n): the
+    handle's key-level maps (frob_key, tbar_key) are called once per basis
+    key and pass, plus once on each nonzero image to map it back, and the
+    images feed every axiom that reads them.  No ring element is built
+    for a key.  What the images are compared against (p-th powers, the
+    pillar ideal) is index arithmetic on the basis keys.  On pairs small
+    enough for the dense cross-checks it is replayed with ring arithmetic,
+    and the F_p rank oracle of (b) and (d) reads the images the two passes
+    already hold.  One failure record keeps each axiom's first witness.
     """
     if handle.depth < 2:
         raise SpecError("the axiom suite needs depth >= 2")
@@ -519,24 +570,31 @@ def _check_pairs(handle) -> dict[str, Verdict]:
     """Axioms (b), (c), (d) and (f), in that order, by two passes per pair
     of levels n, n+1 and one failure record.
 
-    The handle's maps are called once per basis key and pass: the up pass
-    projects each quotient(n+1) monomial and lifts the image back with one
-    t-bar; the down pass takes each quotient(n) monomial's t-bar and
-    projects it back.  The projections feed (c)'s up half, (d)'s hit set
-    and (f-2)'s kernel and truncation tail; the t-bars feed (b), (c)'s
-    down half and (d)'s missing list.  The checker's own side is index
-    arithmetic on keys: a monomial's p-th power is its key times p
-    (_power_terms), and f1_bar times a monomial is the key shifted by each
-    key of f1_bar (_ideal_keys), both kept or dropped by the quotient's
-    keeps_key.  On pairs within _DENSE_CROSSCHECK_DIM the walk replays that
-    side with ring arithmetic (``mono**p``, ``f1_bar * mono``), and the rank
-    oracle reads the images the passes hold: while (b), resp. (d), holds,
-    the dense F_p rank of the t-bars, resp. projections, is quotient(n)'s
-    rank.  A replay that differs raises MethodDisagreement.  An axiom is
-    checked while it is absent from ``failed`` and stores its first failure
-    there, up half before down half within a pair.
+    The passes run on basis keys through the handle's key-level maps: the
+    up pass projects each quotient(n+1) key with frob_key and lifts the
+    image back with tbar_key; the down pass takes each quotient(n) key's
+    tbar_key and projects it back with frob_key.  Images map back through
+    _map_terms, the linear extension the element maps use, which hands an
+    image of one term with coefficient 1 straight to the hook.  Every
+    image must be keyed in its target quotient; a key the quotient does
+    not keep is a MethodDisagreement, never a verdict.  The projections feed (c)'s up
+    half, (d)'s hit set and (f-2)'s kernel and truncation tail; the t-bars
+    feed (b), (c)'s down half and (d)'s missing list.  The checker's own
+    side is index arithmetic on keys: a monomial's p-th power is its key
+    times p (_power_terms), and f1_bar times a monomial is the key shifted
+    by each key of f1_bar (_ideal_keys), both kept or dropped by the
+    quotient's keeps_key.  On pairs within _DENSE_CROSSCHECK_DIM the walk
+    replays that side with ring arithmetic (``mono**p``, ``f1_bar *
+    mono``), and the rank oracle reads the images the passes hold: while
+    (b), resp. (d), holds, the dense F_p rank of the t-bars, resp.
+    projections, is quotient(n)'s rank.  A replay that differs raises
+    MethodDisagreement.  Ring elements are built only for those replays
+    and for failure witnesses.  An axiom is checked while it is absent from
+    ``failed`` and stores its first failure there, up half before down half
+    within a pair.
     """
     p = handle.p
+    tbar, frob, extend = handle.tbar_key, handle.frob_key, handle._map_terms
     failed: dict[str, Verdict] = {}
     # (f-1): the p-th power of the pillar generates the ideal one level up.
     level1 = handle.start + 1
@@ -563,44 +621,51 @@ def _check_pairs(handle) -> dict[str, Verdict]:
         shifts = list(f1_bar.terms)
         hit, ideal, kernel, tail, projections = set(), set(), [], [], []
         for key in up_keys:
-            mono = up.monomial(*key)
-            img = handle.frob(n, mono)
+            img, lossy = frob(n, key)
+            _keyed(down, img, "frob_key", n)
             if replay:
                 projections.append(img)
-            if "c" not in failed and _not_a_power(up, key, mono, handle.tbar(n, img), replay):
-                witness = f"tbar(F({mono.to_text()})) != {mono.to_text()}^p at level {n}"
-                failed["c"] = _fail(witness, level=n)
-            if img.is_zero():
-                kernel.append(key)
+            if "c" not in failed:
+                out = extend(tbar, n, up, img, lossy)[0]
+                _keyed(up, out, "tbar_key", n)
+                if _not_a_power(up, key, out, replay):
+                    text = up.monomial(*key).to_text()
+                    failed["c"] = _fail(f"tbar(F({text})) != {text}^p at level {n}", level=n)
+            if img:
+                hit.add(next(iter(img)))
             else:
-                hit.add(next(iter(img.terms)))
+                kernel.append(key)
             if "f" not in failed:
                 keys = _ideal_keys(up, key, shifts)
-                if replay and (f1_bar * mono).terms.keys() != set(keys):
+                if replay and (f1_bar * up.monomial(*key)).terms.keys() != set(keys):
                     raise MethodDisagreement(
-                        f"f1 * {mono.to_text()} disagrees with its key shifts "
-                        f"at level {n + 1}"
+                        f"f1 * {up.monomial(*key).to_text()} disagrees with its key "
+                        f"shifts at level {n + 1}"
                     )
                 ideal.update(keys)
             if sum(key[1]) * p > up.var_cap_index:
                 tail.append(key)
         seen, missing, lifts = {}, [], []
         for key in down_keys:
-            mono = down.monomial(*key)
-            img = handle.tbar(n, mono)
+            img, lossy = tbar(n, key)
+            _keyed(up, img, "tbar_key", n)
             if replay:
                 lifts.append(img)
             if "b" not in failed:
-                if img.is_zero():
-                    failed["b"] = _fail(f"t-bar kills {mono.to_text()} at level {n}", level=n)
-                elif (img_key := next(iter(img.terms))) in seen:
-                    witness = (mono - down.monomial(*seen[img_key])).to_text()
+                if not img:
+                    text = down.monomial(*key).to_text()
+                    failed["b"] = _fail(f"t-bar kills {text} at level {n}", level=n)
+                elif (img_key := next(iter(img))) in seen:
+                    witness = (down.monomial(*key) - down.monomial(*seen[img_key])).to_text()
                     failed["b"] = _fail(f"t-bar collides on {witness} at level {n}", level=n)
                 else:
                     seen[img_key] = key
-            if "c" not in failed and _not_a_power(down, key, mono, handle.frob(n, img), replay):
-                witness = f"F(tbar({mono.to_text()})) != {mono.to_text()}^p at level {n}"
-                failed["c"] = _fail(witness, level=n)
+            if "c" not in failed:
+                out = extend(frob, n, down, img, lossy)[0]
+                _keyed(down, out, "frob_key", n)
+                if _not_a_power(down, key, out, replay):
+                    text = down.monomial(*key).to_text()
+                    failed["c"] = _fail(f"F(tbar({text})) != {text}^p at level {n}", level=n)
             if key not in hit:
                 missing.append(key)
         if replay and "b" not in failed:
@@ -633,15 +698,28 @@ def _check_pairs(handle) -> dict[str, Verdict]:
     return {**passed, "f": Verdict(PASS, details=f_details), **failed}
 
 
-def _not_a_power(ring, key, mono, out, replay) -> bool:
-    """(c) on a basis monomial: True when out, its image there and back,
-    is not ``mono**p`` as _power_terms reads it off the key (replayed)."""
+def _keyed(ring, terms, hook, n):
+    """Raise unless every key of a hook's image is one the target ring
+    keeps: an image past its window or variable cap is a fault of the
+    map, not a verdict on the tower."""
+    for k, vt in terms:
+        if not ring.keeps_key(k, vt):
+            raise MethodDisagreement(
+                f"{hook} at level {n} returns the key {(k, vt)} outside {ring!r}"
+            )
+
+
+def _not_a_power(ring, key, out, replay) -> bool:
+    """(c) on a basis key: True when out, the terms of its image there and
+    back, are not ``monomial(*key)**p``'s as _power_terms reads them off
+    the key (replayed with ring arithmetic)."""
     want = _power_terms(ring, key)
-    if replay and (mono**ring.p).terms != want:
+    if replay and (ring.monomial(*key) ** ring.p).terms != want:
         raise MethodDisagreement(
-            f"{mono.to_text()}^{ring.p} disagrees with its key at level {ring.level}"
+            f"{ring.monomial(*key).to_text()}^{ring.p} disagrees with its key "
+            f"at level {ring.level}"
         )
-    return out.ring != ring or out.terms != want
+    return out != want
 
 
 def _power_terms(ring, key) -> dict:
@@ -670,8 +748,10 @@ def _ideal_keys(ring, key, shifts) -> list:
 
 
 def _rank_oracle(ring, images, want, n):
-    """Replay a combinatorial verdict: the images' dense F_p rank in ring."""
-    rank = linalg.matrix_rank_fp([ring.to_vec(x) for x in images], ring.p)
+    """Replay a combinatorial verdict: the dense F_p rank in ring of the
+    images, given as terms."""
+    rows = [ring.to_vec(LayerElem(ring, terms)) for terms in images]
+    rank = linalg.matrix_rank_fp(rows, ring.p)
     if rank != want:
         raise MethodDisagreement(
             f"dense rank {rank} contradicts the combinatorial check at "

@@ -882,6 +882,21 @@ def test_rescale_matches_the_item_copies(data):
         assert got.valuation() == x.valuation()
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lattice_map(), st.booleans())
+def test_key_image_is_the_rescale_of_one_key(data, lossy):
+    # The tower maps' key hooks are key_image: a key with coefficient 1
+    # maps to what rescale makes of it, terms and flag, past the target's
+    # window, past its cap and folded through t^e = p ("copy" and "down"
+    # draws copy keys of a finer lattice into a coarser one).
+    src, dst, mul, div, x = data
+    if div != 1:
+        mul = 1
+    for key in x.terms:
+        want = dst.rescale(LayerElem(src, {key: 1}, lossy), mul)
+        assert dst.key_image(key, mul, lossy) == (want.terms, want.lossy)
+
+
 # -- the one-term path against the general loop -------------------------------------
 #
 # LayerRing._term is _from_items on one item.  monomial, from_int, one-term

@@ -9,9 +9,9 @@ place.  The tests fail when another module builds elements from raw keys
 through either private constructor, _from_items or its one-term case
 _term, compares against var_cap or var_den by hand instead of reading
 var_cap_index, or reads a ring's window instead of asking keeps_key; and
-when keeps_key is defined anywhere but LayerRing, or either of
-_from_items and _term stops keeping keys by it or tests the window or the
-cap itself.
+when keeps_key is defined anywhere but LayerRing, or any of _from_items,
+_term and key_image (the key-level form the tower maps use) stops keeping
+keys by it or tests the window or the cap itself.
 
 No module of the package maps through tiltlab.parallel (the checks are
 serial), and every name the package exports has a reader somewhere in
@@ -24,9 +24,14 @@ from a TowerSpec and its checks.
 Product towers have one rule, verdict.per_component: no other module
 builds a "component_i" details key or a "component i: " witness prefix.
 
-The axioms walk the tower's maps once per pair of levels: in towers.py only
-the pair walk, frob_projection and the handles' own methods call .frob or
-.tbar, so no second walk, an oracle's included, maps the basis again.
+Each tower map has one key-level definition, a hook on TowerHandle
+(transition_key, tbar_key, frob_key).  Only the axioms' pair walk and the
+element maps derived from the hooks read them, and no class in src/ but
+ProductTower, whose maps go componentwise, overrides the element tbar or
+frob, so every map the handles offer is the one the walk checks.  In
+towers.py only frob_projection and the handles' own methods call the
+element .frob or .tbar: the walk maps keys, and no second walk, an
+oracle's included, maps the basis again.
 """
 
 import ast
@@ -122,7 +127,7 @@ def test_the_keying_rule_has_one_definition_in_core():
     ]
     assert defined == ["core.LayerRing"]
     core = ast.parse((PACKAGE / "core.py").read_text(encoding="utf-8"))
-    canonicalisers = {"_from_items", "_term"}
+    canonicalisers = {"_from_items", "_term", "key_image"}
     assert canonicalisers <= _methods_reading(core, "keeps_key")
     for attr in ("window", "var_cap_index"):
         assert canonicalisers.isdisjoint(_methods_reading(core, attr)), attr
@@ -196,7 +201,7 @@ def test_every_export_has_a_reader():
     assert sorted(exported - read) == []
 
 
-MAP_CALLERS = {"_check_pairs", "frob_projection", "TowerHandle", "ProductTower"}
+MAP_CALLERS = {"frob_projection", "TowerHandle", "ProductTower"}
 
 
 def _map_calls(path):
@@ -213,6 +218,58 @@ def _map_calls(path):
 
 def test_only_the_pair_walk_maps_the_basis_in_towers():
     assert _map_calls(PACKAGE / "towers.py") == []
+
+
+HOOKS = {"transition_key", "tbar_key", "frob_key"}
+HOOK_READERS = {
+    "towers._check_pairs",
+    "towers.TowerHandle.transition",
+    "towers.TowerHandle.tbar",
+    "towers.TowerHandle.frob",
+}
+ELEMENT_MAP_OWNERS = {"TowerHandle", "ProductTower"}
+
+
+def _methods_and_nodes(tree):
+    """(Class.method, or the top-level function's name, or None; node)."""
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            for item in top.body:
+                name = f"{top.name}.{item.name}" if isinstance(item, ast.FunctionDef) else None
+                for node in ast.walk(item):
+                    yield name, node
+        else:
+            name = top.name if isinstance(top, ast.FunctionDef) else None
+            for node in ast.walk(top):
+                yield name, node
+
+
+def test_only_the_walk_and_the_element_maps_read_the_hooks():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [
+            f"{path.stem}.{owner}:{node.lineno}"
+            for owner, node in _methods_and_nodes(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in HOOKS
+            and f"{path.stem}.{owner}" not in HOOK_READERS
+        ]
+    assert found == []
+
+
+def test_no_element_tbar_or_frob_escapes_the_walk():
+    overrides = [
+        f"{path.stem}.{cls.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef)
+        and any(
+            isinstance(item, ast.FunctionDef) and item.name in {"tbar", "frob"}
+            for item in cls.body
+        )
+    ]
+    assert sorted(overrides) == sorted(f"towers.{name}" for name in ELEMENT_MAP_OWNERS)
 
 
 # "component_{i}" keys and "component {i}: " prefixes, with an f-string's

@@ -3,6 +3,7 @@ and torsion transfer."""
 
 import functools
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -264,6 +265,30 @@ def test_sharp_reduction_counts_the_monomials_past_the_cap():
     skipped = {key for key in pres.ring.basis_keys() if monoidal._past_cap(pres.ring, key[1], 25)}
     assert len(skipped) == 600 and skipped <= both_zero
     assert check_sharp_reduction(pure5(), 0).details.keys() == {"layer", "depth", "basis_dim"}
+
+
+def test_sharp_reduction_oracle_draws_inside_the_cap_window(monkeypatch):
+    # The oracle cross-checks the basis decision, so it draws its terms from
+    # the monomials that decision compared.  Drawn from the whole basis of
+    # this tower (product_golden's vars_x_pure variable component), 9 of the
+    # 10 inputs at j = 0 had no term inside the window and compared 0 with 0.
+    h = build_tower(
+        TowerSpec(prime=5, n_digits=3, depth=3, num_vars=1, var_degree_cap=Fraction(1))
+    )
+    draws = []
+
+    class Recording(random.Random):
+        def sample(self, population, k):
+            draws.append(super().sample(population, k))
+            return draws[-1]
+
+    monkeypatch.setattr(monoidal, "random", types.SimpleNamespace(Random=Recording))
+    for j in range(h.start, h.top):
+        draws.clear()
+        assert check_sharp_reduction(h, j).verdict == "PASS"
+        dom, scale = small_tilt(h, j, h.top - j).ring, 5 ** (h.top - j)
+        assert len(draws) == 10
+        assert all(not monoidal._past_cap(dom, vt, scale) for keys in draws for _, vt in keys)
 
 
 def test_tilt_quotient_iso_maps_each_sampled_pair_once(monkeypatch):

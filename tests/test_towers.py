@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiltlab import towers
-from tiltlab.core import RingMismatch
+from tiltlab.core import LayerElem
 from tiltlab.towers import (
     _DENSE_CROSSCHECK_DIM,
     FAIL,
@@ -291,6 +291,71 @@ def test_frob_kernel_matches_dense_linear_algebra():
             assert support <= killed
 
 
+# -- the element maps against the lattice map they replaced ---------------------------
+#
+# transition, tbar and frob are derived from the key hooks.  The oracle is
+# what they were before: LayerRing.rescale by transition_scale() (transition,
+# tbar) or by 1 (frob), as that method stood then.
+
+
+def rescale_oracle(target, x, mul):
+    terms = x.terms
+    if not terms:
+        return LayerElem(target, {}, x.lossy)
+    if len(terms) == 1:
+        ((k, vt), c), = terms.items()
+        if mul != 1:
+            k = k * mul
+            vt = tuple(j * mul for j in vt)
+        return target._term(k, vt, c, x.lossy)
+    items = [(k * mul, tuple(j * mul for j in vt), c) for (k, vt), c in terms.items()]
+    return target._from_items(items, x.lossy)
+
+
+@functools.lru_cache(maxsize=None)
+def _map_towers():
+    return (
+        pure5(depth=3),
+        kummer52(depth=3),
+        pure5(depth=2, vars=1, cap=2),
+        build_tower(TowerSpec(prime=3, n_digits=4, depth=2, num_vars=2,
+                              var_degree_cap=Fraction(1))),
+    )
+
+
+@st.composite
+def element_map_case(draw):
+    """(handle, map name, n, x): x a random element, multi-term and lossy
+    or not, of the map's source at some level of one of _map_towers."""
+    h = draw(st.sampled_from(_map_towers()))
+    name = draw(st.sampled_from(["transition", "tbar", "frob"]))
+    n = draw(st.integers(min_value=h.start, max_value=h.top - 1))
+    src = {"transition": h.layer(n), "tbar": h.quotient(n), "frob": h.quotient(n + 1)}[name]
+    keys = src.basis_keys()
+    items = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        key = keys[draw(st.integers(min_value=0, max_value=len(keys) - 1))]
+        unit = draw(st.just(1) | st.integers(min_value=1, max_value=src.coeff_mod - 1))
+        shift = draw(st.integers(min_value=0, max_value=src.n_digits - 1))
+        items.append((*key, unit * src.p**shift))
+    return h, name, n, src._from_items(items, draw(st.booleans()))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(element_map_case())
+def test_element_maps_match_the_rescale_they_replaced(case):
+    h, name, n, x = case
+    target, mul = {
+        "transition": (h.layer(n + 1), h.transition_scale()),
+        "tbar": (h.quotient(n + 1), h.transition_scale()),
+        "frob": (h.quotient(n), 1),
+    }[name]
+    got, want = getattr(h, name)(n, x), rescale_oracle(target, x, mul)
+    assert got.ring is want.ring
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert got.lossy == want.lossy
+
+
 # -- the axiom suite ------------------------------------------------------------------
 
 
@@ -502,13 +567,11 @@ class _LossyRoundTrip(TowerHandle):
     pass; only (c)'s down half, F(tbar(y)) == y^p, sees the defect.
     """
 
-    def tbar(self, n, q):
-        out = super().tbar(n, q)
-        return type(out)(out.ring, out.terms, True)
+    def tbar_key(self, n, key, lossy=False):
+        return super().tbar_key(n, key, lossy)[0], True
 
-    def frob(self, n, q):
-        out = super().frob(n, q)
-        return out.ring.zero() if q.lossy else out
+    def frob_key(self, n, key, lossy=False):
+        return ({}, False) if lossy else super().frob_key(n, key, lossy)
 
 
 def _clone(handle, cls):
@@ -531,14 +594,14 @@ def test_negative_control_axiom_b():
 class _ExtraDrop(TowerHandle):
     """Frobenius projection drops the upper half of each target window."""
 
-    def frob(self, n, q):
-        out = super().frob(n, q)
+    def frob_key(self, n, key, lossy=False):
+        terms, lossy = super().frob_key(n, key, lossy)
         keep = {
             key: c
-            for key, c in out.terms.items()
+            for key, c in terms.items()
             if key[0] < max(1, self.ideal_index(n) // 2)
         }
-        return type(out)(out.ring, keep, out.lossy)
+        return keep, lossy
 
 
 def test_negative_control_axiom_d():
@@ -595,21 +658,17 @@ def test_negative_control_axiom_a():
 
 
 class _TamperedTbar(TowerHandle):
-    """tbar at level 1 sends its first two basis monomials x, y to images
-    chosen by ``images(ix, iy)``, where ix, iy are their honest images;
-    every other input keeps the honest map."""
+    """t-bar at level 1 sends its first two basis keys x, y to the terms
+    chosen by ``images(ix, iy)``, where ix, iy are their honest image terms;
+    every other key keeps the honest map."""
 
-    def tbar(self, n, q):
-        out = super().tbar(n, q)
-        if n != 1:
-            return out
-        src = self.quotient(n)
-        x, y = (src.monomial(*key) for key in src.basis_keys()[:2])
-        if q != x and q != y:
-            return out
-        ix, iy = super().tbar(n, x), super().tbar(n, y)
+    def tbar_key(self, n, key, lossy=False):
+        first = self.quotient(n).basis_keys()[:2]
+        if n != 1 or key not in first:
+            return super().tbar_key(n, key, lossy)
+        ix, iy = (super(_TamperedTbar, self).tbar_key(n, k, lossy)[0] for k in first)
         new_x, new_y = self.images(ix, iy)
-        return new_x if q == x else new_y
+        return (new_x if key == first[0] else new_y), lossy
 
 
 class _CollidingTbar(_TamperedTbar):
@@ -622,11 +681,8 @@ class _DependentTbar(_TamperedTbar):
     the first keys differ and only the dense F_p rank sees the defect."""
 
     def images(self, ix, iy):
-        (kx, cx), (ky, cy) = *ix.terms.items(), *iy.terms.items()
-        return (
-            type(ix)(ix.ring, {kx: cx, ky: cy}),
-            type(ix)(ix.ring, {ky: cy, kx: cx}),
-        )
+        (kx, cx), (ky, cy) = *ix.items(), *iy.items()
+        return {kx: cx, ky: cy}, {ky: cy, kx: cx}
 
 
 def test_negative_control_axiom_b_collision_witness():
@@ -643,53 +699,80 @@ def test_axiom_b_rank_oracle_catches_dependent_images():
         check_axioms(broken, samples=5, seed=0)
 
 
-class _UnreducedTbar(TowerHandle):
-    """t-bar lands in the layer ring, not its quotient: keys stay honest."""
+class _UnkeptFrob(TowerHandle):
+    """The projection copies every key, past the target's window and cap."""
 
-    def tbar(self, n, q):
-        return self.layer(n + 1).rescale(super().tbar(n, q))
+    def frob_key(self, n, key, lossy=False):
+        return {key: 1}, lossy
 
 
-def test_a_wrong_ring_tbar_image_surfaces_at_the_rank_oracle(monkeypatch):
-    # (c)'s up half fails on the first key and (b) reads keys only, so the
-    # t-bar's ring first meets a reader in (b)'s dense rank oracle after the
-    # down pass; without the oracle the report stands
-    with pytest.raises(RingMismatch):
-        check_axioms(_clone(pure5(depth=2), _UnreducedTbar), samples=5, seed=0)
-    monkeypatch.setattr(towers, "_DENSE_CROSSCHECK_DIM", 0)
-    axioms = check_axioms(_clone(pure5(depth=2), _UnreducedTbar), samples=5, seed=0).axioms
-    assert axioms["c"].witness == "tbar(F(1)) != 1^p at level 0"
-    assert all(axioms[k].verdict == PASS for k in "bdf")
+class _UnkeptTbar(TowerHandle):
+    """t-bar scales indices by p^2 and keeps every key it makes, past the
+    target's window and cap."""
+
+    def tbar_key(self, n, key, lossy=False):
+        s = self.p**2
+        k, vt = key
+        return {(k * s, tuple(j * s for j in vt)): 1}, lossy
+
+
+@pytest.mark.parametrize(
+    "cls, make, where",
+    [
+        (_UnkeptFrob, lambda: pure5(depth=2), "frob_key at level 0 returns the key (1, ())"),
+        (_UnkeptFrob, lambda: _vars5(), "frob_key at level 0 returns the key (0, (3,))"),
+        (_UnkeptTbar, lambda: pure5(depth=2), "tbar_key at level 1 returns the key (25, ())"),
+        (_UnkeptTbar, lambda: _vars5(), "tbar_key at level 0 returns the key (0, (25,))"),
+    ],
+    ids=["frob-window", "frob-cap", "tbar-window", "tbar-cap"],
+)
+def test_a_hook_key_the_target_does_not_keep_is_a_fault(monkeypatch, cls, make, where):
+    # The maps' target ring comes from the handle, so a wrong-ring image
+    # cannot be written; what a broken hook can still do is return a key
+    # past the target quotient's window or variable cap.  The walk refuses
+    # it, with the small-pair replay on and off: it never reads as a verdict.
+    for dim in (_DENSE_CROSSCHECK_DIM, 0):
+        monkeypatch.setattr(towers, "_DENSE_CROSSCHECK_DIM", dim)
+        with pytest.raises(MethodDisagreement) as caught:
+            check_axioms(_clone(make(), cls), samples=5, seed=0)
+        assert str(caught.value).startswith(where + " outside LayerRing(")
 
 
 class _CountingMaps(TowerHandle):
-    """The honest tower, counting its t-bar and Frobenius calls."""
+    """The honest tower, counting its t-bar and Frobenius hook calls."""
 
-    def tbar(self, n, q):
+    def tbar_key(self, n, key, lossy=False):
         self.calls["tbar"] += 1
-        return super().tbar(n, q)
+        return super().tbar_key(n, key, lossy)
 
-    def frob(self, n, q):
+    def frob_key(self, n, key, lossy=False):
         self.calls["frob"] += 1
-        return super().frob(n, q)
+        return super().frob_key(n, key, lossy)
 
 
 def test_pair_walk_maps_each_basis_monomial_once():
-    # Counters carry no noise: per pair n, the up-walk projects each
-    # quotient(n+1) basis monomial once and (c) lifts that image back with
-    # one t-bar; the down-walk takes each quotient(n) monomial's t-bar once
-    # and (c) projects it back once.  The dense rank oracle of (b) and (d)
-    # reads those images and maps nothing again.
-    for make, total in [(pure5, 186), (lambda: pure5(depth=2, vars=1, cap=2), 1388)]:
+    # Counters carry no noise.  Per pair n the up pass calls frob_key once
+    # per quotient(n+1) key and lifts each nonzero image back with one
+    # tbar_key; the down pass calls tbar_key once per quotient(n) key and
+    # projects each image back with one frob_key.  A zero image has no key
+    # to map.  On an honest tower the projection sends the keys outside
+    # its kernel one to one onto quotient(n)'s basis, so tbar_key runs
+    # 2 rank(n) times per pair.  The dense rank oracle of (b) and (d) reads
+    # the images the passes hold and maps nothing again.
+    for make, frob_total, tbar_total in [
+        (pure5, 186, 62),
+        (lambda: pure5(depth=2, vars=1, cap=2), 1388, 116),
+    ]:
         counted = _clone(make(), _CountingMaps)
         counted.calls = {"tbar": 0, "frob": 0}
         assert check_axioms(counted, samples=5, seed=0).all_pass
-        want = sum(
-            counted.quotient(n + 1).rank + counted.quotient(n).rank
+        ranks = [
+            (counted.quotient(n + 1).rank, counted.quotient(n).rank)
             for n in range(counted.start, counted.top)
-        )
-        assert want == total
-        assert counted.calls == {"tbar": want, "frob": want}
+        ]
+        assert sum(up + down for up, down in ranks) == frob_total
+        assert sum(2 * down for _, down in ranks) == tbar_total
+        assert counted.calls == {"tbar": tbar_total, "frob": frob_total}
 
 
 def _counting(calls, name, real):
@@ -701,8 +784,8 @@ def _counting(calls, name, real):
 
 
 def test_pair_walk_resolves_each_quotient_once(monkeypatch):
-    # The handle resolves each level's quotient once and keeps it.  Basis
-    # monomials and their images have one term each and skip _from_items;
+    # The handle resolves each level's quotient once and keeps it.  The
+    # walk maps keys, and the maps sum their images without _from_items;
     # what is left is one reduction of f1 per pair, whatever the basis size.
     counts, ranks = {}, {}
     for cap in (1, 2):
@@ -735,6 +818,25 @@ def test_pair_walk_reads_each_basis_once_per_pair(monkeypatch, vars):
     assert all(v.ok() for v in towers._check_pairs(h).values())
     level = {id(h.quotient(n)): n for n in h.levels}
     assert [level[id(q)] for q in reads] == [1, 0, 2, 1]
+
+
+def test_pair_walk_builds_no_elements_past_the_replay(monkeypatch):
+    # Past _DENSE_CROSSCHECK_DIM the walk maps keys through the hooks and
+    # compares keys.  The elements it builds are (f-1)'s pillar f1, f1^p and
+    # f0, then per pair f1's embedding (one per transition) and f1_bar:
+    # 3 + (1 + 2) on a depth-2 tower, whatever the basis size.
+    counts, ranks = {}, {}
+    for cap in (1, 2):
+        h = pure5(depth=2, vars=1, cap=cap)
+        calls = counts[cap] = {"__init__": 0}
+        with monkeypatch.context() as patch:
+            patch.setattr(towers, "_DENSE_CROSSCHECK_DIM", 0)
+            real = towers.LayerElem.__init__
+            patch.setattr(towers.LayerElem, "__init__", _counting(calls, "__init__", real))
+            assert all(v.ok() for v in towers._check_pairs(h).values())
+        ranks[cap] = h.quotient(h.top).rank
+    assert ranks == {1: 650, 2: 1275}
+    assert counts[1] == counts[2] == {"__init__": 6}
 
 
 def test_pair_walk_builds_no_reference_elements(monkeypatch):
