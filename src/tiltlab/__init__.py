@@ -23,6 +23,7 @@ from .core import (
 )
 from .towers import (
     AxiomReport,
+    ComponentwiseMaps,
     LevelOutOfRange,
     MethodDisagreement,
     ProductTower,

@@ -311,37 +311,38 @@ class LayerRing:
                         terms[(k, vt)] = c
         return LayerElem(self, terms, lossy)
 
-    def rescale(self, x: "LayerElem", mul: int = 1, div: int = 1) -> "LayerElem":
-        """x's terms in this ring, each t- and variable index times mul over div.
+    def rescale(self, x: "LayerElem", div: int = 1) -> "LayerElem":
+        """x's terms in this ring, each t- and variable index divided by div.
 
-        The one map between exponent lattices: a transition scales indices
-        by p, the Frobenius projection and lifts copy them into another
-        lattice, and inverting a composite reduction divides them by p^k
-        (div must divide every scaled index; sharp checks that it does).
-        Terms fold or drop by _from_items' rule.
+        The lattice map of lifts and presentations: a lift copies indices
+        into another lattice, and inverting a composite reduction divides
+        them by p^k (div must divide every index; sharp checks that it
+        does).  Terms fold or drop by _from_items' rule.  The tower maps
+        scale indices key by key instead (key_image).
         """
         terms = x.terms
         if not terms:
             return LayerElem(self, {}, x.lossy)
         if len(terms) == 1:
             ((k, vt), c), = terms.items()
-            if mul != 1 or div != 1:
-                k = k * mul // div
-                vt = tuple(j * mul // div for j in vt)
+            if div != 1:
+                k //= div
+                vt = tuple(j // div for j in vt)
             return self._term(k, vt, c, x.lossy)
-        if mul == div == 1:
+        if div == 1:
             items = [(k, vt, c) for (k, vt), c in terms.items()]
         else:
             items = [
-                (k * mul // div, tuple(j * mul // div for j in vt), c)
+                (k // div, tuple(j // div for j in vt), c)
                 for (k, vt), c in terms.items()
             ]
         return self._from_items(items, x.lossy)
 
     def key_image(self, key, mul: int = 1, lossy: bool = False):
-        """(terms, lossy) of ``rescale(LayerElem(src, {key: 1}, lossy), mul)``,
-        without building either element: the key's indices times mul,
-        folded and kept or dropped by _term's rule.
+        """(terms, lossy) in this ring of the key (k, vt) with coefficient 1
+        and the given lossy mark, its indices times mul: folded through
+        t^e = p and kept or dropped by _term's rule, without building an
+        element.
 
         The handles' key-level maps are this, so their images come out
         keyed as the ring keys them.
@@ -790,30 +791,70 @@ class LayerElem:
         return result
 
     def p_power(self, m: int) -> "LayerElem":
-        """self ** p**m, as m successive p-th powers at rising precision.
+        """self ** p**m, as m successive p-th powers at rising precision,
+        on the unit part only.
 
         If a = b mod p^k with k >= 1, then a^p = b^p mod p^(k+1) by the
-        binomial theorem, so self^(p^m) mod p^N depends only on self mod
-        p^max(1, N-m).  Step i of the chain therefore works mod
-        p^max(1, N-m+i), and only the last step runs at full precision.
-        Each product picks the sparse or dense path by _mul's rule; once
-        dense, the chain stays on one coefficient list, which saves a term
-        dict per product.  Single-term elements, char-p layers and layers
-        with variables take __pow__.
+        binomial theorem, so a^(p^m) mod p^M depends only on a mod
+        p^max(1, M-m) (Scholze, "Perfectoid spaces", Lemma 3.4).  Step i
+        of the chain therefore works mod p^max(1, M-m+i), and only the
+        last step runs at full precision M.  Each product picks the sparse
+        or dense path by _mul's rule; once dense, the chain stays on one
+        coefficient list, which saves a term dict per product.
+
+        A monogenic mixed layer is the truncated DVR O/t^(eN), and
+        v = index_valuation() is its exact valuation, so self^(p^m) has
+        index p^m*v below index_cap and is 0 exactly when p^m*v reaches
+        it; then no product is made.  A unit (v = 0) runs the chain with
+        M = N.  Otherwise self = t^v * w with w a unit: the representative
+        with coefficients in [0, p^N) divides exactly in O, and w is known
+        mod p^N / t^v, hence mod p^(N - ceil(v/e)), which covers the
+        chain's start p^max(1, N-q-m) (for N = 1 the ring has
+        characteristic p, where the power is additive and reads w mod
+        t^(e-v) only).  With t^(p^m*v) = p^q * t^s, the chain runs on w
+        with M = N - q, and one pass multiplies by p^q * t^s, folding
+        through t^e = p once where the index passes e.
+
+        Single-term elements, char-p layers and layers with variables take
+        __pow__.
         """
         if m < 0:
             raise ValueError("negative powers are not defined here")
         ring = self.ring
         if m == 0 or len(self.terms) < 2 or ring.mode != MIXED or ring.num_vars:
             return self ** ring.p**m
-        p, n = ring.p, ring.n_digits
+        p, n, e = ring.p, ring.n_digits, ring.e
+        terms, vt = self.terms, ring._zero_vt
+        v = 0 if terms.get((0, vt), 0) % p else self.index_valuation()
+        if v:
+            shift = p**m * v
+            if shift >= ring.index_cap:
+                return LayerElem(ring, {}, self.lossy)
+            q, s = divmod(shift, e)
+            n -= q
+            # w = self / t^v: a key below v borrows ceil((v-k)/e) factors p
+            terms = {}
+            for (k, _), c in self.terms.items():
+                borrow, k = divmod(k - v, e)
+                terms[(k, vt)] = c // p**-borrow
         mod = p ** max(1, n - m)
-        y = {key: r for key, c in self.terms.items() if (r := c % mod)}
+        y = {key: r for key, c in terms.items() if (r := c % mod)}
         for k in range(n - m + 1, n + 1):
             y = ring._chain_pow_p(y, p ** max(1, k))
         if isinstance(y, list):
-            vt = ring._zero_vt
             y = {(k, vt): c for k, c in enumerate(y) if c}
+        if v:
+            # times p^q * t^s; w^(p^m) lies below p^(N-q), so p^q * c only
+            # needs reducing where t^(k+s) folds into one more p
+            low, high, full = p**q, p ** (q + 1), ring.coeff_mod
+            out = {}
+            for (k, _), c in y.items():
+                k += s
+                if k < e:
+                    out[(k, vt)] = c * low
+                elif c := c * high % full:
+                    out[(k - e, vt)] = c
+            y = out
         return LayerElem(ring, y, self.lossy)
 
     def index_valuation(self) -> int | None:

@@ -13,7 +13,13 @@ Both stages raise their lift with LayerElem.p_power, on a precision
 ladder: if a = b mod p^k with k >= 1, then a^p = b^p mod p^(k+1), so
 a^(p^m) mod p^N depends only on a mod p^max(1, N-m) (Scholze, "Perfectoid
 spaces", Lemma 3.4).  The m-th stage is m successive p-th powers, step i
-modulo p^max(1, N-m+i), and equals lift(x_m) ** p**m exactly.
+modulo p^max(1, N-m+i), and equals lift(x_m) ** p**m exactly.  The
+ladder follows the valuation v of the lift, which is exact on the
+monogenic layer (a truncated DVR): sharp sends T^k to p^k, so a lift of
+index v with p^m * v >= e*N has power 0, and p_power returns it without
+a product; a lift t^v * w with v > 0 raises only its unit part w, on a
+ladder q digits shorter where t^(p^m * v) = p^q * t^s.  Most sampled
+tilt elements of the battery's towers take the first path.
 
 The verifiers in this module check, on the finite quotients: the
 commutation of sharp with reduction mod the ideal, the induced ring

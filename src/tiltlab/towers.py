@@ -56,6 +56,10 @@ class MethodDisagreement(RuntimeError):
     """Two supposedly equivalent computations disagreed: a bug sentinel."""
 
 
+class ComponentwiseMaps(TypeError):
+    """A key-level map asked of a product tower, whose maps go componentwise."""
+
+
 _DENSE_CROSSCHECK_DIM = 200
 
 
@@ -428,6 +432,24 @@ class ProductTower(TowerHandle):
 
     def frob(self, n, q):
         return self._componentwise("frob", self.quotient(n), n, q)
+
+    # The key hooks map basis keys of one layer ring; a product ring has no
+    # keys of its own, so the hooks refuse by name instead of inheriting
+    # the monogenic ones.
+    def _no_key_hook(self, name):
+        raise ComponentwiseMaps(
+            f"{self.label} has no {name}: product maps go componentwise, "
+            "so call it on one of the components"
+        )
+
+    def transition_key(self, n, key, lossy=False):
+        self._no_key_hook("transition_key")
+
+    def tbar_key(self, n, key, lossy=False):
+        self._no_key_hook("tbar_key")
+
+    def frob_key(self, n, key, lossy=False):
+        self._no_key_hook("frob_key")
 
     # Bound here too because perfbench/spans.py traces them per class.
     embed = TowerHandle.embed

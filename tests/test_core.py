@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tiltlab import _backend
 from tiltlab.core import (
     ABOVE_PRECISION,
     MIXED,
@@ -20,7 +21,7 @@ from tiltlab.core import (
     RingMismatch,
     is_prime,
 )
-from tiltlab.towers import SpecError, TowerSpec, build_tower
+from tiltlab.towers import SpecError, TowerHandle, TowerSpec, build_tower
 
 from test_kernels import eisenstein_oracle
 
@@ -657,20 +658,54 @@ def test_zero_product_keeps_the_lossy_flag():
 # the reference is binary powering at full precision, x ** p**m.
 
 
+def valuation_items(ring, v, keys, pick):
+    """Items of an element of index valuation exactly v on the given keys,
+    with pick(lo, hi) an integer draw: v's own key carries p^(v // e) times
+    a unit, and every other key k at least p^ceil((v - k) / e), so the keys
+    below v carry p-divisible coefficients."""
+    p, e, n = ring.p, ring.e, ring.n_digits
+    a, k0 = divmod(v, e)
+    items = [(k0, (), p**a * (pick(0, p**n) * p + pick(1, p - 1)))]
+    for k in keys:
+        if k != k0:
+            least = max(0, -(-(v - k) // e))
+            unit = pick(0, p**n) * p + pick(1, p - 1)
+            items.append((k, (), unit * p ** (least + pick(0, 1))))
+    return items
+
+
 @st.composite
 def chain_case(draw):
     """A mixed layer of pure (e = p^a) or Kummer (e = e0 p^a) shape, an
-    element that is zero, a monomial, sparse or dense, and 0 <= m <= N + 2.
+    element that is zero, a monomial, sparse, dense or of a chosen
+    valuation, and 0 <= m <= N + 2.
 
     Coefficients carry p-powers, so the first reduction, mod p^max(1, N-m),
-    drops terms; m >= N adds steps mod p.
+    drops terms; m >= N adds steps mod p.  The valuation shape draws
+    v >= 1 with p^m * v just below, at or just above index_cap, where
+    the p^m-th power turns 0.
     """
     p = draw(st.sampled_from([2, 3, 5, 7]))
     e0 = draw(st.sampled_from([k for k in (1, 2, 3) if k % p]))
     level = draw(st.integers(min_value=0, max_value=3 if p < 5 else 2))
     n = draw(st.integers(min_value=1, max_value=4))
     ring = O(p, n, e0 * p**level, e0=e0)
-    shape = draw(st.sampled_from(["zero", "monomial", "sparse", "dense"]))
+    shape = draw(st.sampled_from(["zero", "monomial", "sparse", "dense", "valuation"]))
+    if shape == "valuation":
+        m = draw(st.integers(min_value=1, max_value=n + 2))
+        cap = ring.index_cap
+        side = draw(st.sampled_from(["below", "at", "above"]))
+        v = {"below": -(-cap // p**m) - 1, "at": cap // p**m, "above": cap // p**m + 1}[side]
+        v = min(max(v, 1), cap - 1)
+        keys = draw(st.lists(st.integers(min_value=0, max_value=ring.e - 1),
+                             min_size=1, max_size=min(8, ring.e), unique=True))
+
+        def pick(lo, hi):
+            return draw(st.integers(min_value=lo, max_value=hi))
+
+        x = ring._from_items(valuation_items(ring, v, keys, pick), draw(st.booleans()))
+        assert x.index_valuation() == v
+        return x, m
     if shape == "dense":
         keys = range(ring.e)
     else:
@@ -715,6 +750,93 @@ def test_p_power_reduces_sparse_steps_before_the_kernel():
     x = ring.parse("1 + t")
     for m in (8, 9):
         _same(x.p_power(m), x ** 3**m, order=False)
+
+
+@pytest.mark.parametrize("p, N, e, m, v", [
+    (5, 6, 625, 4, 6),  # 5^4 * 6 = index_cap: 0
+    (5, 6, 625, 4, 5),  # just below: q = 5, the ladder is one digit long
+    (5, 6, 625, 4, 7),  # above
+    (5, 3, 25, 1, 14),  # just below with a fold: 70 = 2 * 25 + 20
+    (7, 2, 7, 1, 2),  # at
+    (7, 2, 7, 1, 1),  # q = 1, s = 0
+    (3, 1, 27, 2, 3),  # N = 1, at
+    (3, 1, 27, 2, 2),  # N = 1, below: the ladder runs mod p
+    (2, 4, 1, 2, 1),  # e = 1, at: every element is one term
+    (2, 4, 1, 1, 1),  # e = 1, below
+])
+def test_p_power_at_the_valuation_edges(p, N, e, m, v):
+    ring = O(p, N, e)
+    keys = range(min(e, v % e + 4))  # the keys below v and three above
+    x = ring._from_items(valuation_items(ring, v, keys, random.Random(v).randint))
+    assert x.index_valuation() == v and len(x.terms) >= min(e, 2)
+    got = x.p_power(m)
+    _same(got, x ** p**m, order=False)
+    assert got.is_zero() == (p**m * v >= ring.index_cap)
+
+
+def _record_products(monkeypatch):
+    """The modulus of every chain product and every kernel call, in order."""
+    seen = {"chain": [], "kernel": []}
+    chain_mul, kernel = LayerRing._chain_mul, _backend.eisenstein_mul
+
+    def counted_chain(ring, a, b, mod):
+        seen["chain"].append(mod)
+        return chain_mul(ring, a, b, mod)
+
+    def counted_kernel(fa, fb, e, p, pmod):
+        seen["kernel"].append(pmod)
+        return kernel(fa, fb, e, p, pmod)
+
+    monkeypatch.setattr(LayerRing, "_chain_mul", counted_chain)
+    monkeypatch.setattr(_backend, "eisenstein_mul", counted_kernel)
+    return seen
+
+
+def _dense_unit(ring, seed):
+    rng = random.Random(seed)
+    items = [(k, (), rng.randrange(ring.coeff_mod)) for k in range(ring.e)]
+    return ring._from_items(items + [(0, (), 1 - items[0][2] % ring.p)])
+
+
+def test_a_zero_p_power_makes_no_product(monkeypatch):
+    # sharp's shape on h4 (p = 5, N = 6, e = 625, m = 4): t^6 times a unit
+    # and p times a unit have index 5^4 * v >= 3750, so their powers are 0
+    ring = O(p=5, N=6, e=625)
+    unit = _dense_unit(ring, 1)
+    inputs = [ring.monomial(6) * unit, ring.from_int(5) * unit, ring.parse("t^6 + 2*t^600")]
+    seen = _record_products(monkeypatch)
+    for x in inputs:
+        for lossy in (False, True):
+            got = LayerElem(ring, x.terms, lossy).p_power(4)
+            assert got.is_zero() and got.lossy == lossy
+    assert seen == {"chain": [], "kernel": []}
+
+
+@pytest.mark.parametrize("v, q", [(1, 1), (2, 2), (3, 3)])
+def test_a_non_unit_climbs_a_shorter_ladder(monkeypatch, v, q):
+    # t^v * w with m = 2 on p = 5, N = 4, e = 25: t^(25 v) = p^q, so the
+    # chain raises w mod p^(4 - q) and never runs a product at p^4
+    ring = O(p=5, N=4, e=25)
+    x = ring.monomial(v) * _dense_unit(ring, v)
+    want = x ** 25
+    seen = _record_products(monkeypatch)
+    got = x.p_power(2)
+    _same(got, want, order=False)
+    assert seen["kernel"] and max(seen["chain"] + seen["kernel"]) <= 5 ** (4 - q)
+
+
+@pytest.mark.parametrize("text", [None, "1 + t", "3 + t^2 + 4*t^624"])
+def test_a_unit_climbs_the_whole_ladder(monkeypatch, text):
+    # the parent's ladder, product for product: steps k = N-m+1 .. N, each
+    # a p-th power mod p^max(1, k) in three products (p = 5 = 0b101)
+    ring = O(p=5, N=6, e=625)
+    x = _dense_unit(ring, 2) if text is None else ring.parse(text)
+    seen = _record_products(monkeypatch)
+    x.p_power(4)
+    assert seen["chain"] == [5 ** max(1, k) for k in range(3, 7) for _ in range(3)]
+    assert seen["kernel"] == seen["chain"][len(seen["chain"]) - len(seen["kernel"]):]
+    if text is None:
+        assert seen["kernel"] == seen["chain"]
 
 
 def test_p_power_maps_over_product_parts():
@@ -773,9 +895,11 @@ def test_cap_index_at_fractional_caps():
 
 # -- the lattice map and the absolute index -----------------------------------------
 #
-# LayerRing.rescale replaced five item copies and LayerElem.index_valuation
-# replaced a Fraction formula; the references below are those copies and
-# that formula, on MIXED and CHAR_P rings with and without variables.
+# LayerRing.rescale and the tower maps' key_image replaced five item copies,
+# and LayerElem.index_valuation replaced a Fraction formula; the references
+# below are those copies and that formula, on MIXED and CHAR_P rings with
+# and without variables.  rescale copies or divides indices; a transition
+# multiplies them key by key (lattice_image).
 
 
 def _vp_reference(c, p):
@@ -805,6 +929,15 @@ def reference_rescale(target, x, mul, div):
     else:  # frob, lift and tilts._reindex
         items = [(k, vt, c) for (k, vt), c in terms]
     return target._from_items(items, x.lossy)
+
+
+def lattice_image(dst, x, mul, div):
+    """x in dst with its indices times mul over div: rescale for a copy or
+    a division, the transition of a two-level tower (key_image on each key,
+    extended linearly) for mul > 1."""
+    if mul == 1:
+        return dst.rescale(x, div)
+    return TowerHandle(rings={0: x.ring, 1: dst}, label="up").transition(0, x)
 
 
 @st.composite
@@ -852,7 +985,7 @@ def lattice_map(draw, min_terms=1, max_terms=4):
 @given(lattice_map())
 def test_index_valuation_matches_the_fraction_formula(data):
     _, dst, mul, div, x = data
-    for y in (x, dst.rescale(x, mul, div)):
+    for y in (x, lattice_image(dst, x, mul, div)):
         want = reference_valuation(y)
         assert y.valuation() == want
         idx = y.index_valuation()
@@ -863,7 +996,7 @@ def test_index_valuation_matches_the_fraction_formula(data):
 @given(lattice_map())
 def test_rescale_matches_the_item_copies(data):
     _, dst, mul, div, x = data
-    got = dst.rescale(x, mul, div)
+    got = lattice_image(dst, x, mul, div)
     _same(got, reference_rescale(dst, x, mul, div), order=True)
     # A drop is lossy when the cap drops a term that is nonzero once folded
     # through t^e = p, summed with the terms that fold onto its key and
@@ -886,14 +1019,14 @@ def test_rescale_matches_the_item_copies(data):
 @given(lattice_map(), st.booleans())
 def test_key_image_is_the_rescale_of_one_key(data, lossy):
     # The tower maps' key hooks are key_image: a key with coefficient 1
-    # maps to what rescale makes of it, terms and flag, past the target's
+    # maps to what the item copy makes of it, terms and flag, past the target's
     # window, past its cap and folded through t^e = p ("copy" and "down"
     # draws copy keys of a finer lattice into a coarser one).
     src, dst, mul, div, x = data
     if div != 1:
         mul = 1
     for key in x.terms:
-        want = dst.rescale(LayerElem(src, {key: 1}, lossy), mul)
+        want = reference_rescale(dst, LayerElem(src, {key: 1}, lossy), mul, 1)
         assert dst.key_image(key, mul, lossy) == (want.terms, want.lossy)
 
 
@@ -938,7 +1071,7 @@ def _check_one_term_paths(ring, item, other, n):
 @given(lattice_map(min_terms=0, max_terms=1), st.data())
 def test_one_term_paths_match_from_items(case, data):
     src, dst, mul, div, x = case
-    _same(dst.rescale(x, mul, div), reference_rescale(dst, x, mul, div), order=True)
+    _same(lattice_image(dst, x, mul, div), reference_rescale(dst, x, mul, div), order=True)
     for ring in (src, dst):
         item, other = data.draw(raw_item(ring)), data.draw(raw_item(ring))
         _check_one_term_paths(ring, item, other, data.draw(st.integers(1, 2 * ring.p)))

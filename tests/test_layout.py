@@ -1,7 +1,7 @@
 """Layout guards, read from the modules' syntax trees.
 
-Exponent bookkeeping stays in tiltlab.core: scaling indices between
-lattices (LayerRing.rescale), the absolute index
+Exponent bookkeeping stays in tiltlab.core: moving indices between
+lattices (LayerRing.rescale and LayerRing.key_image), the absolute index
 (LayerElem.index_valuation), the variable-cap rule
 (LayerRing.var_cap_index) and the keying rule (LayerRing.keeps_key: under
 the cap and, in characteristic p, below the window) each live in one
@@ -20,6 +20,10 @@ src/, tests/ or perfbench/ beyond its own definition.
 A mixed-characteristic layer ring, LayerRing(..., n_digits=...), is built
 in one place, towers.build_tower, core included: every tower layer comes
 from a TowerSpec and its checks.
+
+The p-th power ladder, LayerRing._chain_pow_p, has one caller,
+LayerElem.p_power, which runs it on the unit part of its input: no second
+power routine climbs the ladder beside the one that reads the valuation.
 
 Product towers have one rule, verdict.per_component: no other module
 builds a "component_i" details key or a "component i: " witness prefix.
@@ -299,3 +303,13 @@ def test_only_verdict_builds_the_product_rule():
         hit for path in sorted(PACKAGE.glob("*.py")) for hit in _product_rule_strings(path)
     ]
     assert found and all(hit.startswith("verdict.py:") for hit in found), found
+
+
+def test_the_power_ladder_has_one_caller():
+    callers = [
+        f"{path.stem}.{owner}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for owner, node in _methods_and_nodes(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "_chain_pow_p"
+    ]
+    assert callers == ["core.LayerElem.p_power"]

@@ -25,6 +25,7 @@ from tiltlab.towers import (
     FAIL,
     PASS,
     SAMPLED_PASS,
+    ComponentwiseMaps,
     LevelOutOfRange,
     MethodDisagreement,
     ProductTower,
@@ -407,6 +408,18 @@ def test_product_tower_is_a_tower_handle():
     # rebound in the product class only so that the tracer can patch them
     for name in ("embed", "tbar_multi", "frob_multi"):
         assert ProductTower.__dict__[name] is TowerHandle.__dict__[name]
+
+
+@pytest.mark.parametrize("hook", ["transition_key", "tbar_key", "frob_key"])
+def test_product_key_hooks_refuse_by_name(hook):
+    # A product ring has no basis keys of its own: the hooks name the rule
+    # (maps go componentwise) instead of failing inside a ProductRing, and
+    # each component still serves the same key.
+    h = _product_53("pure")
+    with pytest.raises(ComponentwiseMaps, match=f"no {hook}: product maps go componentwise"):
+        getattr(h, hook)(0, (0, ()))
+    for comp in h.components:
+        assert getattr(comp, hook)(0, (0, ())) == ({(0, ()): 1}, False)
 
 
 @functools.cache
