@@ -1,15 +1,28 @@
 """Pure-Python polynomial kernels.
 
-Dense products are routed through a single big-integer multiplication
-(Kronecker substitution): coefficients are packed into fixed-width byte
-lanes, multiplied once with CPython's native bignum arithmetic, and
-unpacked.
+Dense products are routed through big-integer multiplication (Kronecker
+substitution): coefficients are packed into fixed-width byte lanes,
+multiplied with CPython's native bignum arithmetic, and unpacked.
+window_mul multiplies its packed integers once.
 
-The Eisenstein product also reduces on the packed integer: with lanes
-wide enough that conv[k] + p * conv[k + e] cannot carry, t^e = p is
-applied as low + p * high (one mask, one shift), and only e lanes are
-unpacked.  A square packs its argument once and multiplies the packed
-integer by itself, which CPython does faster than a general product.
+The Eisenstein product evaluates at two points, X = 2^b and -X, with
+b = 4 * width bits, half a lane (Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", J. Symbolic
+Comput. 44, 2009, section 3).  The even- and odd-indexed coefficients
+pack separately into the kernel's lanes, E and O, so f(+-X) = E +- O X,
+and the kernel makes two products of half the bits each,
+f(X) g(X) and f(-X) g(-X) (two squares for a square).  Their half-sum
+is the even-index convolution packed at X^2, one lane per coefficient;
+their half-difference divided by X is the odd-index one.  A lane is wide
+enough for conv[k] + p * conv[k + e] <= (p + 1) (pmod - 1)^2 e, so every
+convolution coefficient sits in its own lane and the recovery is exact.
+
+The product also reduces on the packed halves: t^e = p is applied as
+low + p * high (one mask, one shift), and only e lanes are unpacked.
+For even e each half folds into itself.  For odd e = 2h + 1 output 2j
+takes p times odd lane j + h, and output 2j + 1 takes p times even lane
+j + h + 1, so the halves fold across.  The folded lanes obey the bound
+above, so the lane width is the one-product kernel's.
 
 Lanes keep their minimal byte width.  Packing and unpacking move bytes
 between those lanes and machine-word arrays with strided slice copies,
@@ -22,13 +35,19 @@ least _TOOM3_BITS bits and neither is more than twice as long as the
 other, _product splits them three ways (Toom 1963, Cook 1966; the
 interpolation sequence is Bodrato's, WAIFI 2007): five products of a
 third the size, where Karatsuba does the work of about 5.7.  At p = 5,
-N = 6 the split applies from e = 1250 (60 kbit) up; the suite's e <= 625
-products (25 kbit or less) stay native.  Minimum of repeated calls on a
-2-core VM, Python 3.11.7, native -> split: e = 6250 mod 5^6 (300 kbit)
-multiply 13.9 -> 11.1 ms, square 9.7 -> 8.2 ms; e = 3125 mod 5^4 0.82
-and 0.87 of native; e = 1250 0.91 and 0.90.  With a 20,000-bit cutoff the e = 625
-squares (25 kbit) were 4-7% slower, so the cutoff sits above 25 kbit.  The
-arithmetic is exact, so the kernels' outputs do not depend on the split.
+N = 6 the Eisenstein halves split from e = 2500 (60 kbit) up; the
+suite's e <= 625 halves (12.5 kbit or less) stay native.  With a
+20,000-bit cutoff the 25 kbit squares of a one-product e = 625 were
+4-7% slower, so the cutoff sits above 25 kbit.  The arithmetic is exact,
+so the kernels' outputs do not depend on the split.
+
+Median of 7 calls on a 2-core VM, Python 3.11.7, one product -> two
+half products (both with the split): e = 6250 mod 5^6 (300 kbit in one
+product) multiply 10.5 -> 8.8 ms (0.84), square 7.8 -> 6.2 ms (0.79);
+mod 5^5 0.73 and 0.72; e = 3125 mod 5^6 0.72 and 0.71, mod 5^4 0.78 and
+0.75, mod 5^2 0.76 and 0.77; e = 1250 0.83 and 0.81; e = 625 0.84 and
+0.92.  Small products pay for the second pack and unpack: e = 125 reads
+1.07 and 1.09, and e <= 50 about 5-8 us more per call.
 """
 
 import sys
@@ -152,17 +171,51 @@ def _lane_width(max_coeff, length):
 def eisenstein_mul(a, b, e, p, pmod):
     """Product in (Z/pmod)[t]/(t^e - p); a, b dense lists of length e.
 
-    Passing the same list twice (a is b) computes the square.
+    Passing the same list twice (a is b) computes the square.  For e >= 2
+    the product is two products of half size, at X = 2^(4 width) and -X,
+    whose half-sum and half-difference are the even- and odd-index
+    convolutions, each in lanes of 8 width bits; t^e = p folds them, each
+    into itself for even e and across for odd e (see the module
+    docstring).
     """
     if e == 1:
         return [a[0] * b[0] % pmod]
     # A folded lane holds conv[k] + p * conv[k + e] <= (p + 1) (pmod - 1)^2 e.
     width = (((p + 1) * (pmod - 1) ** 2 * e).bit_length() + 7) // 8
-    shift = 8 * width * e
-    packed = _pack(a, width, pmod - 1)
-    prod = _product(packed, packed if a is b else _pack(b, width, pmod - 1))
-    folded = (prod & ((1 << shift) - 1)) + p * (prod >> shift)
-    return [c % pmod for c in _unpack(folded, width, e)]
+    lane = 8 * width  # bits per lane: X^2 = 2^lane
+    half = lane >> 1  # X = 2^half
+    top = pmod - 1
+    even = _pack(a[0::2], width, top)
+    odd = _pack(a[1::2], width, top) << half
+    plus, minus = even + odd, even - odd  # f(X), f(-X)
+    if a is b:
+        at_plus, at_minus = _product(plus, plus), _product(minus, minus)
+    else:
+        even = _pack(b[0::2], width, top)
+        odd = _pack(b[1::2], width, top) << half
+        at_plus, at_minus = _product(plus, even + odd), _product(minus, even - odd)
+    del plus, minus, even, odd
+    # The even- and odd-index convolutions, each packed at X^2 = 2^lane.
+    conv_even = (at_plus + at_minus) >> 1
+    conv_odd = (at_plus - at_minus) >> (half + 1)
+    del at_plus, at_minus
+    # t^e = p.  With h = e // 2, output lane j of the even half takes p
+    # times lane j + h of the even half when e is even, of the odd half
+    # when e is odd; output lane j of the odd half takes p times lane j + h
+    # of the odd half, or lane j + h + 1 of the even half.
+    h = e >> 1
+    low = lane * h
+    if e & 1:
+        even_out = (conv_even & ((1 << low + lane) - 1)) + p * (conv_odd >> low)
+        odd_out = (conv_odd & ((1 << low) - 1)) + p * (conv_even >> low + lane)
+    else:
+        mask = (1 << low) - 1
+        even_out = (conv_even & mask) + p * (conv_even >> low)
+        odd_out = (conv_odd & mask) + p * (conv_odd >> low)
+    out = [0] * e
+    out[0::2] = [c % pmod for c in _unpack(even_out, width, e - h)]
+    out[1::2] = [c % pmod for c in _unpack(odd_out, width, h)]
+    return out
 
 
 def window_mul(a, b, window, p):

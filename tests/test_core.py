@@ -23,7 +23,7 @@ from tiltlab.core import (
 )
 from tiltlab.towers import SpecError, TowerHandle, TowerSpec, build_tower
 
-from test_kernels import eisenstein_oracle
+from test_kernels import eisenstein_oracle, kronecker_reference
 
 
 def O(p=5, N=6, e=5, ideal_exp=1, *, e0=1, num_vars=0, var_cap=0):
@@ -837,6 +837,28 @@ def test_a_unit_climbs_the_whole_ladder(monkeypatch, text):
     assert seen["kernel"] == seen["chain"][len(seen["chain"]) - len(seen["kernel"]):]
     if text is None:
         assert seen["kernel"] == seen["chain"]
+
+
+def test_p_power_at_a_real_size_matches_the_one_product_kernel(monkeypatch):
+    # a dense unit at e = 3125 climbs the whole ladder, five steps mod 5^2
+    # ... 5^6, each a product or square of 3125 lanes; the one-product
+    # reference kernel must give the same terms and flag
+    ring = O(p=5, N=6, e=3125)
+    x = _dense_unit(ring, 5)
+    for lossy in (False, True):
+        x = LayerElem(ring, x.terms, lossy)
+        got = x.p_power(5)
+        seen = []
+
+        def reference(a, b, e, p, pmod):
+            seen.append(pmod)
+            return kronecker_reference(a, b, e, p, pmod)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(_backend, "eisenstein_mul", reference)
+            want = x.p_power(5)
+        assert sorted(set(seen)) == [5**k for k in range(2, 7)]
+        _same(got, want, order=True)
 
 
 def test_p_power_maps_over_product_parts():

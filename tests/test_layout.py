@@ -28,6 +28,11 @@ power routine climbs the ladder beside the one that reads the valuation.
 Product towers have one rule, verdict.per_component: no other module
 builds a "component_i" details key or a "component i: " witness prefix.
 
+The pure-Python kernels have one product path: _kernels_py._product is
+read only by the two kernels and its own recursion, the module reads no
+environment and imports no os, so nothing can select another path, and
+the kernels' signatures stay as core calls them.
+
 Each tower map has one key-level definition, a hook on TowerHandle
 (transition_key, tbar_key, frob_key).  Only the axioms' pair walk and the
 element maps derived from the hooks read them, and no class in src/ but
@@ -313,3 +318,46 @@ def test_the_power_ladder_has_one_caller():
         if isinstance(node, ast.Attribute) and node.attr == "_chain_pow_p"
     ]
     assert callers == ["core.LayerElem.p_power"]
+
+
+KERNELS = PACKAGE / "_kernels_py.py"
+KERNEL_SIGNATURES = {
+    "eisenstein_mul": ["a", "b", "e", "p", "pmod"],
+    "window_mul": ["a", "b", "window", "p"],
+    "_product": ["x", "y"],
+    "_pack": ["coeffs", "width", "max_coeff"],
+    "_unpack": ["value", "width", "count"],
+}
+
+
+def test_the_kernels_multiply_through_one_product():
+    readers = [
+        f"{path.stem}.{owner}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for owner, node in _methods_and_nodes(ast.parse(path.read_text(encoding="utf-8")))
+        if "_product" in (getattr(node, "id", None), getattr(node, "attr", None))
+        or (isinstance(node, ast.alias) and node.name == "_product")
+    ]
+    assert set(readers) == {
+        "_kernels_py.eisenstein_mul", "_kernels_py.window_mul", "_kernels_py._product"
+    }, readers
+
+
+def test_the_kernels_read_no_environment():
+    tree = ast.parse(KERNELS.read_text(encoding="utf-8"))
+    assert set(_imported_modules(tree)) <= {"sys", "array", "array.array"}
+    assert set(_references(tree)).isdisjoint({"os", "environ", "getenv", "environb", "argv"})
+
+
+def test_the_kernel_signatures_are_unchanged():
+    tree = ast.parse(KERNELS.read_text(encoding="utf-8"))
+    found = {
+        node.name: node.args
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in KERNEL_SIGNATURES
+    }
+    assert sorted(found) == sorted(KERNEL_SIGNATURES)
+    for name, args in found.items():
+        assert [arg.arg for arg in args.args] == KERNEL_SIGNATURES[name], name
+        assert not (args.posonlyargs or args.kwonlyargs or args.vararg or args.kwarg), name
+        assert not args.defaults, name
