@@ -27,6 +27,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from . import _backend
 
@@ -279,38 +280,6 @@ class LayerRing:
             return LayerElem(self, {(k, vt): c}, lossy)
         return LayerElem(self, {}, lossy or self._cap_index(vt))
 
-    def _from_t_dict(self, acc: dict, lossy: bool) -> "LayerElem":
-        """Canonical element from {t-index: coeff} on a ring without variables.
-
-        The monogenic counterpart of _from_items: t-indices past the ring
-        fold through t^e = p (MIXED) or drop off the window (CHAR_P).
-        """
-        vt = self._zero_vt
-        mod = self.coeff_mod
-        terms = {}
-        if self.mode == MIXED:
-            e = self.e
-            if acc and max(acc) >= e:
-                folded: dict = {}
-                for k, c in acc.items():
-                    if k >= e:
-                        q, k = divmod(k, e)
-                        c *= self.p**q
-                    folded[k] = folded.get(k, 0) + c
-                acc = folded
-            for k, c in acc.items():
-                c %= mod
-                if c:
-                    terms[(k, vt)] = c
-        else:
-            window = self.window
-            for k, c in acc.items():
-                if k < window:
-                    c %= mod
-                    if c:
-                        terms[(k, vt)] = c
-        return LayerElem(self, terms, lossy)
-
     def rescale(self, x: "LayerElem", div: int = 1) -> "LayerElem":
         """x's terms in this ring, each t- and variable index divided by div.
 
@@ -359,7 +328,8 @@ class LayerRing:
             if not c:
                 return {}, lossy
         if self.keeps_key(k, vt):
-            return {(k, vt): c}, lossy
+            # c is 1 only when nothing folded (p^q is never 1 mod p^N)
+            return {key if mul == 1 and c == 1 else (k, vt): c}, lossy
         return {}, lossy or self._cap_index(vt)
 
     def zero(self) -> "LayerElem":
@@ -411,31 +381,57 @@ class LayerRing:
         if len(ta) == 1 and len(tb) == 1:
             ((ka, va), ca), = ta.items()
             ((kb, vb), cb), = tb.items()
-            vt = tuple(x + y for x, y in zip(va, vb)) if self.num_vars else va
+            vt = tuple(map(add, va, vb)) if self.num_vars else va
             return self._term(ka + kb, vt, ca * cb, lossy)
         if self.num_vars == 0:
             if len(ta) * len(tb) > max(_SPARSE_LIMIT, self.e):
                 return self._mul_dense(ta, tb, lossy)
+            # Each pair folds as it forms: both keys lie below e (MIXED), resp.
+            # the window (CHAR_P), so t^k folds at most once, to p t^(k-e),
+            # resp. to 0.  A key arrives with the first pair to reach k or
+            # k + e, where folding after the double loop would insert it.  A
+            # square visits each unordered pair once, ka's own pair first: the
+            # first pair of the full double loop to reach a key has i <= j.
             acc: dict = {}
             get = acc.get
             row = [(kb, cb) for (kb, _), cb in tb.items()]
-            if ta is tb:
-                # A square visits each unordered pair once.  The first pair
-                # to reach a t-index has i <= j, so keys arrive in the order
-                # the full double loop would insert them.
-                for i, (ka, ca) in enumerate(row):
-                    k = ka + ka
-                    acc[k] = get(k, 0) + ca * ca
-                    ca += ca
-                    for kb, cb in row[i + 1 :]:
+            square = ta is tb
+            if self.mode == MIXED:
+                e, p = self.e, self.p
+                for i, ((ka, _), ca) in enumerate(ta.items()):
+                    rest = row
+                    if square:
+                        k = ka + ka
+                        if k < e:
+                            acc[k] = get(k, 0) + ca * ca
+                        else:
+                            k -= e
+                            acc[k] = get(k, 0) + ca * ca * p
+                        ca += ca
+                        rest = row[i + 1 :]
+                    for kb, cb in rest:
                         k = ka + kb
-                        acc[k] = get(k, 0) + ca * cb
+                        if k < e:
+                            acc[k] = get(k, 0) + ca * cb
+                        else:
+                            k -= e
+                            acc[k] = get(k, 0) + ca * cb * p
             else:
-                for (ka, _), ca in ta.items():
-                    for kb, cb in row:
+                window = self.window
+                for i, ((ka, _), ca) in enumerate(ta.items()):
+                    rest = row
+                    if square:
+                        k = ka + ka
+                        if k < window:
+                            acc[k] = get(k, 0) + ca * ca
+                        ca += ca
+                        rest = row[i + 1 :]
+                    for kb, cb in rest:
                         k = ka + kb
-                        acc[k] = get(k, 0) + ca * cb
-            return self._from_t_dict(acc, lossy)
+                        if k < window:
+                            acc[k] = get(k, 0) + ca * cb
+            mod, vt = self.coeff_mod, self._zero_vt
+            return LayerElem(self, {(k, vt): r for k, c in acc.items() if (r := c % mod)}, lossy)
         # Once the product is lossy, a pair whose variable degrees sum past
         # the cap can only be dropped: no kept key receives it, and the flag
         # it could set is already set.
@@ -447,8 +443,7 @@ class LayerRing:
             for kb, vb, db, cb in row:
                 if lossy and db > room:
                     continue
-                vt = tuple(x + y for x, y in zip(va, vb))
-                items.append((ka + kb, vt, ca * cb))
+                items.append((ka + kb, tuple(map(add, va, vb)), ca * cb))
         return self._from_items(items, lossy)
 
     def _mul_dense(self, ta, tb, lossy):

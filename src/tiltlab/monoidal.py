@@ -112,12 +112,13 @@ def sharp(handle, x: SmallTiltElem, rng=None) -> SharpResult:
     j = x.layer
     deep = handle.layer(j + m)
     value = _lift(handle, j + m, x.deepest, rng).p_power(m)
-    # Draw the (m-1)-st lift now so rng draws keep their order; its power
-    # and the stage comparison wait until effective_precision is read.
-    prev_lift = _lift(handle, j + m - 1, x.component(m - 1), rng)
+    # With an rng, the (m-1)-st lift is drawn now so draws keep their order;
+    # otherwise that stage waits, with the comparison, for measure().
+    prev_lift = None if rng is None else _lift(handle, j + m - 1, x.component(m - 1), rng)
 
     def measure():
-        prev = prev_lift.p_power(m - 1)
+        lift = _lift(handle, j + m - 1, x.component(m - 1)) if rng is None else prev_lift
+        prev = lift.p_power(m - 1)
         v = (value - handle.embed(j + m - 1, j + m, prev)).valuation()
         cap = deep.val_cap
         return cap if v is ABOVE_PRECISION else min(v, cap)

@@ -535,13 +535,14 @@ def check_axioms(handle, samples: int = 200, seed: int = 0) -> AxiomReport:
     Axioms (b), (c), (d) and (f-2) share two passes per pair of levels
     (_check_pairs), up over quotient(n+1) and down over quotient(n): the
     handle's key-level maps (frob_key, tbar_key) are called once per basis
-    key and pass, plus once on each nonzero image to map it back, and the
-    images feed every axiom that reads them.  No ring element is built
-    for a key.  What the images are compared against (p-th powers, the
-    pillar ideal) is index arithmetic on the basis keys.  On pairs small
-    enough for the dense cross-checks it is replayed with ring arithmetic,
-    and the F_p rank oracle of (b) and (d) reads the images the two passes
-    already hold.  One failure record keeps each axiom's first witness.
+    key and pass, plus once on each nonzero image to map it back (an empty
+    projection has nothing to map back), and the images feed every axiom
+    that reads them.  No ring element is built for a key.  What the images
+    are compared against (p-th powers, the pillar ideal) is index
+    arithmetic on the basis keys.  On pairs small enough for the dense
+    cross-checks it is replayed with ring arithmetic, and the F_p rank
+    oracle of (b) and (d) reads the images the two passes already hold.
+    One failure record keeps each axiom's first witness.
     """
     if handle.depth < 2:
         raise SpecError("the axiom suite needs depth >= 2")
@@ -597,23 +598,24 @@ def _check_pairs(handle) -> dict[str, Verdict]:
     image back with tbar_key; the down pass takes each quotient(n) key's
     tbar_key and projects it back with frob_key.  Images map back through
     _map_terms, the linear extension the element maps use, which hands an
-    image of one term with coefficient 1 straight to the hook.  Every
-    image must be keyed in its target quotient; a key the quotient does
-    not keep is a MethodDisagreement, never a verdict.  The projections feed (c)'s up
-    half, (d)'s hit set and (f-2)'s kernel and truncation tail; the t-bars
-    feed (b), (c)'s down half and (d)'s missing list.  The checker's own
-    side is index arithmetic on keys: a monomial's p-th power is its key
-    times p (_power_terms), and f1_bar times a monomial is the key shifted
-    by each key of f1_bar (_ideal_keys), both kept or dropped by the
-    quotient's keeps_key.  On pairs within _DENSE_CROSSCHECK_DIM the walk
-    replays that side with ring arithmetic (``mono**p``, ``f1_bar *
-    mono``), and the rank oracle reads the images the passes hold: while
-    (b), resp. (d), holds, the dense F_p rank of the t-bars, resp.
-    projections, is quotient(n)'s rank.  A replay that differs raises
-    MethodDisagreement.  Ring elements are built only for those replays
-    and for failure witnesses.  An axiom is checked while it is absent from
-    ``failed`` and stores its first failure there, up half before down half
-    within a pair.
+    image of one term with coefficient 1 straight to the hook; an empty
+    projection has nothing to map back.  Every image must be keyed in its
+    target quotient; a key it does not keep is a MethodDisagreement, never
+    a verdict.  The projections feed (c)'s up half, (d)'s hit set and
+    (f-2)'s kernel and truncation tail; the t-bars feed (b), (c)'s down
+    half and (d)'s missing list.  The checker's own side is index
+    arithmetic on keys: a monomial's p-th power is its key times p
+    (_power_terms), and f1_bar times a monomial is the key shifted by each
+    key of f1_bar (_ideal_keys), both kept or dropped by the quotient's
+    keeps_key.  On pairs within _DENSE_CROSSCHECK_DIM the walk replays
+    that side with ring arithmetic (``mono**p``, ``f1_bar * mono``), and
+    the rank oracle reads the images the passes hold: while (b), resp.
+    (d), holds, the dense F_p rank of the t-bars, resp. projections, is
+    quotient(n)'s rank.  A replay that differs raises MethodDisagreement.
+    Ring elements are built only for those replays and for failure
+    witnesses.  An axiom is checked while it is absent from ``failed`` and
+    stores its first failure there, up half before down half within a
+    pair.
     """
     p = handle.p
     tbar, frob, extend = handle.tbar_key, handle.frob_key, handle._map_terms
@@ -644,19 +646,20 @@ def _check_pairs(handle) -> dict[str, Verdict]:
         hit, ideal, kernel, tail, projections = set(), set(), [], [], []
         for key in up_keys:
             img, lossy = frob(n, key)
-            _keyed(down, img, "frob_key", n)
-            if replay:
-                projections.append(img)
-            if "c" not in failed:
-                out = extend(tbar, n, up, img, lossy)[0]
-                _keyed(up, out, "tbar_key", n)
-                if _not_a_power(up, key, out, replay):
-                    text = up.monomial(*key).to_text()
-                    failed["c"] = _fail(f"tbar(F({text})) != {text}^p at level {n}", level=n)
+            out = {}
             if img:
+                _keyed(down, img, "frob_key", n)
                 hit.add(next(iter(img)))
+                if "c" not in failed:
+                    out = extend(tbar, n, up, img, lossy)[0]
+                    _keyed(up, out, "tbar_key", n)
             else:
                 kernel.append(key)
+            if replay:
+                projections.append(img)
+            if "c" not in failed and _not_a_power(up, key, out, replay):
+                text = up.monomial(*key).to_text()
+                failed["c"] = _fail(f"tbar(F({text})) != {text}^p at level {n}", level=n)
             if "f" not in failed:
                 keys = _ideal_keys(up, key, shifts)
                 if replay and (f1_bar * up.monomial(*key)).terms.keys() != set(keys):

@@ -642,6 +642,71 @@ def test_monogenic_mul_folds_and_cancels():
     assert y * y == char_p.zero()  # every product index is past the window
 
 
+# A sparse monogenic product folds each pair as it forms: on a MIXED ring
+# a pair summing to k >= e becomes p t^(k-e), on a CHAR_P ring a pair past
+# the window is dropped.  These cases put pair sums on either side of those
+# boundaries; reference_mul folds only after the full double loop.
+_FOLD_MIXED = LayerRing(p=5, e=8, n_digits=3, ideal_num=8)
+_FOLD_CANCEL = LayerRing(p=5, e=4, n_digits=2, ideal_num=4)
+_FOLD_NARROW = LayerRing(p=3, e=6, window=6, ideal_num=6)
+_FOLD_WIDE = LayerRing(p=3, e=4, window=9, ideal_num=4)
+
+# name -> (ring, a's coefficients by t-index, b's, or None for the square a * a)
+FOLD_CASES = {
+    "sums-at-e-1": (_FOLD_MIXED, {3: 1, 1: 2}, {4: 3, 2: 1}),
+    "sums-at-e": (_FOLD_MIXED, {5: 2, 2: 1}, {3: 1, 6: 4}),
+    "sums-at-2e-2": (_FOLD_MIXED, {7: 3, 0: 1}, {7: 2, 1: 1}),
+    "fold-reaches-a-later-key": (_FOLD_MIXED, {6: 1, 1: 2}, {4: 1, 2: 3, 1: 1}),
+    "fold-reaches-an-earlier-key": (_FOLD_MIXED, {1: 1, 6: 2}, {1: 3, 4: 1}),
+    "square-diagonal-at-e": (_FOLD_MIXED, {4: 2, 1: 3}, None),
+    "square-diagonals-past-e": (_FOLD_MIXED, {7: 1, 5: 2, 2: 3, 0: 1}, None),
+    "square-folds-off-diagonal-only": (_FOLD_MIXED, {3: 1, 6: 2}, None),
+    "folded-sums-cancel": (_FOLD_CANCEL, {3: 1, 1: 1}, {3: 1, 1: 20}),
+    "square-cancels-mod-p^N": (_FOLD_CANCEL, {3: 5, 2: 5}, None),
+    "char-p-at-and-past-the-window": (_FOLD_NARROW, {2: 1, 3: 2}, {3: 1, 4: 2, 1: 1}),
+    "char-p-square-at-and-past-the-window": (_FOLD_NARROW, {3: 1, 2: 2, 5: 1}, None),
+    "char-p-window-above-e": (_FOLD_WIDE, {8: 1, 4: 2, 1: 1}, {1: 2, 0: 1, 5: 1}),
+    "char-p-square-window-above-e": (_FOLD_WIDE, {4: 1, 8: 2, 2: 1}, None),
+}
+
+
+def _fold_case(name, lossy_a, lossy_b):
+    ring, ca, cb = FOLD_CASES[name]
+    a = ring._from_items([(k, (), c) for k, c in ca.items()], lossy_a)
+    b = a if cb is None else ring._from_items([(k, (), c) for k, c in cb.items()], lossy_b)
+    return ring, a, b
+
+
+@pytest.mark.parametrize("lossy", [(False, False), (True, False), (False, True)])
+@pytest.mark.parametrize("name", list(FOLD_CASES))
+def test_sparse_mul_at_the_fold_boundaries(name, lossy):
+    ring, a, b = _fold_case(name, *lossy)
+    assert not _dense(ring, a, b)
+    _same(a * b, reference_mul(a, b), order=True)
+
+
+def test_fold_cases_reach_the_boundaries():
+    # pair sums minus e (MIXED), resp. the window (CHAR_P), per ring; the
+    # diagonal pairs of squares apart
+    sums, diagonals = {}, {}
+    for name in FOLD_CASES:
+        ring, a, b = _fold_case(name, False, False)
+        top = ring.e if ring.mode == MIXED else ring.window
+        for ka, _ in a.terms:
+            for kb, _ in b.terms:
+                into = diagonals if a is b and ka == kb else sums
+                into.setdefault(ring, set()).add(ka + kb - top)
+    assert {-1, 0, _FOLD_MIXED.e - 2} <= sums[_FOLD_MIXED]  # e - 1, e and 2e - 2
+    assert {-1, 0, 1} <= sums[_FOLD_NARROW] and {-1, 0, 1} <= sums[_FOLD_WIDE]
+    assert {0, 2, 6} <= diagonals[_FOLD_MIXED] and {0, 4} <= diagonals[_FOLD_NARROW]
+    assert max(diagonals[_FOLD_WIDE]) > 0
+    # t^1 * 20 t^1 = 20 t^2 cancels with t^3 * t^3 = 5 t^2 mod 25
+    _, a, b = _fold_case("folded-sums-cancel", False, False)
+    assert (a * b).terms == {(0, ()): 5}
+    _, x, _ = _fold_case("square-cancels-mod-p^N", True, False)
+    assert (x * x).is_zero() and (x * x).lossy
+
+
 def test_zero_product_keeps_the_lossy_flag():
     ring = LayerRing(p=2, e=1, window=1, ideal_num=1)
     zero = ring._from_items([], lossy=True)

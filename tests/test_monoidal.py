@@ -666,6 +666,39 @@ def test_lazy_precision_matches_eager_stages(make, m):
             assert result.to_json_dict()["effective_precision"] == str(want_prec)
 
 
+@pytest.mark.parametrize(
+    "make,m",
+    [(lambda: pure5(depth=3), 3), (lambda: kummer52(depth=2), 2)],
+    ids=["pure5", "kummer52"],
+)
+def test_sharp_without_rng_projects_only_when_measured(monkeypatch, make, m):
+    # The (m-1)-st stage is x.component(m - 1), one Frobenius projection
+    # down from the deepest component.  Without an rng it waits for the
+    # precision to be read; with one it is drawn during the call, so the
+    # rng's draws keep their order.
+    h = make()
+    pres = small_tilt(h, h.start, m)
+    picker = random.Random(11)
+    elems = [p_flat(h, h.start, m)] + [pres.random_element(picker, 3) for _ in range(4)]
+    calls = []
+    real_frob = TowerHandle.frob
+
+    def counted_frob(self, n, q):
+        calls.append(n)
+        return real_frob(self, n, q)
+
+    monkeypatch.setattr(TowerHandle, "frob", counted_frob)
+    for seed, x in enumerate(elems):
+        result = sharp(h, x)
+        assert calls == []
+        result.effective_precision
+        assert calls == [h.start + m - 1]
+        calls.clear()
+        sharp(h, x, rng=random.Random(seed))
+        assert calls == [h.start + m - 1]
+        calls.clear()
+
+
 def _pure(p, n, depth):
     return build_tower(TowerSpec(prime=p, n_digits=n, depth=depth))
 

@@ -796,6 +796,34 @@ def _counting(calls, name, real):
     return counted
 
 
+@pytest.mark.parametrize(
+    "make",
+    [pure5, lambda: pure5(depth=2, vars=1, cap=2), lambda: kummer52(depth=2)],
+    ids=["pure5", "pure5-vars", "kummer52"],
+)
+def test_pair_walk_maps_back_only_nonzero_images(monkeypatch, make):
+    # Counters carry no noise.  The walk maps back each nonzero projection
+    # (rank(n) of them on an honest tower) and each t-bar (rank(n)), so it
+    # extends a hook 2 rank(n) times per pair; an empty projection has
+    # nothing to map back.  The transitions are the pillar's embeds up to
+    # level n + 1, one step per level above start + 1.
+    h = make()
+    hooks = []
+    real = TowerHandle._map_terms
+
+    def counted(self, hook, n, dst, terms, lossy):
+        hooks.append(hook.__name__)
+        return real(self, hook, n, dst, terms, lossy)
+
+    monkeypatch.setattr(TowerHandle, "_map_terms", counted)
+    assert all(v.ok() for v in towers._check_pairs(h).values())
+    levels = range(h.start, h.top)
+    walk = sum(2 * h.quotient(n).rank for n in levels)
+    assert hooks.count("tbar_key") + hooks.count("frob_key") == walk
+    assert hooks.count("transition_key") == sum(n - h.start for n in levels)
+    assert len(hooks) == walk + sum(n - h.start for n in levels)
+
+
 def test_pair_walk_resolves_each_quotient_once(monkeypatch):
     # The handle resolves each level's quotient once and keeps it.  The
     # walk maps keys, and the maps sum their images without _from_items;
