@@ -29,8 +29,19 @@ and the torsion transfer (trivial for the towers in scope).  Their PASS
 is exact except where it rests on seeded samples: the ring-map half of
 check_tilt_quotient_iso (its basis bijection is exact) and the two
 trials, multiplicativity_trial and lift_independence_trial, which have no
-basis reduction because sharp is not additive.  check_sharp_reduction is
-decided on the presentation's monomial basis.
+basis reduction because sharp is not additive.
+
+check_sharp_reduction and the bijection of check_tilt_quotient_iso are
+decided on the presentation's monomial basis, on keys.  A basis
+monomial's lift has one term with coefficient 1, so its p^m-th power is
+one key: TowerHandle.sharp_key, the key times p^m folded through t^e = p.
+Reduced mod the ideal it is the key times p^m, or 0 where a fold leaves a
+factor p or the index reaches the ideal.  The reduction diagram compares
+that with m frob_key steps down and m tbar_key steps up; the iso divides
+it by p^m.  Neither pass builds an element.  Element sharp stays as the
+oracle of both: check_sharp_reduction's seeded multi-term inputs and the
+iso's seeded basis monomials and sampled pairs go through it, and a
+mismatch with the key path is a MethodDisagreement.
 """
 
 from __future__ import annotations
@@ -45,8 +56,10 @@ from .tilts import SmallTiltElem, ZeroDepth, f_flat_generator, small_tilt
 from .towers import MethodDisagreement, ProductTower
 from .verdict import FAIL, PASS, TRIVIAL_CASE, Verdict, per_component
 
-# The sampled oracle behind check_sharp_reduction's basis decision.
+# The element oracles behind the basis decisions: check_sharp_reduction's
+# multi-term inputs and check_tilt_quotient_iso's basis monomials.
 _ORACLE_SAMPLES = 10
+_ORACLE_KEYS = 3
 _ORACLE_SEED = 0
 
 
@@ -92,10 +105,11 @@ def _lift(handle, n, q, rng=None):
 def _image_scale_ok(q, scale: int) -> bool:
     if isinstance(q, ProductElem):
         return all(_image_scale_ok(part, scale) for part in q.parts)
-    return all(
-        k % scale == 0 and all(j % scale == 0 for j in vt)
-        for (k, vt) in q.terms
-    )
+    return _keys_scale_ok(q.terms, scale)
+
+
+def _keys_scale_ok(keys, scale: int) -> bool:
+    return all(k % scale == 0 and all(j % scale == 0 for j in vt) for (k, vt) in keys)
 
 
 def sharp(handle, x: SmallTiltElem, rng=None) -> SharpResult:
@@ -131,6 +145,67 @@ def sharp(handle, x: SmallTiltElem, rng=None) -> SharpResult:
     return result
 
 
+def _reduced_sharp_keys(handle, j, m):
+    """reduce(sharp(x)) for x presented by one basis key of the depth-m
+    presentation at layer j, as a function of the key: (terms, lossy) in
+    quotient(j + m).
+
+    The presentation copies the key into quotient(j + m), which may drop
+    it; sharp_key raises its lift; reduction keeps a term whose coefficient
+    is nonzero mod p and whose t-index lies below the deep layer's ideal
+    index.  A term that folded through t^e = p carries a factor p, so what
+    is left is the key times p^m with coefficient 1, or nothing.  Every
+    index of what is left must be divisible by p^m, the membership
+    invariant sharp asserts on elements.
+    """
+    quot, deep = handle.quotient(j + m), handle.layer(j + m)
+    p, cut, scale = handle.p, deep.ideal_num, handle.p**m
+
+    def image(key):
+        deepest, lossy = quot.key_image(key)
+        if not deepest:
+            return deepest, lossy
+        terms, lossy = handle.sharp_key(j, m, key, lossy)
+        terms = {k: r for k, c in terms.items() if k[0] < cut and (r := c % p)}
+        if not _keys_scale_ok(terms, scale):
+            raise MethodDisagreement(
+                f"sharp_key at layer {j}, depth {m} fails the mod-ideal "
+                f"membership invariant on the key {key}"
+            )
+        return terms, lossy
+
+    return image
+
+
+def _reduction_chains(handle, j, m):
+    """x -> tbar^m(x_0) for x presented by one basis key of the depth-m
+    presentation at layer j, as a function of the key: (terms, lossy) in
+    quotient(j + m), by m frob_key steps down from quotient(j + m) and m
+    tbar_key steps up.
+
+    A chain returns as soon as an image is empty.  A single key with
+    coefficient 1, which is what the honest maps make of a basis key, goes
+    to the next hook as it is; other terms go through _map_terms, the
+    linear extension the element maps use.
+    """
+    quot = handle.quotient(j + m)
+    steps = [(handle.frob_key, n, handle.quotient(n)) for n in range(j + m - 1, j - 1, -1)]
+    steps += [(handle.tbar_key, n, handle.quotient(n + 1)) for n in range(j, j + m)]
+
+    def chain(key):
+        terms, lossy = quot.key_image(key)
+        for hook, n, dst in steps:
+            if not terms:
+                break
+            if len(terms) == 1 and (item := next(iter(terms.items())))[1] == 1:
+                terms, lossy = hook(n, item[0], lossy)
+            else:
+                terms, lossy = handle._map_terms(hook, n, dst, terms, lossy)
+        return terms, lossy
+
+    return chain
+
+
 def check_sharp_reduction(handle, j) -> Verdict:
     """reduce(sharp(x)) equals the 0-th projection of x, embedded upward,
     for the full-depth tilt at layer j (depth m = top - j), decided on the
@@ -141,14 +216,22 @@ def check_sharp_reduction(handle, j) -> Verdict:
     quotient(j + m); that quotient has characteristic p (f0 divides p), so
     x -> x_m, x -> x_0, the p^m-th power and tbar are all additive.  Two
     additive maps agree everywhere iff they agree on a basis: this is the
-    finite form of x^sharp = x^(0) mod p (Scholze, "Perfectoid spaces",
-    Lemma 3.4).  The first basis monomial that differs is the FAIL
-    witness; a PASS is exact and records basis_dim.  Monomials past the
-    variable cap map to 0 on both sides (_past_cap) and are counted, not
-    compared.  As an independent oracle, _ORACLE_SAMPLES multi-term inputs
-    over the monomials the basis pass compared, drawn at _ORACLE_SEED, are
-    compared too; a mismatch there after a basis pass is a
-    MethodDisagreement.
+    finite form of x^sharp = x^(0) mod p (Fontaine, Asterisque 223;
+    Scholze, "Perfectoid spaces", Lemma 3.4).
+
+    The basis pass runs on keys and builds no element.  On a basis key the
+    left side is the reduced sharp_key image, the key times p^m where that
+    stays below the ideal index (_reduced_sharp_keys); the right side is m
+    frob_key steps down and m tbar_key steps up (_reduction_chains).  The
+    first basis monomial whose sides differ is the FAIL witness; a PASS is
+    exact and records basis_dim.  Monomials past the variable cap map to 0
+    on both sides (_past_cap) and are counted, not compared.
+
+    The element maps are the independent oracle: _ORACLE_SAMPLES multi-term
+    inputs over the monomials the basis pass compared, drawn at
+    _ORACLE_SEED, go through element sharp and through tbar_multi of their
+    0-th projection, and both must equal the key path extended linearly.
+    A mismatch there after a basis pass is a MethodDisagreement.
     """
     if isinstance(handle, ProductTower):
         return per_component(check_sharp_reduction(c, j) for c in handle.components)
@@ -156,26 +239,29 @@ def check_sharp_reduction(handle, j) -> Verdict:
     pres = small_tilt(handle, j, m)
     dom = pres.ring
     scale = handle.p**m
-
-    def agrees(pres_elem):
-        x = pres.from_presentation(pres_elem)
-        return sharp(handle, x).reduced == handle.tbar_multi(j, j + m, x.component(0))
+    sharp_side, chain_side = _reduced_sharp_keys(handle, j, m), _reduction_chains(handle, j, m)
 
     details = {"layer": j, "depth": m}
     basis = dom.basis_keys()
     in_window = [key for key in basis if not _past_cap(dom, key[1], scale)]
     for key in in_window:
-        mono = dom.monomial(*key)
-        if not agrees(mono):
-            return Verdict(FAIL, witness=mono.to_text(), name="sharp_reduction",
-                           details=details)
+        if sharp_side(key)[0] != chain_side(key)[0]:
+            return Verdict(FAIL, witness=dom.monomial(*key).to_text(),
+                           name="sharp_reduction", details=details)
     rng = random.Random(_ORACLE_SEED)
     width = min(3, len(in_window))  # every key (k, 0) is in it: p >= 2 of them
+    quot = handle.quotient(j + m)
     for _ in range(_ORACLE_SAMPLES):
         x = dom.zero()
         for key in rng.sample(in_window, width):
             x = x + dom.monomial(*key, rng.randrange(1, dom.p))
-        if not agrees(x):
+        keyed, _ = handle._map_terms(lambda n, key, lossy: sharp_side(key), j, quot, x.terms, False)
+        tilt = pres.from_presentation(x)
+        if not (
+            sharp(handle, tilt).reduced.terms
+            == keyed
+            == handle.tbar_multi(j, j + m, tilt.component(0)).terms
+        ):
             raise MethodDisagreement(f"diagram fails off the basis at {x.to_text()}")
     details["basis_dim"] = len(basis)
     if len(in_window) < len(basis):
@@ -198,6 +284,16 @@ def check_tilt_quotient_iso(handle, j, m, samples=100, seed=0) -> Verdict:
     a PASS rests on samples for its ring-map half).  With variables
     the domain is restricted to the sub-window whose Frobenius images
     stay below the degree cap (recorded in the details).
+
+    The bijection is decided on keys and builds no element.  A basis key's
+    image is its reduced sharp_key image (_reduced_sharp_keys) with every
+    index divided by p^m, which inverts tbar_multi on its image.  The
+    first basis monomial whose image is not one key, or is a key already
+    hit, is the FAIL witness, and so is the first quotient monomial not
+    hit.  Element sharp is the oracle: after a bijection, _ORACLE_KEYS of
+    the compared basis monomials, drawn at _ORACLE_SEED, go through it,
+    and one whose element image differs from its key image is a
+    MethodDisagreement.  The sampled pairs go through element sharp too.
     """
     if isinstance(handle, ProductTower):
         return per_component(
@@ -210,12 +306,13 @@ def check_tilt_quotient_iso(handle, j, m, samples=100, seed=0) -> Verdict:
     dom = pres.ring
     c_j = handle.ideal_index(j)
     scale = handle.p**m
+    sharp_side = _reduced_sharp_keys(handle, j, m)
 
     def induced(pres_elem):
         red = sharp(handle, pres.from_presentation(pres_elem)).reduced
         return quot.rescale(red, div=scale)  # invert tbar_multi on its image
 
-    hit = set()
+    images, hit = {}, set()
     restricted = 0
     for k, vt in dom.basis_keys():
         if k >= c_j:
@@ -223,20 +320,25 @@ def check_tilt_quotient_iso(handle, j, m, samples=100, seed=0) -> Verdict:
         if _past_cap(dom, vt, scale):
             restricted += 1
             continue
-        img = induced(dom.monomial(k, vt))
-        if len(img.terms) != 1:
-            return Verdict(
-                FAIL,
-                name="tilt_quotient_iso",
-                witness=dom.monomial(k, vt).to_text(),
-                details={"layer": j, "reason": "monomial image not a monomial"},
-            )
-        key = next(iter(img.terms))
-        if key in hit:
-            raise MethodDisagreement(
-                f"sharp sends two basis monomials to {quot.monomial(*key).to_text()}"
-            )
-        hit.add(key)
+        img = {}
+        for (ki, vi), c in sharp_side((k, vt))[0].items():
+            ki, vi = ki // scale, tuple([v // scale for v in vi])
+            if quot.keeps_key(ki, vi):
+                img[(ki, vi)] = c
+        if len(img) != 1:
+            reason = "monomial image not a monomial"
+        elif next(iter(img)) in hit:
+            reason = "not injective"
+        else:
+            hit.update(img)
+            images[(k, vt)] = img
+            continue
+        return Verdict(
+            FAIL,
+            name="tilt_quotient_iso",
+            witness=dom.monomial(k, vt).to_text(),
+            details={"layer": j, "reason": reason},
+        )
     missing = [key for key in quot.basis_keys() if key not in hit]
     if missing:
         return Verdict(
@@ -245,6 +347,13 @@ def check_tilt_quotient_iso(handle, j, m, samples=100, seed=0) -> Verdict:
             witness=quot.monomial(*missing[0]).to_text(),
             details={"layer": j, "reason": "not surjective"},
         )
+    compared = list(images)
+    for key in random.Random(_ORACLE_SEED).sample(compared, min(_ORACLE_KEYS, len(compared))):
+        mono = dom.monomial(*key)
+        if induced(mono).terms != images[key]:
+            raise MethodDisagreement(
+                f"sharp and sharp_key disagree on {mono.to_text()} mod the ideal"
+            )
     checked = 0
     for _ in range(samples):
         a = dom.random_element(rng, max_terms=3)

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .core import CHAR_P, LayerRing
+from .core import CHAR_P, LayerElem, LayerRing
 from .towers import (
     AxiomReport,
     MethodDisagreement,
@@ -322,13 +322,16 @@ def _certify_level(layers, n, eps, p):
 
     Row format [k, a_part, b_part]; each part is [index, coeff] or None.
     The a part lies in the coarser S_n lattice (index divisible by p), the
-    b part in S_{n+1}.
+    b part in S_{n+1}.  A monomial's p-th power is its key's image at scale
+    p (key_image folds it through t^e = p), so no product is made;
+    verify_epsilon_certificate replays the rows with ring arithmetic.
     """
     upper = layers[n + 1]
     s_idx = int(eps * upper.e)
+    vt = upper._zero_vt
     rows = []
     for k in range(upper.e):
-        x = upper.monomial(k) ** p
+        x = LayerElem(upper, *upper.key_image((k, vt), p))
         rows.append([k, *_split_p_power(x, p, s_idx)])
     return rows
 

@@ -16,7 +16,9 @@ are index bookkeeping:
 A handle defines the transition, its reduction tbar and the Frobenius
 projection once each, on basis keys (transition_key, tbar_key, frob_key:
 LayerRing.key_image of the key, scaled by transition_scale() or copied),
-and derives its element maps from them by linearity.
+and derives its element maps from them by linearity.  sharp_key is the
+monoidal map on one key of a deepest quotient, the key's lift raised to
+the p^m-th power; the monoidal basis passes read it.
 
 The axiom checker works on these finite quotients exactly, calling the
 key-level maps on basis keys; only the Zariskian condition is sampled (the
@@ -302,8 +304,8 @@ class TowerHandle:
     # Each map is defined once, on basis keys: a hook takes a key of the
     # source's basis and the input's lossy mark, and returns the image's
     # terms in the target and the image's lossy mark.  The element maps
-    # extend a hook linearly (_map_terms); the axiom pair walk calls the
-    # hooks on keys.
+    # extend a hook linearly (_map_terms); the axiom pair walk and the
+    # monoidal basis passes call the hooks on keys.
 
     def transition_key(self, n: int, key, lossy: bool = False):
         """The canonical injection on one key: indices times transition_scale()."""
@@ -319,6 +321,13 @@ class TowerHandle:
         are kept and read one lattice down, so an entry past the target
         window or variable cap vanishes."""
         return self.quotient(n).key_image(key, 1, lossy)
+
+    def sharp_key(self, j: int, m: int, key, lossy: bool = False):
+        """The monoidal map on one key of quotient(j + m), the deepest
+        component of a depth-m tilt at layer j: the key's canonical lift to
+        layer j + m (indices copied, coefficient 1) raised to the p^m-th
+        power, which is the key times p^m, folded through t^e = p."""
+        return self.layer(j + m).key_image(key, self.p**m, lossy)
 
     def _map_terms(self, hook, n: int, dst, terms: dict, lossy: bool):
         """(terms, lossy) in dst of the hook extended linearly to terms.
@@ -355,10 +364,15 @@ class TowerHandle:
         dst, x = self.layer(n + 1), self.layer(n).coerce(x)
         return LayerElem(dst, *self._map_terms(self.transition_key, n, dst, x.terms, x.lossy))
 
+    # The chains stop once the element is empty: the rest of the chain maps
+    # 0 to 0 and keeps its lossy mark (_empty_in).
+
     def embed(self, n_from: int, n_to: int, x: LayerElem) -> LayerElem:
         if n_to < n_from:
             raise LevelOutOfRange("can only embed upward")
         for n in range(n_from, n_to):
+            if x.is_zero():
+                return _empty_in(self.layer(n_to), self.layer(n).coerce(x))
             x = self.transition(n, x)
         return x
 
@@ -369,6 +383,8 @@ class TowerHandle:
 
     def tbar_multi(self, n_from: int, n_to: int, q: LayerElem) -> LayerElem:
         for n in range(n_from, n_to):
+            if q.is_zero():
+                return _empty_in(self.quotient(n_to), self.quotient(n).coerce(q))
             q = self.tbar(n, q)
         return q
 
@@ -380,6 +396,8 @@ class TowerHandle:
     def frob_multi(self, n_to: int, n_from: int, q: LayerElem) -> LayerElem:
         """Compose projections from quotient n_from down to quotient n_to."""
         for n in range(n_from - 1, n_to - 1, -1):
+            if q.is_zero():
+                return _empty_in(self.quotient(n_to), self.quotient(n + 1).coerce(q))
             q = self.frob(n, q)
         return q
 
@@ -451,6 +469,9 @@ class ProductTower(TowerHandle):
     def frob_key(self, n, key, lossy=False):
         self._no_key_hook("frob_key")
 
+    def sharp_key(self, j, m, key, lossy=False):
+        self._no_key_hook("sharp_key")
+
     # Bound here too because perfbench/spans.py traces them per class.
     embed = TowerHandle.embed
     tbar_multi = TowerHandle.tbar_multi
@@ -461,6 +482,15 @@ class ProductTower(TowerHandle):
             "label": self.label,
             "components": [c.describe() for c in self.components],
         }
+
+
+def _empty_in(ring, x):
+    """What the rest of a chain of tower maps makes of x, an empty element:
+    ring's zero, with x's lossy marks (each map sends 0 to 0 and keeps
+    them)."""
+    if isinstance(ring, ProductRing):
+        return ring.wrap(map(_empty_in, ring.factors, x.parts))
+    return LayerElem(ring, {}, x.lossy)
 
 
 def build_tower(spec: TowerSpec, *, pillar_index: int | None = None):

@@ -34,8 +34,10 @@ environment and imports no os, so nothing can select another path, and
 the kernels' signatures stay as core calls them.
 
 Each tower map has one key-level definition, a hook on TowerHandle
-(transition_key, tbar_key, frob_key).  Only the axioms' pair walk and the
-element maps derived from the hooks read them, and no class in src/ but
+(transition_key, tbar_key, frob_key, and sharp_key for the monoidal map).
+Only the axioms' pair walk, the element maps derived from the hooks and
+the monoidal basis passes' two key sides (the reduced sharp_key image and
+the frob_key/tbar_key chain) read them, and no class in src/ but
 ProductTower, whose maps go componentwise, overrides the element tbar or
 frob, so every map the handles offer is the one the walk checks.  In
 towers.py only frob_projection and the handles' own methods call the
@@ -229,12 +231,14 @@ def test_only_the_pair_walk_maps_the_basis_in_towers():
     assert _map_calls(PACKAGE / "towers.py") == []
 
 
-HOOKS = {"transition_key", "tbar_key", "frob_key"}
+HOOKS = {"transition_key", "tbar_key", "frob_key", "sharp_key"}
 HOOK_READERS = {
     "towers._check_pairs",
     "towers.TowerHandle.transition",
     "towers.TowerHandle.tbar",
     "towers.TowerHandle.frob",
+    "monoidal._reduced_sharp_keys",
+    "monoidal._reduction_chains",
 }
 ELEMENT_MAP_OWNERS = {"TowerHandle", "ProductTower"}
 

@@ -189,7 +189,8 @@ def test_sharp_reduction_diagram_exact_on_the_full_basis():
 
 def test_sharp_reduction_reduces_each_sharp_value_once(monkeypatch):
     # sharp's membership invariant and the diagram read one cached
-    # reduction of the value
+    # reduction of the value; the basis pass runs on keys and calls no
+    # sharp, so the only values are the oracle's
     from tiltlab.core import LayerRing
 
     calls = {"sharp": 0, "reduce_mod_ideal": 0}
@@ -207,10 +208,50 @@ def test_sharp_reduction_reduces_each_sharp_value_once(monkeypatch):
     monkeypatch.setattr(LayerRing, "reduce_mod_ideal", counted_reduce)
     res = check_sharp_reduction(pure5(), 0)
     assert res.verdict == "PASS" and res.details["basis_dim"] == 125
-    # one value per basis monomial, one per oracle sample
+    # one value per oracle sample, none per basis monomial
     assert monoidal._ORACLE_SAMPLES == 10
-    assert calls["sharp"] == 125 + 10
+    assert calls["sharp"] == 10
     assert calls["reduce_mod_ideal"] == calls["sharp"]
+
+
+_ELEMENT_MAPS = ("transition", "embed", "tbar", "tbar_multi", "frob", "frob_multi", "_map_terms")
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: pure5(depth=4), kummer52, lambda: pure5(n=3, vars=1, cap=1)],
+    ids=["pure5", "kummer52", "vars"],
+)
+def test_basis_passes_make_no_element_call(monkeypatch, make):
+    # With the oracles emptied, both checks decide on keys alone: one
+    # sharp_key call per compared basis key, and no sharp, no element map
+    # and no linear extension.
+    h = make()
+    calls = {}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in (*_ELEMENT_MAPS, "sharp_key"):
+        counted(TowerHandle, name)
+    counted(monoidal, "sharp")
+    monkeypatch.setattr(monoidal, "_ORACLE_SAMPLES", 0)
+    monkeypatch.setattr(monoidal, "_ORACLE_KEYS", 0)
+    for j in range(h.start, h.top):
+        m = h.top - j
+        dom, scale = small_tilt(h, j, m).ring, h.p**m
+        in_window = [key for key in dom.basis_keys() if not monoidal._past_cap(dom, key[1], scale)]
+        assert check_sharp_reduction(h, j).ok()
+        assert calls == {"sharp_key": len(in_window)}
+        calls.clear()
+        iso = check_tilt_quotient_iso(h, j, m, samples=0, seed=0)
+        assert iso.ok() and calls == {"sharp_key": iso.details["basis_dim"]}
+        calls.clear()
 
 
 def test_sharp_reduction_oracle_reaches_multi_term_inputs(monkeypatch):
@@ -292,7 +333,9 @@ def test_sharp_reduction_oracle_draws_inside_the_cap_window(monkeypatch):
 
 
 def test_tilt_quotient_iso_maps_each_sampled_pair_once(monkeypatch):
-    # per sample: induced(a), induced(b), induced(a*b) and induced(a+b)
+    # per sample: induced(a), induced(b), induced(a*b) and induced(a+b);
+    # the bijection runs on keys, and element sharp sees only the
+    # oracle's _ORACLE_KEYS basis monomials
     calls = []
     real_sharp = monoidal.sharp
 
@@ -303,7 +346,8 @@ def test_tilt_quotient_iso_maps_each_sampled_pair_once(monkeypatch):
     monkeypatch.setattr(monoidal, "sharp", counted_sharp)
     res = check_tilt_quotient_iso(pure5(), 1, 2, samples=10, seed=0)
     assert res.verdict == "PASS" and res.details["basis_dim"] == 5
-    assert len(calls) == 5 + 4 * 10
+    assert monoidal._ORACLE_KEYS == 3
+    assert len(calls) == 3 + 4 * 10
 
 
 def test_tilt_quotient_iso():
@@ -424,16 +468,16 @@ def test_torsion_bijection_detects_tampering():
 
 # -- negative controls: broken handles each monoidal check must refuse ---------
 #
-# Three mismatches no broken handle reaches, so they raise
-# MethodDisagreement rather than return a FAIL: check_tilt_quotient_iso's
-# collision of two basis images and idempotent_bijection's two
-# per-idempotent checks.  sharp sends a basis monomial T^(k, vt) of the
-# presentation to the single term t^(k p^m, vt p^m) or to 0, and dividing
-# indices by p^m gives back (k, vt), so two basis monomials never share an
-# image key; a zero image fails "monomial image not a monomial" first.
-# sharp(0) = 0 and sharp(1) = 1 in every layer ring, and lift accepts only
-# the deepest quotient's own elements, so the reduction of an idempotent's
-# image is that idempotent.  A broken sharp reaches each of them.
+# The basis passes of check_sharp_reduction and check_tilt_quotient_iso read
+# the handle's key hooks (sharp_key, frob_key, tbar_key), so a broken hook
+# gets a FAIL there.  Three mismatches no broken handle reaches, so they
+# raise MethodDisagreement rather than return a FAIL: the quotient iso's
+# element oracle and idempotent_bijection's two per-idempotent checks.
+# Element sharp and sharp_key both send a basis monomial T^(k, vt) to its
+# key times p^m, so the oracle sees two equal images.  sharp(0) = 0 and
+# sharp(1) = 1 in every layer ring, and lift accepts only the deepest
+# quotient's own elements, so the reduction of an idempotent's image is
+# that idempotent.  A broken sharp reaches each of them.
 
 
 class _NarrowIdeal(TowerHandle):
@@ -486,6 +530,25 @@ class _DroppedFactor(ProductTower):
         return self.components[0].layer(n) if n == self.top else super().layer(n)
 
 
+class _MovedSharpKey(TowerHandle):
+    """At layer 1, sharp_key sends the key of T^{1/5}, (1, ()), where it
+    sends the key of 1."""
+
+    def sharp_key(self, j, m, key, lossy=False):
+        if j == 1 and key == (1, ()):
+            key = (0, ())
+        return super().sharp_key(j, m, key, lossy)
+
+
+class _ShiftedSharpKey(TowerHandle):
+    """sharp_key adds one to every t-index of its image, which leaves the
+    image of the mod-ideal quotient's p^m-th powers."""
+
+    def sharp_key(self, j, m, key, lossy=False):
+        terms, lossy = super().sharp_key(j, m, key, lossy)
+        return {(k + 1, vt): c for (k, vt), c in terms.items()}, lossy
+
+
 def _fails(verdict, witness, **details):
     assert (verdict.verdict, verdict.witness) == ("FAIL", witness)
     for key, want in details.items():
@@ -496,6 +559,21 @@ def test_sharp_reduction_refuses_a_colliding_tbar():
     # tbar at level 1 sends T^{1/5} to the image of 1
     broken = _clone(pure5(), _CollidingTbar)
     _fails(check_sharp_reduction(broken, 1), "T^{1/5}", layer=1, depth=2)
+
+
+def test_broken_sharp_key_fails_both_basis_passes():
+    # the first basis monomial the broken hook moves is the witness
+    moved = _clone(pure5(), _MovedSharpKey)
+    _fails(check_sharp_reduction(moved, 1), "T^{1/5}", layer=1, depth=2)
+    _fails(check_tilt_quotient_iso(moved, 1, 2, samples=5, seed=0), "T^{1/5}",
+           reason="not injective")
+    assert check_sharp_reduction(moved, 0).ok() and check_sharp_reduction(moved, 2).ok()
+    # an image off the p^m lattice fails sharp's membership invariant
+    shifted = _clone(pure5(), _ShiftedSharpKey)
+    with pytest.raises(MethodDisagreement, match="membership invariant on the key"):
+        check_sharp_reduction(shifted, 1)
+    with pytest.raises(MethodDisagreement, match="membership invariant on the key"):
+        check_tilt_quotient_iso(shifted, 1, 2, samples=5, seed=0)
 
 
 def test_tilt_quotient_iso_negative_controls():
@@ -542,9 +620,10 @@ def test_unreachable_mismatches_raise_with_a_broken_sharp(monkeypatch):
 
         return fake
 
-    # every basis monomial goes to 1
+    # every basis monomial goes to 1: the key path decides a bijection, and
+    # the element oracle's first basis monomial T^{3/5} disagrees with it
     monkeypatch.setattr(monoidal, "sharp", broken(lambda ring, v: ring.one()))
-    with pytest.raises(MethodDisagreement, match="two basis monomials"):
+    with pytest.raises(MethodDisagreement, match=r"sharp and sharp_key disagree on T\^\{3/5\}"):
         check_tilt_quotient_iso(pure5(), 1, 2, samples=5, seed=0)
     # 0 goes to p, which is not idempotent
     monkeypatch.setattr(monoidal, "sharp", broken(lambda ring, v: v + ring.f0()))
@@ -701,6 +780,44 @@ def test_sharp_without_rng_projects_only_when_measured(monkeypatch, make, m):
 
 def _pure(p, n, depth):
     return build_tower(TowerSpec(prime=p, n_digits=n, depth=depth))
+
+
+# The battery's towers at every layer the suite checks (4 * 625 + 3 * 750 =
+# 4,750 keys), then a tower with one variable (product_golden's vars_x_pure
+# component: 125 t-indices times 126 variable monomials at each layer), and
+# p = 2 and p = 3 towers deeper than N, whose keys fold through t^e = p to 0.
+# The presentation window c_j * p^m is p^top at every layer of a pure tower.
+_KEY_TOWERS = {
+    "pure5": (lambda: pure5(depth=4), range(0, 4), 4 * 625),
+    "kummer52": (kummer52, range(2, 5), 3 * 750),
+    "vars": (lambda: pure5(n=3, vars=1, cap=1), range(0, 3), 3 * 125 * 126),
+    "pure2": (lambda: _pure(2, n=2, depth=4), range(0, 4), 4 * 16),
+    "pure3": (lambda: _pure(3, n=2, depth=3), range(0, 3), 3 * 27),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KEY_TOWERS))
+def test_sharp_key_matches_element_sharp_on_every_basis_key(name):
+    # sharp_key against sharp(T^k).value, the reduced key image against its
+    # reduction, and the key chain against tbar_multi(x_0), lossy marks
+    # included, on every basis key of the full-depth presentations
+    make, layers, total = _KEY_TOWERS[name]
+    h = make()
+    seen = 0
+    for j in layers:
+        m = h.top - j
+        pres = small_tilt(h, j, m)
+        sharp_side = monoidal._reduced_sharp_keys(h, j, m)
+        chain_side = monoidal._reduction_chains(h, j, m)
+        for key in pres.ring.basis_keys():
+            x = pres.from_presentation(pres.ring.monomial(*key))
+            result = sharp(h, x)
+            assert h.sharp_key(j, m, key) == (result.value.terms, result.value.lossy)
+            assert sharp_side(key) == (result.reduced.terms, result.reduced.lossy)
+            chain = h.tbar_multi(j, j + m, x.component(0))
+            assert chain_side(key) == (chain.terms, chain.lossy)
+            seen += 1
+    assert seen == total
 
 
 # Towers for the differential test below: pure at every prime, with depths

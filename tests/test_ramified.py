@@ -10,6 +10,8 @@ import pytest
 
 from tiltlab.ramified import (
     AxiomFailure,
+    _certify_level,
+    _split_p_power,
     NoWitnessInRange,
     assemble_perfectoid,
     build_cover_layers,
@@ -144,6 +146,26 @@ def test_find_epsilon_requires_enough_levels():
 def test_epsilon_certificate_reverifies():
     w = find_epsilon(spec52(), delta_table(spec52()))
     assert verify_epsilon_certificate(spec52(), w, rng=random.Random(0), samples=40)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    # the suite's Kummer 5/2 spec, which is also ramify --p 5 --m 2 at its
+    # default --levels 5 --prec 6; and a cover whose powers carry past N
+    [spec52(), cover(7, 3, 4, 4)],
+    ids=["kummer52", "kummer73"],
+)
+def test_certificate_rows_equal_the_monomial_power_rows(spec):
+    # _certify_level reads each p-th power off the key; the reference
+    # raises the monomial, at every level of the cover
+    p = spec.prime
+    eps = find_epsilon(spec, delta_table(spec)).epsilon
+    layers = build_cover_layers(spec)
+    for n in range(spec.depth):
+        upper = layers[n + 1]
+        s_idx = int(eps * upper.e)
+        want = [[k, *_split_p_power(upper.monomial(k) ** p, p, s_idx)] for k in range(upper.e)]
+        assert _certify_level(layers, n, eps, p) == want
 
 
 def test_epsilon_certificate_detects_tampering():

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiltlab import towers
-from tiltlab.core import LayerElem
+from tiltlab.core import LayerElem, ProductElem, ProductRing
 from tiltlab.towers import (
     _DENSE_CROSSCHECK_DIM,
     FAIL,
@@ -410,16 +410,18 @@ def test_product_tower_is_a_tower_handle():
         assert ProductTower.__dict__[name] is TowerHandle.__dict__[name]
 
 
-@pytest.mark.parametrize("hook", ["transition_key", "tbar_key", "frob_key"])
+@pytest.mark.parametrize("hook", ["transition_key", "tbar_key", "frob_key", "sharp_key"])
 def test_product_key_hooks_refuse_by_name(hook):
     # A product ring has no basis keys of its own: the hooks name the rule
     # (maps go componentwise) instead of failing inside a ProductRing, and
-    # each component still serves the same key.
+    # each component still serves the same key.  sharp_key takes a layer
+    # and a depth before the key.
     h = _product_53("pure")
+    args = (0, 2, (0, ())) if hook == "sharp_key" else (0, (0, ()))
     with pytest.raises(ComponentwiseMaps, match=f"no {hook}: product maps go componentwise"):
-        getattr(h, hook)(0, (0, ()))
+        getattr(h, hook)(*args)
     for comp in h.components:
-        assert getattr(comp, hook)(0, (0, ())) == ({(0, ()): 1}, False)
+        assert getattr(comp, hook)(*args) == ({(0, ()): 1}, False)
 
 
 @functools.cache
@@ -822,6 +824,59 @@ def test_pair_walk_maps_back_only_nonzero_images(monkeypatch, make):
     assert hooks.count("tbar_key") + hooks.count("frob_key") == walk
     assert hooks.count("transition_key") == sum(n - h.start for n in levels)
     assert len(hooks) == walk + sum(n - h.start for n in levels)
+
+
+def _empty(ring, lossy):
+    """ring's zero; on a product the first factor's part carries the mark."""
+    if isinstance(ring, ProductRing):
+        return ring.wrap(_empty(f, lossy and i == 0) for i, f in enumerate(ring.factors))
+    return LayerElem(ring, {}, lossy)
+
+
+def _marks(x):
+    return [part.lossy for part in x.parts] if isinstance(x, ProductElem) else [x.lossy]
+
+
+@pytest.mark.parametrize("lossy", [False, True])
+@pytest.mark.parametrize("make", [pure5, lambda: _product_53("vars")], ids=["pure5", "product"])
+def test_element_chains_stop_at_zero(monkeypatch, make, lossy):
+    # Once the element is empty, the rest of a chain maps 0 to 0: embed,
+    # tbar_multi and frob_multi return the target ring's zero with the
+    # lossy marks that mapping level by level keeps, and extend no hook.
+    h = make()
+    lo, hi = h.start, h.top
+    chains = {
+        "embed": (h.layer, h.transition, range(lo, hi)),
+        "tbar_multi": (h.quotient, h.tbar, range(lo, hi)),
+        "frob_multi": (h.quotient, h.frob, range(hi - 1, lo - 1, -1)),
+    }
+    want = {}
+    for name, (ring, step, levels) in chains.items():
+        x = _empty(ring(levels[0] + (name == "frob_multi")), lossy)
+        for n in levels:
+            x = step(n, x)
+        want[name] = x
+    calls = []
+    real = TowerHandle._map_terms
+
+    def counted(self, hook, n, dst, terms, lossy):
+        calls.append(n)
+        return real(self, hook, n, dst, terms, lossy)
+
+    monkeypatch.setattr(TowerHandle, "_map_terms", counted)
+    got = {
+        "embed": h.embed(lo, hi, _empty(h.layer(lo), lossy)),
+        "tbar_multi": h.tbar_multi(lo, hi, _empty(h.quotient(lo), lossy)),
+        "frob_multi": h.frob_multi(lo, hi, _empty(h.quotient(hi), lossy)),
+    }
+    assert calls == []
+    for name, x in got.items():
+        assert x.ring is want[name].ring and x.is_zero()
+        assert _marks(x) == _marks(want[name]) == [lossy] + [False] * (len(_marks(x)) - 1)
+    # A projection past the next window empties the element after one step.
+    if not isinstance(h, ProductTower):
+        x = h.quotient(hi).monomial(h.quotient(hi - 1).window)
+        assert h.frob_multi(lo, hi, x) == h.quotient(lo).zero() and calls == [hi - 1]
 
 
 def test_pair_walk_resolves_each_quotient_once(monkeypatch):
