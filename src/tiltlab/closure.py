@@ -282,30 +282,43 @@ class RingPair:
         return cls(A=A, f=f, c_cap=c_cap, label=label)
 
     def _verify_map(self):
-        """Spot-check that map_fn is a unital ring homomorphism."""
-        import random
-
-        A, B = self.A, self.B
-        if not self.map_fn(A.one()).is_one():
+        """Spot-check that map_fn is a unital ring homomorphism, on the
+        triples (x, y, x * y) of _spot_pairs."""
+        if not self.map_fn(self.A.one()).is_one():
             raise ValueError(f"pair {self.label}: map does not send 1 to 1")
-        rng = random.Random(0)
-        small = getattr(A, "rank", 1) <= 12
-        if small and hasattr(A, "basis_elems"):
-            gens = A.basis_elems()
-            pairs = [(x, y) for x in gens for y in gens]
-        else:
-            pairs = [
-                (A.random_element(rng, 2), A.random_element(rng, 2))
-                for _ in range(20)
-            ]
-        for x, y in pairs:
-            if self.map_fn(x * y) != self.map_fn(x) * self.map_fn(y):
+        for x, y, xy in self._spot_pairs():
+            mx, my = self.map_fn(x), self.map_fn(y)
+            if self.map_fn(xy) != mx * my:
                 raise ValueError(
                     f"pair {self.label}: map is not multiplicative at "
                     f"({x.to_text()}, {y.to_text()})"
                 )
-            if self.map_fn(x + y) != self.map_fn(x) + self.map_fn(y):
+            if self.map_fn(x + y) != mx + my:
                 raise ValueError(f"pair {self.label}: map is not additive")
+
+    def _spot_pairs(self):
+        """(x, y, x * y) for every pair of basis elements of a small
+        explicit ring; otherwise for 20 pairs drawn from Random(0).
+
+        A drawn pair whose product is 0 at precision is drawn again:
+        map(0) = 0, so such a pair tests nothing of map(x * y) but
+        map(x) * map(y) = 0.  The redraw ends, because every layer ring has
+        nonzero constants: random_element draws a pair of unit constants
+        with positive probability, and their product is a unit.
+        """
+        import random
+
+        A = self.A
+        if getattr(A, "rank", 1) <= 12 and hasattr(A, "basis_elems"):
+            gens = A.basis_elems()
+            return [(x, y, x * y) for x in gens for y in gens]
+        rng = random.Random(0)
+        triples = []
+        while len(triples) < 20:
+            x, y = A.random_element(rng, 2), A.random_element(rng, 2)
+            if not (xy := x * y).is_zero():
+                triples.append((x, y, xy))
+        return triples
 
     def check_torsion_free(self):
         rep_a = self.A.torsion_submodule(self.f)

@@ -36,7 +36,8 @@ CHAR_P = "char_p"
 
 _ENUM_LIMIT = 1 << 20
 
-# A monogenic product goes dense when len(a) * len(b) exceeds max(this, e).
+# LayerRing._chain_mul, the one product on layers without variables, goes
+# dense when len(a) * len(b) exceeds max(this, e).
 _SPARSE_LIMIT = 64
 
 
@@ -384,54 +385,8 @@ class LayerRing:
             vt = tuple(map(add, va, vb)) if self.num_vars else va
             return self._term(ka + kb, vt, ca * cb, lossy)
         if self.num_vars == 0:
-            if len(ta) * len(tb) > max(_SPARSE_LIMIT, self.e):
-                return self._mul_dense(ta, tb, lossy)
-            # Each pair folds as it forms: both keys lie below e (MIXED), resp.
-            # the window (CHAR_P), so t^k folds at most once, to p t^(k-e),
-            # resp. to 0.  A key arrives with the first pair to reach k or
-            # k + e, where folding after the double loop would insert it.  A
-            # square visits each unordered pair once, ka's own pair first: the
-            # first pair of the full double loop to reach a key has i <= j.
-            acc: dict = {}
-            get = acc.get
-            row = [(kb, cb) for (kb, _), cb in tb.items()]
-            square = ta is tb
-            if self.mode == MIXED:
-                e, p = self.e, self.p
-                for i, ((ka, _), ca) in enumerate(ta.items()):
-                    rest = row
-                    if square:
-                        k = ka + ka
-                        if k < e:
-                            acc[k] = get(k, 0) + ca * ca
-                        else:
-                            k -= e
-                            acc[k] = get(k, 0) + ca * ca * p
-                        ca += ca
-                        rest = row[i + 1 :]
-                    for kb, cb in rest:
-                        k = ka + kb
-                        if k < e:
-                            acc[k] = get(k, 0) + ca * cb
-                        else:
-                            k -= e
-                            acc[k] = get(k, 0) + ca * cb * p
-            else:
-                window = self.window
-                for i, ((ka, _), ca) in enumerate(ta.items()):
-                    rest = row
-                    if square:
-                        k = ka + ka
-                        if k < window:
-                            acc[k] = get(k, 0) + ca * ca
-                        ca += ca
-                        rest = row[i + 1 :]
-                    for kb, cb in rest:
-                        k = ka + kb
-                        if k < window:
-                            acc[k] = get(k, 0) + ca * cb
-            mod, vt = self.coeff_mod, self._zero_vt
-            return LayerElem(self, {(k, vt): r for k, c in acc.items() if (r := c % mod)}, lossy)
+            prod = self._chain_mul(ta, tb, self.coeff_mod)
+            return LayerElem(self, self._terms_of(prod), lossy)
         # Once the product is lossy, a pair whose variable degrees sum past
         # the cap can only be dropped: no kept key receives it, and the flag
         # it could set is already set.
@@ -446,38 +401,13 @@ class LayerRing:
                 items.append((ka + kb, tuple(map(add, va, vb)), ca * cb))
         return self._from_items(items, lossy)
 
-    def _mul_dense(self, ta, tb, lossy):
-        if self.mode == MIXED:
-            fa = self._coeff_list(ta)
-            # the kernel squares when both arguments are one list
-            fb = fa if ta is tb else self._coeff_list(tb)
-            conv = _backend.eisenstein_mul(fa, fb, self.e, self.p, self.coeff_mod)
-        else:
-            la = max(k for k, _ in ta) + 1
-            lb = max(k for k, _ in tb) + 1
-            fa = [0] * la
-            fb = [0] * lb
-            for (k, _), c in ta.items():
-                fa[k] = c
-            for (k, _), c in tb.items():
-                fb[k] = c
-            conv = _backend.window_mul(fa, fb, self.window, self.p)
-        vt = self._zero_vt
-        terms = {(k, vt): c for k, c in enumerate(conv) if c}
-        return LayerElem(self, terms, lossy)
-
-    def _coeff_list(self, terms) -> list:
-        """The e coefficients of a monogenic MIXED element, t^0 first."""
-        out = [0] * self.e
-        for (k, _), c in terms.items():
-            out[k] = c
-        return out
-
-    # -- the p-th power chain of LayerElem.p_power ---------------------------
+    # -- the product on a layer without variables ----------------------------
     #
-    # A chain value is a terms dict while sparse and an e-long coefficient
-    # list once a product went dense; its coefficients lie in [0, mod) for
-    # the modulus of the step that made it.
+    # Both * and the p-th power chain of LayerElem.p_power multiply here.  A
+    # value is a terms dict while sparse and a coefficient list once a
+    # product went dense (the chain keeps the list, which saves a term dict
+    # per product); its coefficients lie in [0, mod) for the modulus of the
+    # product that made it.
 
     def _chain_pow_p(self, y, mod):
         """y^p mod `mod`, by left-to-right binary powering."""
@@ -489,22 +419,72 @@ class LayerRing:
         return r
 
     def _chain_mul(self, a, b, mod):
-        """a * b mod `mod`: sparse by _mul's rule until either side is dense.
+        """a * b mod `mod`, a power of p dividing coeff_mod; b is a for a
+        square.
 
-        The kernel sizes its lanes for coefficients below its pmod, so both
-        inputs must already lie in [0, mod).
+        Two terms dicts of len(a) * len(b) <= max(_SPARSE_LIMIT, e) pairs
+        multiply sparse.  Each pair folds as it forms: both keys lie below
+        e (MIXED), resp. the window (CHAR_P), so t^k folds at most once, to
+        p t^(k-e), resp. to 0.  A key arrives with the first pair to reach
+        k or k + e, where folding after the double loop would insert it.  A
+        square visits each unordered pair once, ka's own pair first: the
+        first pair of the full double loop to reach a key has i <= j.
+
+        Any other product is dense: both sides become coefficient lists and
+        go to the kernel, which sizes its lanes for coefficients below its
+        pmod, so both inputs must already lie in [0, mod).
         """
-        sparse_a, sparse_b = isinstance(a, dict), isinstance(b, dict)
-        if sparse_a and sparse_b and len(a) * len(b) <= max(_SPARSE_LIMIT, self.e):
-            wa = LayerElem(self, a)
-            prod = self._mul(wa, wa if b is a else LayerElem(self, b))
-            return {key: r for key, c in prod.terms.items() if (r := c % mod)}
-        fa = self._coeff_list(a) if sparse_a else a
-        if b is a:
-            fb = fa
-        else:
-            fb = self._coeff_list(b) if sparse_b else b
-        return _backend.eisenstein_mul(fa, fb, self.e, self.p, mod)
+        sparse = isinstance(a, dict) and isinstance(b, dict)
+        if sparse and len(a) * len(b) <= max(_SPARSE_LIMIT, self.e):
+            mixed = self.mode == MIXED
+            top, p = (self.e if mixed else self.window), self.p
+            acc: dict = {}
+            get = acc.get
+            row = [(kb, cb) for (kb, _), cb in b.items()]
+            square = a is b
+            for i, ((ka, _), ca) in enumerate(a.items()):
+                rest = row
+                if square:
+                    k = ka + ka
+                    if k < top:
+                        acc[k] = get(k, 0) + ca * ca
+                    elif mixed:
+                        k -= top
+                        acc[k] = get(k, 0) + ca * ca * p
+                    ca += ca
+                    rest = row[i + 1 :]
+                for kb, cb in rest:
+                    k = ka + kb
+                    if k < top:
+                        acc[k] = get(k, 0) + ca * cb
+                    elif mixed:
+                        k -= top
+                        acc[k] = get(k, 0) + ca * cb * p
+            vt = self._zero_vt
+            return {(k, vt): r for k, c in acc.items() if (r := c % mod)}
+        fa = self._coeff_list(a)
+        # the Eisenstein kernel squares when both arguments are one list
+        fb = fa if b is a else self._coeff_list(b)
+        if self.mode == MIXED:
+            return _backend.eisenstein_mul(fa, fb, self.e, self.p, mod)
+        return _backend.window_mul(fa, fb, self.window, self.p)
+
+    def _coeff_list(self, terms) -> list:
+        """A product input as a coefficient list, t^0 first: e long on a
+        MIXED layer, up to its top key on a CHAR_P one.  A list passes."""
+        if isinstance(terms, list):
+            return terms
+        out = [0] * (self.e if self.mode == MIXED else max(k for k, _ in terms) + 1)
+        for (k, _), c in terms.items():
+            out[k] = c
+        return out
+
+    def _terms_of(self, value) -> dict:
+        """A product value as a terms dict."""
+        if isinstance(value, dict):
+            return value
+        vt = self._zero_vt
+        return {(k, vt): c for k, c in enumerate(value) if c}
 
     # -- valuation and ideals ----------------------------------------------
 
@@ -793,9 +773,10 @@ class LayerElem:
         binomial theorem, so a^(p^m) mod p^M depends only on a mod
         p^max(1, M-m) (Scholze, "Perfectoid spaces", Lemma 3.4).  Step i
         of the chain therefore works mod p^max(1, M-m+i), and only the
-        last step runs at full precision M.  Each product picks the sparse
-        or dense path by _mul's rule; once dense, the chain stays on one
-        coefficient list, which saves a term dict per product.
+        last step runs at full precision M.  Each product is
+        LayerRing._chain_mul, the one product * also takes on layers
+        without variables; once dense, the chain stays on one coefficient
+        list, which saves a term dict per product.
 
         A monogenic mixed layer is the truncated DVR O/t^(eN), and
         v = index_valuation() is its exact valuation, so self^(p^m) has
@@ -836,8 +817,7 @@ class LayerElem:
         y = {key: r for key, c in terms.items() if (r := c % mod)}
         for k in range(n - m + 1, n + 1):
             y = ring._chain_pow_p(y, p ** max(1, k))
-        if isinstance(y, list):
-            y = {(k, vt): c for k, c in enumerate(y) if c}
+        y = ring._terms_of(y)
         if v:
             # times p^q * t^s; w^(p^m) lies below p^(N-q), so p^q * c only
             # needs reducing where t^(k+s) folds into one more p

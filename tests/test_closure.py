@@ -207,6 +207,52 @@ def test_cartesian_on_tower_pairs():
         assert is_cartesian_mod_f(pair).verdict == PASS_EXACT
 
 
+def _battery_tower_pairs():
+    """The extension pairs of consecutive layers the battery builds: the
+    closure oracles' pure p = 2 tower and tilt, and the transfer suite's
+    pure p = 5 and Kummer 5/2 towers with their depth-1 tilts."""
+    from tiltlab.battery import kummer_tower_5_2, pure_tower
+    from tiltlab.tilts import tilt_tower
+
+    h3, kummer = pure_tower(5, 6, 3), kummer_tower_5_2(7)[3]
+    handles = [
+        small_pure2(),
+        tilt_tower(build_tower(TowerSpec(prime=2, n_digits=2, depth=3)), 1),
+        h3,
+        tilt_tower(h3, 1),
+        kummer,
+        tilt_tower(kummer, 1),
+    ]
+    return [pair for h in handles for pair in tower_pairs(h)]
+
+
+def test_map_spot_checks_draw_no_vacuous_pair(monkeypatch):
+    # a pair with x * y = 0 maps 0 to 0 and is drawn again, so the map
+    # meets an empty element only where a pair sums to 0: 17 of the 280
+    # pairs, 16 of them at p = 2, where x + x = 0
+    from tiltlab.towers import TowerHandle
+
+    pairs = _battery_tower_pairs()
+    empty, map_terms = [], TowerHandle._map_terms
+
+    def counted(self, hook, n, dst, terms, lossy):
+        if not terms:
+            empty.append(n)
+        return map_terms(self, hook, n, dst, terms, lossy)
+
+    monkeypatch.setattr(TowerHandle, "_map_terms", counted)
+    vacuous, zero_sums = 0, 0
+    for pair in pairs:
+        spots = pair._spot_pairs()
+        assert len(spots) == 20
+        assert all(xy == x * y for x, y, xy in spots)
+        vacuous += sum(xy.is_zero() for _, _, xy in spots)
+        zero_sums += sum((x + y).is_zero() for x, y, _ in spots)
+        pair._verify_map()
+    assert len(pairs) == 14 and vacuous == 0
+    assert len(empty) == zero_sums == 17
+
+
 def test_cartesian_identity_pair():
     ring = LayerRing(p=2, e=2, n_digits=2, ideal_num=2)
     pair = RingPair.extension(ring, ring, lambda x: x, ring.f0(), label="id")

@@ -519,7 +519,7 @@ def _dense(ring, a, b):
 
 @st.composite
 def monogenic_ring(draw):
-    p = draw(st.sampled_from([2, 3, 5]))
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
     e = draw(st.sampled_from([1, 3, 5, 9, 16, 40]))
     if draw(st.booleans()):
         nd = draw(st.integers(min_value=1, max_value=4))
@@ -614,6 +614,51 @@ def test_add_neg_sub_match_item_path(data):
     _same(a + b, reference_add(a, b), order=True)
     _same(-a, reference_neg(a), order=True)
     _same(a - b, reference_add(a, reference_neg(b)), order=True)
+
+
+def _product_at_every_modulus(ring, a, b):
+    """LayerRing._chain_mul at mod = p^k for 1 <= k <= N, on terms dicts and
+    on coefficient lists, against reference_mul reduced mod p^k.  Its inputs
+    lie in [0, mod), and _mul hands it no empty side."""
+    for k in range(1, ring.n_digits + 1):
+        mod = ring.p**k
+        ra, rb = (
+            ring._from_items([(t, vt, c % mod) for (t, vt), c in x.terms.items()])
+            for x in (a, b)
+        )
+        rb = ra if b is a else rb
+        if not ra.terms or not rb.terms:
+            continue
+        want = {key: r for key, c in reference_mul(ra, rb).terms.items() if (r := c % mod)}
+        la = ring._coeff_list(ra.terms)
+        lb = la if rb is ra else ring._coeff_list(rb.terms)
+        forms = [(ra.terms, rb.terms), (la, lb)]
+        if rb is not ra:
+            forms += [(la, rb.terms), (ra.terms, lb)]
+        for fa, fb in forms:
+            got = ring._chain_mul(fa, fb, mod)
+            sparse = isinstance(fa, dict) and isinstance(fb, dict) and not _dense(ring, ra, rb)
+            assert isinstance(got, dict) == sparse
+            assert ring._terms_of(got) == want
+            if sparse:
+                assert list(got) == list(want)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(monogenic_pair())
+def test_the_product_matches_the_item_path_at_every_modulus(data):
+    _product_at_every_modulus(*data)
+
+
+@pytest.mark.parametrize("mode", ["mixed", "char_p"])
+def test_the_product_at_every_modulus_on_both_sides_of_the_dense_threshold(mode):
+    shape = dict(p=7, e=16, ideal_num=16)
+    ring = LayerRing(n_digits=3, **shape) if mode == "mixed" else LayerRing(window=30, **shape)
+    full = ring._from_items([(k, (), 7 * k + 1) for k in range(ring.t_range())])
+    small = ring._from_items([(k, (), 7 * k + 2) for k in range(0, 16, 4)])
+    assert _dense(ring, full, full) and not _dense(ring, small, small)
+    for a, b in ((full, full), (full, small), (small, small), (small, full)):
+        _product_at_every_modulus(ring, a, b)
 
 
 def test_monogenic_paths_cover_both_sides_of_the_dense_threshold():

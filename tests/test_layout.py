@@ -25,6 +25,11 @@ The p-th power ladder, LayerRing._chain_pow_p, has one caller,
 LayerElem.p_power, which runs it on the unit part of its input: no second
 power routine climbs the ladder beside the one that reads the valuation.
 
+A layer without variables has one product, LayerRing._chain_mul: it alone
+reads the sparse limit and calls either kernel, and only _mul (for *) and
+the ladder's _chain_pow_p call it, so the sparse-or-dense rule and the
+kernel calls live in one place.
+
 Product towers have one rule, verdict.per_component: no other module
 builds a "component_i" details key or a "component i: " witness prefix.
 
@@ -322,6 +327,28 @@ def test_the_power_ladder_has_one_caller():
         if isinstance(node, ast.Attribute) and node.attr == "_chain_pow_p"
     ]
     assert callers == ["core.LayerElem.p_power"]
+
+
+def test_layers_without_variables_have_one_product():
+    tree = ast.parse((PACKAGE / "core.py").read_text(encoding="utf-8"))
+    readers, callers = {}, set()
+    for owner, node in _methods_and_nodes(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "_backend":
+            readers.setdefault(node.attr, []).append(owner)
+        elif isinstance(node, ast.Name) and node.id == "_SPARSE_LIMIT":
+            if isinstance(node.ctx, ast.Load):
+                readers.setdefault(node.id, []).append(owner)
+        elif isinstance(node, ast.Attribute) and node.attr == "_chain_mul":
+            callers.add(owner)
+    one = ["LayerRing._chain_mul"]
+    assert readers == {"eisenstein_mul": one, "window_mul": one, "_SPARSE_LIMIT": one}
+    assert callers == {"LayerRing._mul", "LayerRing._chain_pow_p"}
+    elsewhere = [
+        path.name
+        for path in _modules()
+        if "_chain_mul" in set(_references(ast.parse(path.read_text(encoding="utf-8"))))
+    ]
+    assert elsewhere == []
 
 
 KERNELS = PACKAGE / "_kernels_py.py"

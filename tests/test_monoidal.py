@@ -30,6 +30,7 @@ from tiltlab.towers import (
     TowerHandle,
     TowerSpec,
     build_tower,
+    check_axioms,
 )
 
 from test_towers import _clone, _CollidingTbar, _NonUnitSampler, kummer52, pure5
@@ -890,3 +891,28 @@ def test_dense_sharp_climbs_the_precision_ladder(monkeypatch):
     assert moduli == sorted(moduli)
     assert min(moduli) < deep.coeff_mod
     assert moduli[-1] == deep.coeff_mod
+
+
+# Pure towers at p = 7 and 11, and a one-variable tower at depth 2.  Each
+# spec took 0.01-0.08 s on a 2-core VM; p = 7, depth 3 with a variable took
+# 0.5 s and stays out.
+LARGE_PRIME_SPECS = [
+    (p, n, depth, 0) for p in (7, 11) for n in (2, 3) for depth in (2, 3)
+] + [(7, 2, 2, 1), (11, 2, 2, 1)]
+
+
+@pytest.mark.parametrize("p, n, depth, vars", LARGE_PRIME_SPECS)
+def test_monoidal_checks_pass_at_primes_past_5(p, n, depth, vars):
+    h = build_tower(
+        TowerSpec(prime=p, n_digits=n, depth=depth, num_vars=vars,
+                  var_degree_cap=Fraction(vars))
+    )
+    assert check_axioms(h, samples=50, seed=0).all_pass
+    for j in range(h.start, h.top):
+        m = h.top - j
+        assert check_sharp_reduction(h, j).verdict == "PASS", j
+        assert check_tilt_quotient_iso(h, j, m, samples=20, seed=0).verdict == "PASS", j
+        if not vars:
+            assert check_pillar_valuation(h, j).verdict == "PASS", j
+    assert multiplicativity_trial(h, h.start, depth, pairs=20, seed=0).verdict == "PASS"
+    assert lift_independence_trial(h, h.start, depth, trials=10, seed=0).verdict == "PASS"
