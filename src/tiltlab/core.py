@@ -243,6 +243,25 @@ class LayerRing:
         # _cap_index's test, inlined: _term asks this of every nonzero term.
         return k < self.index_cap and (not self.num_vars or sum(vt) <= self.var_cap_index)
 
+    def scaled_key_bounds(self, mul: int) -> list:
+        """keeps_key in closed form on keys scaled by mul: per variable
+        monomial vt, in var_monomials() order, the pair (vt * mul, bound)
+        with keeps_key(k * mul, vt * mul) true iff k < bound.  bound is
+        ceil(index_cap / mul) where vt * mul lies under the variable cap,
+        else 0.
+
+        basis_keys() runs through var_monomials() once per t-index, so a
+        walk over the basis can cycle these rows beside the keys.  In
+        characteristic p, (k, vt) times p is the key of the p-th power of
+        the basis monomial (k, vt), coefficient 1.
+        """
+        bound, cap = -(-self.index_cap // mul), self.var_cap_index
+        return [
+            (tuple([j * mul for j in vt]),
+             bound if not self.num_vars or mul * sum(vt) <= cap else 0)
+            for vt in self.var_monomials()
+        ]
+
     def _from_items(self, items, lossy=False) -> "LayerElem":
         acc: dict = {}
         get = acc.get
@@ -560,14 +579,6 @@ class LayerRing:
             index = self._vt_index = {v: i for i, v in enumerate(self.var_monomials())}
         return k * len(index) + index[vt]
 
-    def basis_key(self, k, vt):
-        """The tuple of basis_keys() equal to (k, vt), a key this ring keeps.
-
-        Callers that hold many keys at once share the basis's tuples
-        instead of building their own.
-        """
-        return (self._basis or self.basis_keys())[self._position(k, vt)]
-
     @property
     def rank(self) -> int:
         return self.t_range() * len(self.var_monomials())
@@ -617,24 +628,30 @@ class LayerRing:
         (z = 0, even a lossy 0) has an exact inverse.
         """
         x = self.coerce(x)
-        c0 = x.terms.get((0, self._zero_vt), 0)
+        const, mod = (0, self._zero_vt), self.coeff_mod
+        c0 = x.terms.get(const, 0)
         if c0 % self.p == 0:
             raise NotInvertible(f"{x.to_text()} has non-unit constant term")
-        c0_inv = pow(c0, -1, self.coeff_mod)
-        z = self.one() - x * c0_inv
+        c0_inv = pow(c0, -1, mod)
+        # z = 1 - c0^-1 x: c0 c0^-1 = 1 cancels the constant term, so z is
+        # x's other terms scaled by -c0^-1, in x's order, with x's mark.
+        z = LayerElem(
+            self,
+            {key: r for key, c in x.terms.items() if key != const and (r := -c * c0_inv % mod)},
+            x.lossy,
+        )
         if not z.is_zero() and z.valuation() == 0:
             raise NotInvertible(
                 f"{x.to_text()} is not 1 + (positive valuation) up to a unit"
             )
         if z.is_zero():
             return self.from_int(c0_inv)
-        acc = {(0, self._zero_vt): 1}
+        acc = {const: 1}
         power = z
         while not power.is_zero():
             for key, c in power.terms.items():
                 acc[key] = acc.get(key, 0) + c
             power = power * z
-        mod = self.coeff_mod
         terms = {key: r for key, c in acc.items() if (r := c * c0_inv % mod)}
         return LayerElem(self, terms, power.lossy)
 

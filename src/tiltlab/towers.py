@@ -31,7 +31,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from operator import add
+from itertools import cycle
+from operator import le
 
 from . import linalg
 from .core import (
@@ -563,16 +564,18 @@ def check_axioms(handle, samples: int = 200, seed: int = 0) -> AxiomReport:
     is a sampled proxy (invertibility of 1 + z for z in the ideal), since
     the Jacobson-radical statement quantifies over all maximal ideals.
     Axioms (b), (c), (d) and (f-2) share two passes per pair of levels
-    (_check_pairs), up over quotient(n+1) and down over quotient(n): the
-    handle's key-level maps (frob_key, tbar_key) are called once per basis
-    key and pass, plus once on each nonzero image to map it back (an empty
-    projection has nothing to map back), and the images feed every axiom
-    that reads them.  No ring element is built for a key.  What the images
-    are compared against (p-th powers, the pillar ideal) is index
-    arithmetic on the basis keys.  On pairs small enough for the dense
-    cross-checks it is replayed with ring arithmetic, and the F_p rank
-    oracle of (b) and (d) reads the images the two passes already hold.
-    One failure record keeps each axiom's first witness.
+    (_check_pairs), up over quotient(n+1) and down over quotient(n).  The
+    handle's side is per key: its key-level maps (frob_key, tbar_key) are
+    called once per basis key and pass, plus once on each nonzero image to
+    map it back (an empty projection has nothing to map back), and the
+    images feed every axiom that reads them.  No ring element is built for
+    a key.  The checker's side, what the images are compared against
+    (p-th powers, the pillar ideal and the truncation tail), is closed
+    form on the characteristic-p quotients: bounds and orthants computed
+    once per pass, and a few integer comparisons per key.  On pairs small
+    enough for the dense cross-checks it is replayed with ring arithmetic,
+    and the F_p rank oracle of (b) and (d) reads the images the two passes
+    already hold.  One failure record keeps each axiom's first witness.
     """
     if handle.depth < 2:
         raise SpecError("the axiom suite needs depth >= 2")
@@ -623,29 +626,41 @@ def _check_pairs(handle) -> dict[str, Verdict]:
     """Axioms (b), (c), (d) and (f), in that order, by two passes per pair
     of levels n, n+1 and one failure record.
 
-    The passes run on basis keys through the handle's key-level maps: the
-    up pass projects each quotient(n+1) key with frob_key and lifts the
-    image back with tbar_key; the down pass takes each quotient(n) key's
-    tbar_key and projects it back with frob_key.  Images map back through
-    _map_terms, the linear extension the element maps use, which hands an
-    image of one term with coefficient 1 straight to the hook; an empty
-    projection has nothing to map back.  Every image must be keyed in its
-    target quotient; a key it does not keep is a MethodDisagreement, never
-    a verdict.  The projections feed (c)'s up half, (d)'s hit set and
-    (f-2)'s kernel and truncation tail; the t-bars feed (b), (c)'s down
-    half and (d)'s missing list.  The checker's own side is index
-    arithmetic on keys: a monomial's p-th power is its key times p
-    (_power_terms), and f1_bar times a monomial is the key shifted by each
-    key of f1_bar (_ideal_keys), both kept or dropped by the quotient's
-    keeps_key.  On pairs within _DENSE_CROSSCHECK_DIM the walk replays
-    that side with ring arithmetic (``mono**p``, ``f1_bar * mono``), and
-    the rank oracle reads the images the passes hold: while (b), resp.
-    (d), holds, the dense F_p rank of the t-bars, resp. projections, is
-    quotient(n)'s rank.  A replay that differs raises MethodDisagreement.
-    Ring elements are built only for those replays and for failure
-    witnesses.  An axiom is checked while it is absent from ``failed`` and
-    stores its first failure there, up half before down half within a
-    pair.
+    The handle's side is per key: the up pass projects each quotient(n+1)
+    key with frob_key and lifts the image back with tbar_key; the down
+    pass takes each quotient(n) key's tbar_key and projects it back with
+    frob_key.  Images map back through _map_terms, the linear extension
+    the element maps use, which hands an image of one term with
+    coefficient 1 straight to the hook; an empty projection has nothing to
+    map back.  Every image must be keyed in its target quotient; a key it
+    does not keep is a MethodDisagreement, never a verdict.  The
+    projections feed (c)'s up half, (d)'s hit set and (f-2); the t-bars
+    feed (b), (c)'s down half and (d)'s missing list.
+
+    The checker's side, what the images should be, is closed form on the
+    characteristic-p quotients (window I, variable cap C): it is computed
+    once per pass and variable monomial vt (LayerRing.scaled_key_bounds,
+    _orthant_starts) and compared per key (k, vt) by integer tests:
+
+    * (c): the p-th power of the key is the one term (k p, vt p) with
+      coefficient 1, kept iff k p < I and p deg(vt) <= C, and 0 otherwise;
+    * (f-2): the projection's kernel is spanned by the keys of the pillar
+      ideal, the union over f1_bar's keys (a, va) of the orthants k >= a,
+      vt >= va, and of the declared truncation tail, p deg(vt) > C:
+      monomials whose image overflows the cap.  basis_keys() is sorted,
+      so the first key where the projection disagrees is the least key
+      of the symmetric difference, the witness; the tail's dimension
+      outside the ideal is a count per vt.
+
+    On pairs within _DENSE_CROSSCHECK_DIM the walk replays the closed
+    forms with ring arithmetic (``mono**p``, and the keys of
+    ``f1_bar * mono`` over the basis), and the rank oracle reads the
+    images the passes hold: while (b), resp. (d), holds, the dense F_p
+    rank of the t-bars, resp. projections, is quotient(n)'s rank.  A
+    replay that differs raises MethodDisagreement.  Ring elements are
+    built only for those replays and for failure witnesses.  An axiom is
+    checked while it is absent from ``failed`` and stores its first
+    failure there, up half before down half within a pair.
     """
     p = handle.p
     tbar, frob, extend = handle.tbar_key, handle.frob_key, handle._map_terms
@@ -665,16 +680,24 @@ def _check_pairs(handle) -> dict[str, Verdict]:
         up, down = handle.quotient(n + 1), handle.quotient(n)
         up_keys, down_keys = up.basis_keys(), down.basis_keys()
         replay = max(len(up_keys), len(down_keys)) <= _DENSE_CROSSCHECK_DIM
-        # (f-2): the kernel of the projection is the pillar ideal, plus the
-        # declared truncation tail: monomials whose image overflows the cap.
-        # The kernel's and the tail's keys are distinct, so lists hold them
-        # in a fraction of a set's memory, and the pass's peak is lower.  The
-        # ideal set holds the basis's own key tuples, not fresh ones, and
-        # takes the tail in place, for the same reason.
         f1_bar = handle.layer(n + 1).reduce_mod_ideal(handle.embed(level1, n + 1, f1))
-        shifts = list(f1_bar.terms)
-        hit, ideal, kernel, tail, projections = set(), set(), [], [], []
-        for key in up_keys:
+        # One row per variable monomial vt; basis_keys() runs through
+        # var_monomials() once per t-index, so cycling the rows beside the
+        # keys pairs each key with its vt's row.  A key (k, vt) of the up
+        # pass lies in the pillar ideal iff k >= its vt's start, and its
+        # projection should vanish iff k >= kernel: 0 on the tail, the
+        # start elsewhere.
+        starts = _orthant_starts(up, f1_bar.terms)
+        tails = [p * sum(vt) > up.var_cap_index for vt in up.var_monomials()]
+        up_rows = [
+            (vtp, power, 0 if tail else start)
+            for (vtp, power), start, tail in zip(up.scaled_key_bounds(p), starts, tails)
+        ]
+        if replay and "f" not in failed:
+            _replay_orthants(up, up_keys, f1_bar, starts, n)
+        hit, projections = set(), []
+        for key, (vtp, power, kernel) in zip(up_keys, cycle(up_rows)):
+            k = key[0]
             img, lossy = frob(n, key)
             out = {}
             if img:
@@ -683,25 +706,24 @@ def _check_pairs(handle) -> dict[str, Verdict]:
                 if "c" not in failed:
                     out = extend(tbar, n, up, img, lossy)[0]
                     _keyed(up, out, "tbar_key", n)
-            else:
-                kernel.append(key)
             if replay:
                 projections.append(img)
-            if "c" not in failed and _not_a_power(up, key, out, replay):
-                text = up.monomial(*key).to_text()
-                failed["c"] = _fail(f"tbar(F({text})) != {text}^p at level {n}", level=n)
-            if "f" not in failed:
-                keys = _ideal_keys(up, key, shifts)
-                if replay and (f1_bar * up.monomial(*key)).terms.keys() != set(keys):
-                    raise MethodDisagreement(
-                        f"f1 * {up.monomial(*key).to_text()} disagrees with its key "
-                        f"shifts at level {n + 1}"
-                    )
-                ideal.update(keys)
-            if sum(key[1]) * p > up.var_cap_index:
-                tail.append(key)
+            if "c" not in failed:
+                if replay:
+                    _replay_power(up, key, vtp, power)
+                if (out != {(k * p, vtp): 1}) if k < power else out:
+                    text = up.monomial(*key).to_text()
+                    failed["c"] = _fail(f"tbar(F({text})) != {text}^p at level {n}", level=n)
+            if "f" not in failed and (not img) != (k >= kernel):
+                failed["f"] = _fail(
+                    f"(f-2) kernel mismatch at level {n}: {up.monomial(*key).to_text()}",
+                    level=n,
+                    **f_details,
+                )
+        if "f" not in failed:
+            tail_dims[str(n)] = sum(start for start, tail in zip(starts, tails) if tail)
         seen, missing, lifts = {}, [], []
-        for key in down_keys:
+        for key, (vtp, power) in zip(down_keys, cycle(down.scaled_key_bounds(p))):
             img, lossy = tbar(n, key)
             _keyed(up, img, "tbar_key", n)
             if replay:
@@ -718,7 +740,10 @@ def _check_pairs(handle) -> dict[str, Verdict]:
             if "c" not in failed:
                 out = extend(frob, n, down, img, lossy)[0]
                 _keyed(down, out, "frob_key", n)
-                if _not_a_power(down, key, out, replay):
+                if replay:
+                    _replay_power(down, key, vtp, power)
+                k = key[0]
+                if (out != {(k * p, vtp): 1}) if k < power else out:
                     text = down.monomial(*key).to_text()
                     failed["c"] = _fail(f"F(tbar({text})) != {text}^p at level {n}", level=n)
             if key not in hit:
@@ -735,18 +760,6 @@ def _check_pairs(handle) -> dict[str, Verdict]:
                 )
             elif replay:
                 _rank_oracle(down, projections, len(down_keys), n)
-        if "f" not in failed:
-            expected, n_ideal = ideal, len(ideal)
-            expected.update(tail)
-            if len(kernel) != len(expected) or not expected.issuperset(kernel):
-                key = min(expected.symmetric_difference(kernel))
-                failed["f"] = _fail(
-                    f"(f-2) kernel mismatch at level {n}: {up.monomial(*key).to_text()}",
-                    level=n,
-                    **f_details,
-                )
-            else:
-                tail_dims[str(n)] = len(expected) - n_ideal
     if any(tail_dims.values()):
         f_details["truncation_tail_dim"] = tail_dims
     passed = {k: Verdict(PASS) for k in "bcd"}
@@ -764,42 +777,47 @@ def _keyed(ring, terms, hook, n):
             )
 
 
-def _not_a_power(ring, key, out, replay) -> bool:
-    """(c) on a basis key: True when out, the terms of its image there and
-    back, are not ``monomial(*key)**p``'s as _power_terms reads them off
-    the key (replayed with ring arithmetic)."""
-    want = _power_terms(ring, key)
-    if replay and (ring.monomial(*key) ** ring.p).terms != want:
+def _orthant_starts(ring, shifts) -> list:
+    """(f-2)'s ideal in closed form: per variable monomial vt, in
+    var_monomials() order, the least t-index k with (k, vt) in the union
+    over the keys (a, va) of shifts of the orthants k >= a, vt >= va
+    (componentwise), or t_range() when the union misses vt.
+
+    For f with keys shifts, the keys of f * monomial(key) over the basis
+    are that union: each is key + (a, va), and the basis is closed under
+    lowering an index.  f's coefficients are nonzero mod p and the sums
+    key + (a, va) are distinct for one key, so no term of a product
+    cancels.
+    """
+    top = ring.t_range()
+    return [
+        min([top] + [a for a, va in shifts if all(map(le, va, vt))])
+        for vt in ring.var_monomials()
+    ]
+
+
+def _replay_orthants(ring, keys, f1_bar, starts, n):
+    """Replay (f-2)'s closed form with ring arithmetic: the keys of
+    ``f1_bar * monomial(*key)`` over keys, ring's basis, are the keys
+    (k, vt) with k >= starts' entry for vt."""
+    support = {s for key in keys for s in (f1_bar * ring.monomial(*key)).terms}
+    for key, start in zip(keys, cycle(starts)):
+        if (key in support) != (key[0] >= start):
+            raise MethodDisagreement(
+                f"f1 * quotient at level {n + 1} disagrees with its key "
+                f"orthants on {ring.monomial(*key).to_text()}"
+            )
+
+
+def _replay_power(ring, key, vtp, power):
+    """Replay (c)'s closed form on a key with ring arithmetic:
+    ``monomial(*key)**p`` against scaled_key_bounds' answer."""
+    k, p = key[0], ring.p
+    if (ring.monomial(*key) ** p).terms != ({(k * p, vtp): 1} if k < power else {}):
         raise MethodDisagreement(
-            f"{ring.monomial(*key).to_text()}^{ring.p} disagrees with its key "
+            f"{ring.monomial(*key).to_text()}^{p} disagrees with its key "
             f"at level {ring.level}"
         )
-    return out != want
-
-
-def _power_terms(ring, key) -> dict:
-    """``(ring.monomial(*key) ** p).terms`` from the key alone: the key
-    times p with coefficient 1, or nothing once keeps_key drops it."""
-    p = ring.p
-    k, vt = key
-    k, vt = k * p, tuple([j * p for j in vt])
-    return {(k, vt): 1} if ring.keeps_key(k, vt) else {}
-
-
-def _ideal_keys(ring, key, shifts) -> list:
-    """The keys of ``f1_bar * ring.monomial(*key)``, given f1_bar's keys as
-    shifts: key plus each shift that keeps_key keeps, as the basis's tuple.
-
-    f1_bar's coefficients are nonzero mod p, and the sums are distinct, so
-    no term of the product cancels.
-    """
-    k, vt = key
-    out = []
-    for a, va in shifts:
-        s, st = k + a, tuple(map(add, vt, va))
-        if ring.keeps_key(s, st):
-            out.append(ring.basis_key(s, st))
-    return out
 
 
 def _rank_oracle(ring, images, want, n):
@@ -818,10 +836,10 @@ def _check_e(handle, samples: int, rng) -> Verdict:
     total = 0
     for n in handle.levels:
         ring = handle.layer(n)
-        f0 = handle.f0(n)
+        f0, one = handle.f0(n), ring.one()
         for _ in range(samples):
             z = f0 * ring.random_element(rng, max_terms=3)
-            u = ring.one() + z
+            u = one + z
             try:
                 inv = ring.invert(u)
             except NotInvertible:
@@ -829,7 +847,7 @@ def _check_e(handle, samples: int, rng) -> Verdict:
                     f"1 + {z.to_text()} is not invertible at level {n}",
                     level=n,
                 )
-            if inv * u != ring.one():
+            if inv * u != one:
                 return _fail(
                     f"inverse of 1 + {z.to_text()} fails to verify at level {n}",
                     level=n,

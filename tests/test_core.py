@@ -449,6 +449,52 @@ def test_invert_matches_the_series_summed_by_ring_additions(case):
     assert got.lossy == want.lossy
 
 
+def invert_by_product(ring, x):
+    """invert as it formed z = 1 - x/c0 before: one product, a negation and
+    a sum, then the same series.  The oracle for z formed by scaling x's
+    non-constant terms."""
+    x = ring.coerce(x)
+    c0 = x.terms.get((0, ring._zero_vt), 0)
+    if c0 % ring.p == 0:
+        raise NotInvertible("non-unit constant term")
+    c0_inv = pow(c0, -1, ring.coeff_mod)
+    z = ring.one() - x * c0_inv
+    if not z.is_zero() and z.valuation() == 0:
+        raise NotInvertible("not 1 + (positive valuation) up to a unit")
+    if z.is_zero():
+        return ring.from_int(c0_inv)
+    acc = {(0, ring._zero_vt): 1}
+    power = z
+    while not power.is_zero():
+        for key, c in power.terms.items():
+            acc[key] = acc.get(key, 0) + c
+        power = power * z
+    mod = ring.coeff_mod
+    terms = {key: r for key, c in acc.items() if (r := c * c0_inv % mod)}
+    return LayerElem(ring, terms, power.lossy)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(invert_case())
+def test_invert_scales_z_as_the_product_formed_it(case):
+    # The same terms in the same dict order, and the same lossy mark, as
+    # when z was formed by a product, on mixed, characteristic-p and
+    # variable layers with lossy inputs among them.  x has at most six
+    # terms, so that product was sparse and listed its keys in x's order;
+    # x also runs with its terms reversed, the constant last.
+    ring, x = case
+    for x in (x, LayerElem(ring, dict(reversed(x.terms.items())), x.lossy)):
+        try:
+            want = invert_by_product(ring, x)
+        except NotInvertible:
+            with pytest.raises(NotInvertible):
+                ring.invert(x)
+            continue
+        got = ring.invert(x)
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert got.lossy == want.lossy
+
+
 def test_invert_of_a_lossy_unit_constant_is_exact():
     # z = 1 - x/c0 is a lossy zero: no power of z is summed, so the inverse
     # is exact, as it was when the series was summed by ring additions
@@ -1299,22 +1345,14 @@ def test_from_items_cancelling_at_a_capped_key_is_not_lossy():
     assert ring._from_items([(0, (6,), 7), (0, (6,), 17)]).lossy
 
 
-def test_basis_key_returns_the_basis_tuple():
-    for ring in (O(num_vars=1, var_cap=1), _char_p(4),
-                 _char_p(4, num_vars=2, var_den=25, var_cap=Fraction(1, 5))):
-        for key in ring.basis_keys():
-            k, vt = key
-            assert ring.basis_key(k, tuple(list(vt))) is key
-
-
 @pytest.mark.parametrize("ring", [
     O(), O(num_vars=1, var_cap=1), O(N=2, num_vars=2, var_cap=Fraction(2, 5)),
     _char_p(4), _char_p(3, num_vars=1, var_den=5, var_cap=1),
     _char_p(4, num_vars=2, var_den=25, var_cap=Fraction(1, 5)),
 ], ids=["mixed", "mixed-1var", "mixed-2vars", "char_p", "char_p-1var", "char_p-2vars"])
 def test_to_vec_places_each_basis_monomial_at_its_basis_position(ring):
-    # to_vec and basis_key share one position rule: the monomial of the
-    # i-th basis key is the i-th unit vector
+    # to_vec places by the basis's own layout: the monomial of the i-th
+    # basis key is the i-th unit vector
     keys = ring.basis_keys()
     assert len(ring.var_monomials()) > 1 or not ring.num_vars
     for i, key in enumerate(keys):

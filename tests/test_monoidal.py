@@ -893,12 +893,13 @@ def test_dense_sharp_climbs_the_precision_ladder(monkeypatch):
     assert moduli[-1] == deep.coeff_mod
 
 
-# Pure towers at p = 7 and 11, and a one-variable tower at depth 2.  Each
-# spec took 0.01-0.08 s on a 2-core VM; p = 7, depth 3 with a variable took
-# 0.5 s and stays out.
+# Pure towers at p = 7 and 11, one-variable towers at depth 2, and p = 7
+# with a variable at depth 3.  Each spec took 0.01-0.08 s on a 2-core VM,
+# but p = 7, depth 3 with a variable, which took 0.3-0.5 s there (0.1 s of
+# it check_axioms, whose pair walk compares keys with closed forms).
 LARGE_PRIME_SPECS = [
     (p, n, depth, 0) for p in (7, 11) for n in (2, 3) for depth in (2, 3)
-] + [(7, 2, 2, 1), (11, 2, 2, 1)]
+] + [(7, 2, 2, 1), (11, 2, 2, 1), (7, 2, 3, 1)]
 
 
 @pytest.mark.parametrize("p, n, depth, vars", LARGE_PRIME_SPECS)

@@ -8,7 +8,9 @@ data/negative_controls_golden.json; print a fresh copy with
 """
 
 import functools
+import itertools
 import json
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -936,9 +938,9 @@ def test_pair_walk_builds_no_elements_past_the_replay(monkeypatch):
 
 
 def test_pair_walk_builds_no_reference_elements(monkeypatch):
-    # (c)'s p-th powers and (f-2)'s ideal products are index arithmetic on
-    # keys: with the small-pair replay off, _check_pairs multiplies nothing
-    # and takes only the (f-1) power.  The replay, on pairs within
+    # (c)'s p-th powers and (f-2)'s ideal are closed forms on keys: with
+    # the small-pair replay off, _check_pairs multiplies nothing and takes
+    # only the (f-1) power.  The replay, on pairs within
     # _DENSE_CROSSCHECK_DIM, adds one power per key of both quotients and
     # one f1_bar product per key of the upper one.
     h = pure5(depth=2, vars=1, cap=2)
@@ -988,62 +990,287 @@ KEYING_CASES = {
 
 @pytest.mark.parametrize("case", sorted(KEYING_CASES))
 def test_key_side_matches_ring_arithmetic(case):
-    # On every basis key the walk's reference side equals what ring
-    # arithmetic gives: the p-th power's terms, and the keys of f1_bar
-    # times the monomial for the tower's own f1_bar, a hand-built one with
-    # two terms and the zero element.  Ideal keys are the basis's tuples.
+    # On every basis key the walk's closed forms equal what ring arithmetic
+    # gives.  (c): the key's p-th power is kept iff k < its row's bound, and
+    # then it is the one term (k p, vt p) with coefficient 1.  (f-2): the
+    # key lies in an orthant iff it is a key of f * monomial for some basis
+    # monomial, for the tower's own f1_bar, a hand-built f with two terms
+    # and the zero element.  Cycling the rows beside the basis pairs each
+    # key with its own variable monomial.
     for ring, f1_bar in KEYING_CASES[case]():
-        keys = ring.basis_keys()
-        basis = {key: key for key in keys}
+        p, keys = ring.p, ring.basis_keys()
         factors = [ring.zero()]
         if f1_bar is not None:
             factors.append(f1_bar)
         if len(keys) > 1:
-            two = ring.monomial(*keys[-2]) + ring.monomial(*keys[-1], coeff=ring.p - 1)
+            two = ring.monomial(*keys[-2]) + ring.monomial(*keys[-1], coeff=p - 1)
             assert len(two.terms) == 2
             factors.append(two)
-        for key in keys:
-            mono = ring.monomial(*key)
-            assert towers._power_terms(ring, key) == (mono**ring.p).terms
-            for f in factors:
-                got = towers._ideal_keys(ring, key, list(f.terms))
-                assert sorted(got) == sorted((f * mono).terms)
-                assert all(k is basis[k] for k in got)
+        for (k, vt), (vtp, power) in zip(keys, itertools.cycle(ring.scaled_key_bounds(p))):
+            assert vtp == tuple(j * p for j in vt)
+            want = (ring.monomial(k, vt) ** p).terms
+            assert (k < power) == bool(want)
+            if want:
+                assert want == {(k * p, vtp): 1}
+        for f in factors:
+            support = {s for key in keys for s in (f * ring.monomial(*key)).terms}
+            starts = towers._orthant_starts(ring, f.terms)
+            assert len(starts) == len(ring.var_monomials())
+            for key, start in zip(keys, itertools.cycle(starts)):
+                assert (key in support) == (key[0] >= start)
 
 
-def _corrupt_first_key(real):
-    """real, except that its answer for the first basis key it is asked
-    about loses one entry or gains a bogus one."""
-    first = []
-
-    def corrupted(ring, key, *rest):
-        out = real(ring, key, *rest)
-        first[:] = first or [key]
-        if key != first[0]:
-            return out
-        if isinstance(out, dict):
-            return {} if out else {key: 1}
-        return out[1:] if out else [key]
+def _bounds_past_by_one(real):
+    def corrupted(ring, mul):
+        return [(vtp, bound + 1) for vtp, bound in real(ring, mul)]
 
     return corrupted
 
 
-@pytest.mark.parametrize("name", ["_power_terms", "_ideal_keys"])
-def test_replay_catches_a_corrupted_key_side(monkeypatch, name):
-    # A wrong key-side reference on a small pair is an internal fault, not
-    # a verdict.  With the replay off, the same corruption reads as a FAIL
-    # of (c) or (f), so the replay is what stands between them.
+def _starts_short_by_one(real):
+    def corrupted(ring, shifts):
+        return [max(start - 1, 0) for start in real(ring, shifts)]
+
+    return corrupted
+
+
+@pytest.mark.parametrize(
+    "owner, name, corrupt, axiom",
+    [
+        (towers.LayerRing, "scaled_key_bounds", _bounds_past_by_one, "c"),
+        (towers, "_orthant_starts", _starts_short_by_one, "f"),
+    ],
+    ids=["scaled_key_bounds", "_orthant_starts"],
+)
+def test_replay_catches_a_corrupted_key_side(monkeypatch, owner, name, corrupt, axiom):
+    # A wrong closed form on a small pair is an internal fault, not a
+    # verdict: a bound one past the power's, or an orthant that starts one
+    # index early.  With the replay off, the same corruption reads as a
+    # FAIL of (c), resp. (f), so the replay is what stands between them.
     h = pure5(depth=2)
     assert h.quotient(h.top).rank <= _DENSE_CROSSCHECK_DIM
-    axiom = {"_power_terms": "c", "_ideal_keys": "f"}[name]
     with monkeypatch.context() as patch:
-        patch.setattr(towers, name, _corrupt_first_key(getattr(towers, name)))
+        patch.setattr(owner, name, corrupt(getattr(owner, name)))
         with pytest.raises(MethodDisagreement, match="disagrees with its key"):
             towers._check_pairs(h)
     with monkeypatch.context() as patch:
-        patch.setattr(towers, name, _corrupt_first_key(getattr(towers, name)))
+        patch.setattr(owner, name, corrupt(getattr(owner, name)))
         patch.setattr(towers, "_DENSE_CROSSCHECK_DIM", 0)
-        assert towers._check_pairs(h)[axiom].verdict == FAIL
+        verdicts = towers._check_pairs(h)
+        assert verdicts[axiom].verdict == FAIL
+        assert [k for k, v in verdicts.items() if v.verdict == FAIL] == [axiom]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pure5,
+        lambda: pure5(depth=2, vars=1, cap=2),
+        lambda: build_tower(TowerSpec(
+            prime=3, n_digits=6, depth=2, num_vars=2, var_degree_cap=Fraction(1)
+        )),
+    ],
+    ids=["pure5", "pure5-vars", "pure3-two-vars"],
+)
+def test_the_walk_keys_only_through_the_hooks_and_keyed(monkeypatch, make):
+    # Counters carry no noise.  With the replay off, every keeps_key call
+    # of the pair walk is one of key_image's (the hooks') or one per image
+    # item that _keyed checks: the checker's side is closed form and asks
+    # keeps_key nothing.  The elements the walk builds first, (f-1)'s and
+    # each pair's f1_bar, key their own terms; they are built again here
+    # and their calls taken off.
+    h = make()
+    calls = {"keeps_key": 0, "key_image": 0, "keyed_items": 0}
+    real_keyed = towers._keyed
+
+    def keyed(ring, terms, hook, n):
+        calls["keyed_items"] += len(terms)
+        return real_keyed(ring, terms, hook, n)
+
+    monkeypatch.setattr(towers, "_DENSE_CROSSCHECK_DIM", 0)
+    monkeypatch.setattr(towers, "_keyed", keyed)
+    for name in ("keeps_key", "key_image"):
+        real = getattr(towers.LayerRing, name)
+        monkeypatch.setattr(towers.LayerRing, name, _counting(calls, name, real))
+    level1 = h.start + 1
+    f1 = h.pillar_elem(level1)
+    assert f1**h.p == h.f0(level1)
+    for n in range(h.start, h.top):
+        h.layer(n + 1).reduce_mod_ideal(h.embed(level1, n + 1, f1))
+    built = dict(calls)
+    calls.update(dict.fromkeys(calls, 0))
+    assert all(v.ok() for v in towers._check_pairs(h).values())
+    walk = {name: calls[name] - built[name] for name in calls}
+    assert walk["keeps_key"] == walk["key_image"] + walk["keyed_items"]
+    # one frob_key per key of both quotients and one tbar_key per key of
+    # quotient(n), twice (test_pair_walk_maps_each_basis_monomial_once)
+    ranks = [(h.quotient(n + 1).rank, h.quotient(n).rank) for n in range(h.start, h.top)]
+    assert walk["key_image"] == sum(up + 3 * down for up, down in ranks)
+
+
+def _set_algebra_pairs(handle):
+    """The pair walk as it decided (c) and (f-2) by set algebra: per key the
+    power's terms and the keys of f1_bar * monomial, from index arithmetic
+    through keeps_key, then the kernel and tail lists against the ideal
+    set.  The oracle for the closed forms past the replay."""
+    p = handle.p
+    tbar, frob, extend = handle.tbar_key, handle.frob_key, handle._map_terms
+    failed = {}
+
+    def power_terms(ring, key):
+        k, vt = key[0] * p, tuple(j * p for j in key[1])
+        return {(k, vt): 1} if ring.keeps_key(k, vt) else {}
+
+    def ideal_keys(ring, key, shifts):
+        k, vt = key
+        out = []
+        for a, va in shifts:
+            s, st = k + a, tuple(map(operator.add, vt, va))
+            if ring.keeps_key(s, st):
+                out.append((s, st))
+        return out
+
+    level1 = handle.start + 1
+    f1 = handle.pillar_elem(level1)
+    f_details = {"f1": f1.to_text(), "f1_level": level1}
+    if f1**p != handle.f0(level1):
+        failed["f"] = towers._fail("(f-1)", **f_details)
+    tail_dims = {}
+    for n in range(handle.start, handle.top):
+        up, down = handle.quotient(n + 1), handle.quotient(n)
+        f1_bar = handle.layer(n + 1).reduce_mod_ideal(handle.embed(level1, n + 1, f1))
+        shifts = list(f1_bar.terms)
+        hit, ideal, kernel, tail = set(), set(), [], []
+        for key in up.basis_keys():
+            img, lossy = frob(n, key)
+            out = {}
+            if img:
+                hit.add(next(iter(img)))
+                if "c" not in failed:
+                    out = extend(tbar, n, up, img, lossy)[0]
+            else:
+                kernel.append(key)
+            if "c" not in failed and out != power_terms(up, key):
+                text = up.monomial(*key).to_text()
+                failed["c"] = towers._fail(f"tbar(F({text})) != {text}^p at level {n}", level=n)
+            if "f" not in failed:
+                ideal.update(ideal_keys(up, key, shifts))
+            if sum(key[1]) * p > up.var_cap_index:
+                tail.append(key)
+        seen, missing = {}, []
+        for key in down.basis_keys():
+            img, lossy = tbar(n, key)
+            if "b" not in failed:
+                if not img:
+                    text = down.monomial(*key).to_text()
+                    failed["b"] = towers._fail(f"t-bar kills {text} at level {n}", level=n)
+                elif (img_key := next(iter(img))) in seen:
+                    witness = (down.monomial(*key) - down.monomial(*seen[img_key])).to_text()
+                    failed["b"] = towers._fail(
+                        f"t-bar collides on {witness} at level {n}", level=n
+                    )
+                else:
+                    seen[img_key] = key
+            if "c" not in failed:
+                out = extend(frob, n, down, img, lossy)[0]
+                if out != power_terms(down, key):
+                    text = down.monomial(*key).to_text()
+                    failed["c"] = towers._fail(
+                        f"F(tbar({text})) != {text}^p at level {n}", level=n
+                    )
+            if key not in hit:
+                missing.append(key)
+        if "d" not in failed and missing:
+            failed["d"] = towers._fail(
+                f"Frobenius projection misses "
+                f"{down.monomial(*missing[0]).to_text()} at level {n}",
+                level=n,
+                missing=len(missing),
+            )
+        if "f" not in failed:
+            expected, n_ideal = set(ideal), len(ideal)
+            expected.update(tail)
+            if len(kernel) != len(expected) or not expected.issuperset(kernel):
+                key = min(expected.symmetric_difference(kernel))
+                failed["f"] = towers._fail(
+                    f"(f-2) kernel mismatch at level {n}: {up.monomial(*key).to_text()}",
+                    level=n,
+                    **f_details,
+                )
+            else:
+                tail_dims[str(n)] = len(expected) - n_ideal
+    if any(tail_dims.values()):
+        f_details["truncation_tail_dim"] = tail_dims
+    passed = {k: towers.Verdict(PASS) for k in "bcd"}
+    return {**passed, "f": towers.Verdict(PASS, details=f_details), **failed}
+
+
+class _TamperedTopPair(TowerHandle):
+    """The honest tower but at the top pair, where one hook answers
+    ``wrong(key, honest)`` on the key ``victim``."""
+
+    def frob_key(self, n, key, lossy=False):
+        honest = super().frob_key(n, key, lossy)
+        if self.hook == "frob_key" and n == self.top - 1 and key == self.victim:
+            return self.wrong(key, honest[0]), lossy
+        return honest
+
+    def tbar_key(self, n, key, lossy=False):
+        honest = super().tbar_key(n, key, lossy)
+        if self.hook == "tbar_key" and n == self.top - 1 and key == self.victim:
+            return self.wrong(key, honest[0]), lossy
+        return honest
+
+
+def _top_pair_tampering(kind):
+    h = pure5(depth=2, vars=1, cap=2)
+    n = h.top - 1
+    up, down = h.quotient(n + 1), h.quotient(n)
+    kept = [key for key in up.basis_keys() if h.frob_key(n, key)[0]]
+    killed = [key for key in up.basis_keys() if not h.frob_key(n, key)[0]]
+    if kind == "honest":
+        return h
+    broken = _clone(h, _TamperedTopPair)
+    if kind == "frob_kills_outside":
+        # outside the ideal and the tail: the honest projection keeps it
+        broken.hook, broken.victim = "frob_key", kept[7]
+        broken.wrong = lambda key, honest: {}
+    elif kind == "frob_keeps_inside":
+        # in the ideal, k >= f1_bar's index, under the cap
+        broken.hook = "frob_key"
+        broken.victim = next(key for key in killed if sum(key[1]) * h.p <= up.var_cap_index)
+        broken.wrong = lambda key, honest: {down.basis_keys()[3]: 1}
+    else:
+        # t-bar doubles one key's image: (c) fails, (b) and (d) hold
+        broken.hook, broken.victim = "tbar_key", down.basis_keys()[4]
+        broken.wrong = lambda key, honest: {k: 2 * c for k, c in honest.items()}
+    return broken
+
+
+@pytest.mark.parametrize(
+    "kind", ["honest", "frob_kills_outside", "frob_keeps_inside", "tbar_breaks_c"]
+)
+def test_closed_forms_match_the_set_algebra_past_the_replay(kind):
+    # The top pair of this tower has 1,275 keys up and 55 down, past
+    # _DENSE_CROSSCHECK_DIM, so nothing replays the closed forms there.  A
+    # tampered hook at that pair gets the verdicts, witnesses and
+    # truncation_tail_dim that the set algebra gives.
+    h = _top_pair_tampering(kind)
+    ranks = (h.quotient(h.top).rank, h.quotient(h.top - 1).rank)
+    assert ranks == (1275, 55) and ranks[0] > _DENSE_CROSSCHECK_DIM
+    got = {k: v.to_json_dict() for k, v in towers._check_pairs(h).items()}
+    want = {k: v.to_json_dict() for k, v in _set_algebra_pairs(h).items()}
+    assert list(got) == list(want) == list("bcdf")
+    assert got == want
+    fails = sorted(k for k, v in got.items() if v["verdict"] == FAIL)
+    assert fails == {
+        "honest": [],
+        "frob_kills_outside": ["c", "d", "f"],
+        "frob_keeps_inside": ["c", "f"],
+        "tbar_breaks_c": ["c"],
+    }[kind]
+    if kind == "honest":
+        assert got["f"]["details"]["truncation_tail_dim"] == {"0": 8, "1": 200}
 
 
 def test_rank_crosscheck_past_its_size_cap(monkeypatch):
