@@ -286,9 +286,8 @@ class LayerRing:
     def _term(self, k, vt, c, lossy=False) -> "LayerElem":
         """_from_items([(k, vt, c)], lossy), without the general loop.
 
-        Elements of zero or one term are most of what the maps build: a
-        basis monomial, its image under a transition or projection, its
-        power.
+        monomial and from_int build through it, and so do one-term powers
+        and one-by-one products.  The maps key through key_image instead.
         """
         if self.mode == MIXED and k >= self.e:
             q, k = divmod(k, self.e)
@@ -309,23 +308,12 @@ class LayerRing:
         does).  Terms fold or drop by _from_items' rule.  The tower maps
         scale indices key by key instead (key_image).
         """
-        terms = x.terms
-        if not terms:
+        if not x.terms:
             return LayerElem(self, {}, x.lossy)
-        if len(terms) == 1:
-            ((k, vt), c), = terms.items()
-            if div != 1:
-                k //= div
-                vt = tuple(j // div for j in vt)
-            return self._term(k, vt, c, x.lossy)
-        if div == 1:
-            items = [(k, vt, c) for (k, vt), c in terms.items()]
-        else:
-            items = [
-                (k // div, tuple(j // div for j in vt), c)
-                for (k, vt), c in terms.items()
-            ]
-        return self._from_items(items, x.lossy)
+        return self._from_items(
+            [(k // div, tuple([j // div for j in vt]), c) for (k, vt), c in x.terms.items()],
+            x.lossy,
+        )
 
     def key_image(self, key, mul: int = 1, lossy: bool = False):
         """(terms, lossy) in this ring of the key (k, vt) with coefficient 1
@@ -527,12 +515,12 @@ class LayerRing:
     def reduce_mod_ideal(self, x: "LayerElem") -> "LayerElem":
         x = self.coerce(x)
         quot = self._quotient or self.quotient_ring()
-        items = []
-        for (k, vt), c in x.terms.items():
-            c %= self.p
-            if c and k < self.ideal_num:
-                items.append((k, vt, c))
-        return quot._from_items(items, x.lossy)
+        # A kept term is a key of quot as it stands: its t-index lies below
+        # quot's window, ideal_num, and the variable cap is the same.
+        cut, p = self.ideal_num, self.p
+        return LayerElem(
+            quot, {key: r for key, c in x.terms.items() if key[0] < cut and (r := c % p)}, x.lossy
+        )
 
     def lift(self, q: "LayerElem") -> "LayerElem":
         """Canonical coefficient lift from the quotient back to this ring."""

@@ -388,7 +388,10 @@ def check_pillar_valuation(handle, j, seed=None) -> Verdict:
     """valuation(sharp(tilt pillar)) equals valuation(layer pillar), and
     their ratio is a unit at precision, for the full-depth tilt at layer j."""
     if isinstance(handle, ProductTower):
-        return per_component(check_pillar_valuation(c, j, seed) for c in handle.components)
+        return per_component(
+            check_pillar_valuation(c, j, None if seed is None else seed + i)
+            for i, c in enumerate(handle.components)
+        )
     m = handle.top - j
     rng = random.Random(seed) if seed is not None else None
     fj_flat = f_flat_generator(handle, j, m)
@@ -536,6 +539,11 @@ def torsion_bijection(handle, tilt_pillar_override=None) -> Verdict:
 
 def multiplicativity_trial(handle, j, m, pairs=500, seed=0) -> Verdict:
     """sharp(x*y) agrees with sharp(x)*sharp(y) to the measured precision."""
+    if isinstance(handle, ProductTower):
+        return per_component(
+            multiplicativity_trial(c, j, m, pairs, seed + i)
+            for i, c in enumerate(handle.components)
+        )
     rng = random.Random(seed)
     pres = small_tilt(handle, j, m)
     failures = 0
@@ -565,6 +573,11 @@ def multiplicativity_trial(handle, j, m, pairs=500, seed=0) -> Verdict:
 
 def lift_independence_trial(handle, j, m, trials=100, seed=0) -> Verdict:
     """Randomized lifts change sharp by at most its effective precision."""
+    if isinstance(handle, ProductTower):
+        return per_component(
+            lift_independence_trial(c, j, m, trials, seed + i)
+            for i, c in enumerate(handle.components)
+        )
     rng = random.Random(seed)
     pres = small_tilt(handle, j, m)
     failures = 0

@@ -305,8 +305,11 @@ class TowerHandle:
     # Each map is defined once, on basis keys: a hook takes a key of the
     # source's basis and the input's lossy mark, and returns the image's
     # terms in the target and the image's lossy mark.  The element maps
-    # extend a hook linearly (_map_terms); the axiom pair walk and the
-    # monoidal basis passes call the hooks on keys.
+    # extend a hook linearly (_map_terms), and the element chains (embed,
+    # tbar_multi, frob_multi) map level by level through them, an empty
+    # element included.  The axiom pair walk and the monoidal basis passes
+    # call the hooks on keys; the basis passes' key chains stop at an empty
+    # image (monoidal._reduction_chains).
 
     def transition_key(self, n: int, key, lossy: bool = False):
         """The canonical injection on one key: indices times transition_scale()."""
@@ -348,8 +351,6 @@ class TowerHandle:
                 if r := c * d % mod:
                     scaled[k] = r
             return scaled, mark
-        if not terms:
-            return {}, lossy
         acc, marks = {}, lossy
         get = acc.get
         for key, c in terms.items():
@@ -365,15 +366,14 @@ class TowerHandle:
         dst, x = self.layer(n + 1), self.layer(n).coerce(x)
         return LayerElem(dst, *self._map_terms(self.transition_key, n, dst, x.terms, x.lossy))
 
-    # The chains stop once the element is empty: the rest of the chain maps
-    # 0 to 0 and keeps its lossy mark (_empty_in).
+    # The chains check their input as the one-step maps do: x is coerced
+    # into the source ring, and a backward range is refused.
 
     def embed(self, n_from: int, n_to: int, x: LayerElem) -> LayerElem:
         if n_to < n_from:
             raise LevelOutOfRange("can only embed upward")
+        x = self.layer(n_from).coerce(x)
         for n in range(n_from, n_to):
-            if x.is_zero():
-                return _empty_in(self.layer(n_to), self.layer(n).coerce(x))
             x = self.transition(n, x)
         return x
 
@@ -383,9 +383,10 @@ class TowerHandle:
         return LayerElem(dst, *self._map_terms(self.tbar_key, n, dst, q.terms, q.lossy))
 
     def tbar_multi(self, n_from: int, n_to: int, q: LayerElem) -> LayerElem:
+        if n_to < n_from:
+            raise LevelOutOfRange("can only apply tbar upward")
+        q = self.quotient(n_from).coerce(q)
         for n in range(n_from, n_to):
-            if q.is_zero():
-                return _empty_in(self.quotient(n_to), self.quotient(n).coerce(q))
             q = self.tbar(n, q)
         return q
 
@@ -396,9 +397,10 @@ class TowerHandle:
 
     def frob_multi(self, n_to: int, n_from: int, q: LayerElem) -> LayerElem:
         """Compose projections from quotient n_from down to quotient n_to."""
+        if n_to > n_from:
+            raise LevelOutOfRange("can only project downward")
+        q = self.quotient(n_from).coerce(q)
         for n in range(n_from - 1, n_to - 1, -1):
-            if q.is_zero():
-                return _empty_in(self.quotient(n_to), self.quotient(n + 1).coerce(q))
             q = self.frob(n, q)
         return q
 
@@ -483,15 +485,6 @@ class ProductTower(TowerHandle):
             "label": self.label,
             "components": [c.describe() for c in self.components],
         }
-
-
-def _empty_in(ring, x):
-    """What the rest of a chain of tower maps makes of x, an empty element:
-    ring's zero, with x's lossy marks (each map sends 0 to 0 and keeps
-    them)."""
-    if isinstance(ring, ProductRing):
-        return ring.wrap(map(_empty_in, ring.factors, x.parts))
-    return LayerElem(ring, {}, x.lossy)
 
 
 def build_tower(spec: TowerSpec, *, pillar_index: int | None = None):

@@ -21,12 +21,14 @@ return a Verdict.  The words are part of the report bytes:
 
 Product towers have one rule, per_component: tilts, sharp and the
 projections act componentwise, so a check on a ProductTower runs on each
-component and combines the parts.  The first part that does not pass is
-the product's verdict, its witness prefixed "component i: ".  Otherwise
-the product is sampled if any part is, else it keeps the word its parts
-share (PASS when they differ); samples are summed and each part's details
-sit under "component_i".  idempotent_bijection alone is decided on the
-product ring, because its statement counts the product's idempotents.
+component and combines the parts; a seeded check, the two trials
+included, runs component i at seed + i.  The first part that does not
+pass is the product's verdict, its witness prefixed "component i: ".
+Otherwise the product is sampled if any part is, else it keeps the word
+its parts share (PASS when they differ); samples are summed and each
+part's details sit under "component_i".  idempotent_bijection alone is
+decided on the product ring, because its statement counts the product's
+idempotents.
 """
 
 from __future__ import annotations

@@ -1074,9 +1074,10 @@ def test_cap_index_at_fractional_caps():
 # -- the lattice map and the absolute index -----------------------------------------
 #
 # LayerRing.rescale and the tower maps' key_image replaced five item copies,
-# and LayerElem.index_valuation replaced a Fraction formula; the references
-# below are those copies and that formula, on MIXED and CHAR_P rings with
-# and without variables.  rescale copies or divides indices; a transition
+# LayerElem.index_valuation replaced a Fraction formula, and reduce_mod_ideal
+# replaced a filter followed by _from_items; the references below are those
+# copies, that formula and that filter, on MIXED and CHAR_P rings with and
+# without variables.  rescale copies or divides indices; a transition
 # multiplies them key by key (lattice_image).
 
 
@@ -1107,6 +1108,23 @@ def reference_rescale(target, x, mul, div):
     else:  # frob, lift and tilts._reindex
         items = [(k, vt, c) for (k, vt), c in terms]
     return target._from_items(items, x.lossy)
+
+
+def reference_reduce(x):
+    """The reduction mod the ideal in two passes: keep the terms nonzero mod
+    p below the ideal index, then key them again in the quotient."""
+    ring = x.ring
+    items = [(k, vt, c % ring.p) for (k, vt), c in x.terms.items()
+             if c % ring.p and k < ring.ideal_num]
+    return ring.quotient_ring()._from_items(items, x.lossy)
+
+
+def _check_rescale_and_reduce(dst, div, x, image):
+    """rescale at div (a copy when div is 1, whatever lattice_image did) and
+    the reduction of x and of its image against their references."""
+    _same(dst.rescale(x, div), reference_rescale(dst, x, 1, div), order=True)
+    for y in (x, image):
+        _same(y.ring.reduce_mod_ideal(y), reference_reduce(y), order=True)
 
 
 def lattice_image(dst, x, mul, div):
@@ -1176,6 +1194,7 @@ def test_rescale_matches_the_item_copies(data):
     _, dst, mul, div, x = data
     got = lattice_image(dst, x, mul, div)
     _same(got, reference_rescale(dst, x, mul, div), order=True)
+    _check_rescale_and_reduce(dst, div, x, got)
     # A drop is lossy when the cap drops a term that is nonzero once folded
     # through t^e = p, summed with the terms that fold onto its key and
     # reduced; a term that vanishes mod coeff_mod loses nothing.
@@ -1211,8 +1230,9 @@ def test_key_image_is_the_rescale_of_one_key(data, lossy):
 # -- the one-term path against the general loop -------------------------------------
 #
 # LayerRing._term is _from_items on one item.  monomial, from_int, one-term
-# powers, one-by-one products and zero- and one-term rescales take it; each
-# is compared with the item it used to hand _from_items, lossy flag included.
+# powers and one-by-one products take it; each is compared with the item it
+# used to hand _from_items, lossy flag included.  Zero- and one-term
+# rescales and reductions are compared with their references too.
 
 
 def raw_item(ring):
@@ -1249,7 +1269,9 @@ def _check_one_term_paths(ring, item, other, n):
 @given(lattice_map(min_terms=0, max_terms=1), st.data())
 def test_one_term_paths_match_from_items(case, data):
     src, dst, mul, div, x = case
-    _same(lattice_image(dst, x, mul, div), reference_rescale(dst, x, mul, div), order=True)
+    got = lattice_image(dst, x, mul, div)
+    _same(got, reference_rescale(dst, x, mul, div), order=True)
+    _check_rescale_and_reduce(dst, div, x, got)
     for ring in (src, dst):
         item, other = data.draw(raw_item(ring)), data.draw(raw_item(ring))
         _check_one_term_paths(ring, item, other, data.draw(st.integers(1, 2 * ring.p)))

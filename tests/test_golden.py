@@ -1,8 +1,11 @@
 """Golden reports: the versioned JSON schema must not drift silently."""
 
 import contextlib
+import hashlib
 import io
 import json
+
+import pytest
 
 from tiltlab.cli import run
 
@@ -29,6 +32,28 @@ GOLDEN_SHARP = (
     '"var_degree_cap":"0"}},"report":{"depth":4,"effective_precision":"6",'
     '"element":"T","layer":0,"value":"5"},"schema":1}\n'
 )
+
+
+RAMIFY = ["ramify", "--p", "5", "--m", "2", "--levels", "5", "--prec", "6",
+          "--depth", "2", "--samples", "10", "--seed", "0"]
+
+# Exit code and sha256 of three whole reports, held fixed across changes
+# that do not mean to change a report.
+PINNED_REPORTS = [
+    (["suite", "--seed", "7"], 0,
+     "898cb1648d32df72a437326dbaea0abceeb038bda2439b833a836946ee8949f6"),
+    (RAMIFY, 0,
+     "acb698a930ff7f574492da331e511db39ce6d2057fda6d6d8ba9ea83a530c188"),
+    (RAMIFY + ["--pillar-override", "1/2"], 1,
+     "ca5937fba462712a0432f8cdbfa8a02b190ef822374874bd385cfb9df647e7ed"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", PINNED_REPORTS,
+                         ids=["suite", "ramify", "ramify-pillar-override"])
+def test_report_bytes_are_pinned(argv, code, digest):
+    got, out = capture(argv)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
 def test_tilt_report_golden_bytes():

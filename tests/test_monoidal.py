@@ -647,6 +647,32 @@ def test_trials_count_failures_past_the_measured_precision():
     _fails(mult, "4*T^{3/5} * 4*T^{3/5}", failures=2)
 
 
+def test_seeded_checks_run_per_component_at_seed_plus_i():
+    # A product's trials and seeded pillar check run component i at
+    # seed + i, like every other check on a product tower.
+    h = _product_tower(2)
+    part = {"failures": 0, "layer": 0, "depth": 2}
+    for trial, count in [(multiplicativity_trial, 30), (lift_independence_trial, 20)]:
+        res = trial(h, 0, 2, count, 3)
+        assert (res.verdict, res.samples) == ("PASS", 2 * count)
+        assert res.details == {"component_0": part, "component_1": part}
+    val = check_pillar_valuation(h, 0, seed=5)
+    assert val.details["component_1"] == check_pillar_valuation(h.components[1], 0, seed=6).details
+    assert val.details["component_1"] != val.details["component_0"]
+    # the failing component's verdict, at its own seed, is the product's;
+    # at the product's seed the broken component fails otherwise, or passes
+    for trial, cls, j, count, seed, witness in [
+        (multiplicativity_trial, _FrobeniusTransition, 1, 80, 1, "4*T^{3/5} * 2*T^{1/5}"),
+        (lift_independence_trial, _NonUnitSampler, 0, 20, 0, "T^4"),
+    ]:
+        broken = _clone(pure5(), cls)
+        alone = trial(broken, j, 1, count, seed + 1)
+        assert alone.witness == witness != trial(broken, j, 1, count, seed).witness
+        res = trial(ProductTower((pure5(), broken)), j, 1, count, seed)
+        _fails(res, "component 1: " + witness, **alone.details)
+        assert res.samples == count
+
+
 def _sharp_recording_measures(monkeypatch, perturb=None):
     """Patch monoidal.sharp to log each stage comparison it runs, and to
     add perturb(result, rng), when given, to the value."""

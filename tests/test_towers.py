@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiltlab import towers
-from tiltlab.core import LayerElem, ProductElem, ProductRing
+from tiltlab.core import LayerElem, ProductElem, ProductRing, RingMismatch
 from tiltlab.towers import (
     _DENSE_CROSSCHECK_DIM,
     FAIL,
@@ -841,10 +841,10 @@ def _marks(x):
 
 @pytest.mark.parametrize("lossy", [False, True])
 @pytest.mark.parametrize("make", [pure5, lambda: _product_53("vars")], ids=["pure5", "product"])
-def test_element_chains_stop_at_zero(monkeypatch, make, lossy):
+def test_element_chains_stop_at_zero(make, lossy):
     # Once the element is empty, the rest of a chain maps 0 to 0: embed,
     # tbar_multi and frob_multi return the target ring's zero with the
-    # lossy marks that mapping level by level keeps, and extend no hook.
+    # lossy marks that mapping level by level keeps.
     h = make()
     lo, hi = h.start, h.top
     chains = {
@@ -858,37 +858,50 @@ def test_element_chains_stop_at_zero(monkeypatch, make, lossy):
         for n in levels:
             x = step(n, x)
         want[name] = x
-    calls = []
-    real = TowerHandle._map_terms
-
-    def counted(self, hook, n, dst, terms, lossy):
-        calls.append(n)
-        return real(self, hook, n, dst, terms, lossy)
-
-    monkeypatch.setattr(TowerHandle, "_map_terms", counted)
     got = {
         "embed": h.embed(lo, hi, _empty(h.layer(lo), lossy)),
         "tbar_multi": h.tbar_multi(lo, hi, _empty(h.quotient(lo), lossy)),
         "frob_multi": h.frob_multi(lo, hi, _empty(h.quotient(hi), lossy)),
     }
-    assert calls == []
     for name, x in got.items():
         assert x.ring is want[name].ring and x.is_zero()
         assert _marks(x) == _marks(want[name]) == [lossy] + [False] * (len(_marks(x)) - 1)
     # A projection past the next window empties the element after one step.
     if not isinstance(h, ProductTower):
         x = h.quotient(hi).monomial(h.quotient(hi - 1).window)
-        assert h.frob_multi(lo, hi, x) == h.quotient(lo).zero() and calls == [hi - 1]
+        assert h.frob_multi(lo, hi, x) == h.quotient(lo).zero()
+
+
+@pytest.mark.parametrize("make", [pure5, lambda: _product_53("vars")], ids=["pure5", "product"])
+def test_element_chains_check_their_input(make):
+    # As the one-step maps do, the chains coerce their input into the
+    # source ring, an empty range included, and refuse a backward range.
+    h = make()
+    three = h.layer(1).from_int(3)
+    assert h.embed(1, 1, 3) == three
+    assert h.embed(1, 2, 3) == h.transition(1, three)
+    assert h.tbar_multi(1, 1, 3) == h.quotient(1).from_int(3)
+    assert h.frob_multi(1, 1, 3) == h.quotient(1).from_int(3)
+    q = h.quotient(2).one()
+    for chain, args in [(h.embed, (2, 1, h.layer(2).one())), (h.tbar_multi, (2, 1, q)),
+                        (h.frob_multi, (3, 2, q))]:
+        with pytest.raises(LevelOutOfRange):
+            chain(*args)
+    for chain, args in [(h.embed, (1, 1, h.layer(2).one())), (h.tbar_multi, (1, 1, q)),
+                        (h.frob_multi, (1, 1, q)), (h.frob_multi, (1, 3, q))]:
+        with pytest.raises(RingMismatch):
+            chain(*args)
 
 
 def test_pair_walk_resolves_each_quotient_once(monkeypatch):
     # The handle resolves each level's quotient once and keeps it.  The
     # walk maps keys, and the maps sum their images without _from_items;
-    # what is left is one reduction of f1 per pair, whatever the basis size.
+    # what is left is one reduction of f1 per pair, whatever the basis size,
+    # and the reduction keeps its terms as they are, again without it.
     counts, ranks = {}, {}
     for cap in (1, 2):
         h = pure5(depth=2, vars=1, cap=cap)
-        calls = counts[cap] = {"quotient_ring": 0, "_from_items": 0}
+        calls = counts[cap] = {"quotient_ring": 0, "_from_items": 0, "reduce_mod_ideal": 0}
         with monkeypatch.context() as patch:
             for name in calls:
                 real = getattr(towers.LayerRing, name)
@@ -896,7 +909,7 @@ def test_pair_walk_resolves_each_quotient_once(monkeypatch):
             assert all(v.ok() for v in towers._check_pairs(h).values())
         ranks[cap] = h.quotient(h.top).rank
     assert ranks[1] < ranks[2]
-    assert counts[1] == counts[2] == {"quotient_ring": 3, "_from_items": 2}
+    assert counts[1] == counts[2] == {"quotient_ring": 3, "_from_items": 0, "reduce_mod_ideal": 2}
 
 
 @pytest.mark.parametrize("vars", [0, 1], ids=["pure", "vars"])
