@@ -212,8 +212,6 @@ def _cmd_closure(args) -> dict:
     from .closure import almost_integral_probes
 
     spec = _spec_from_args(args)
-    if spec.kind == "product":
-        raise SpecError("closure does not take product towers")
     handle = build_tower(spec)
     report = transfer_suite(
         handle,

@@ -28,9 +28,10 @@ from .core import (
     LayerElem,
     LayerRing,
     TorsionReport,
+    _square_and_multiply,
     _vp,
 )
-from .towers import MethodDisagreement
+from .towers import MethodDisagreement, ProductTower, SpecError
 from .verdict import (
     FAIL,
     NOT_APPLICABLE,
@@ -225,14 +226,7 @@ class ExplicitElem:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative powers are not defined here")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _square_and_multiply(self, n, self.ring.one())
 
     def to_text(self):
         if self.is_zero():
@@ -478,10 +472,16 @@ def check_root_closed(pair: RingPair, n: int, mode="exact", samples=500, seed=0)
     """
     if n < 1:
         raise ValueError(f"root closure needs n >= 1, got {n}")
+    _check_mode(mode)
     prop = "P_ROOT_CLOSED" if n == pair.A.p else f"N_ROOT_CLOSED({n})"
     if pair.kind == "localization":
         return _root_closed_localization(pair, n, mode, samples, seed, prop)
     return _root_closed_extension(pair, n, mode, samples, seed, prop)
+
+
+def _check_mode(mode):
+    if mode not in ("exact", "sampled"):
+        raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
 
 
 def _root_closed_extension(pair, n, mode, samples, seed, prop) -> Verdict:
@@ -650,9 +650,13 @@ def tower_pairs(handle):
 
 def transfer_suite(handle, mode="sampled", samples=500, seed=0, c_cap=3) -> dict:
     """Per-layer closure report: cartesian squares along the tower, p-root
-    closedness of every layer, and the same for the depth-1 tilted layers."""
+    closedness of every layer, and the same for the depth-1 tilted layers.
+    Product towers are refused, before any pair is built."""
     from .tilts import InsufficientDepth, tilt_tower
 
+    if isinstance(handle, ProductTower):
+        raise SpecError("closure does not take product towers")
+    _check_mode(mode)
     report = {"tower": handle.describe(), "cartesian": [], "root_closed": [], "tilt_root_closed": []}
     for pair in tower_pairs(handle):
         report["cartesian"].append(is_cartesian_mod_f(pair).to_json_dict())

@@ -111,6 +111,17 @@ def _vp(x: int, p: int, cap: int) -> int:
     return v
 
 
+def _square_and_multiply(base, n: int, one):
+    """base ** n for n >= 0 from one, by right-to-left binary powering."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return result
+
+
 class LayerRing:
     """One layer of a tower, truncated to finite precision.
 
@@ -350,11 +361,13 @@ class LayerRing:
         return self._term(0, self._zero_vt, n)
 
     def monomial(self, k: int, vt=None, coeff: int = 1) -> "LayerElem":
-        vt = self._zero_vt if vt is None else tuple(vt)
         if k < 0:
             raise ValueError(f"negative t-index {k}")
-        if len(vt) != self.num_vars:
-            raise ValueError("variable index tuple has wrong length")
+        if vt is None:
+            return self._term(k, self._zero_vt, coeff)
+        vt = tuple(vt)
+        if len(vt) != self.num_vars or min(vt, default=0) < 0:
+            raise ValueError(f"need {self.num_vars} variable indices >= 0, got {vt}")
         return self._term(k, vt, coeff)
 
     def t_gen(self) -> "LayerElem":
@@ -761,14 +774,7 @@ class LayerElem:
             return ring._term(
                 k * n, tuple(j * n for j in vt), pow(c, n, ring.coeff_mod), self.lossy
             )
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _square_and_multiply(self, n, self.ring.one())
 
     def p_power(self, m: int) -> "LayerElem":
         """self ** p**m, as m successive p-th powers at rising precision,
@@ -787,14 +793,14 @@ class LayerElem:
         v = index_valuation() is its exact valuation, so self^(p^m) has
         index p^m*v below index_cap and is 0 exactly when p^m*v reaches
         it; then no product is made.  A unit (v = 0) runs the chain with
-        M = N.  Otherwise self = t^v * w with w a unit: the representative
-        with coefficients in [0, p^N) divides exactly in O, and w is known
-        mod p^N / t^v, hence mod p^(N - ceil(v/e)), which covers the
-        chain's start p^max(1, N-q-m) (for N = 1 the ring has
-        characteristic p, where the power is additive and reads w mod
-        t^(e-v) only).  With t^(p^m*v) = p^q * t^s, the chain runs on w
-        with M = N - q, and one pass multiplies by p^q * t^s, folding
-        through t^e = p once where the index passes e.
+        M = N.  Otherwise w = divide_by_monomial(v) is a unit: the
+        representative with coefficients in [0, p^N) divides exactly in O,
+        and w is known mod p^(N - ceil(v/e)), which covers the chain's start
+        p^max(1, N-q-m) (for N = 1 the ring has characteristic p, where the
+        power is additive and reads w mod t^(e-v) only).  With t^(p^m*v) =
+        p^q * t^s, the chain runs on w with M = N - q, and one * by
+        monomial(p^m*v) shifts back: a one-term factor, so the product is
+        sparse and folds through t^e = p where the index passes e.
 
         Single-term elements, char-p layers and layers with variables take
         __pow__.
@@ -804,38 +810,20 @@ class LayerElem:
         ring = self.ring
         if m == 0 or len(self.terms) < 2 or ring.mode != MIXED or ring.num_vars:
             return self ** ring.p**m
-        p, n, e = ring.p, ring.n_digits, ring.e
-        terms, vt = self.terms, ring._zero_vt
-        v = 0 if terms.get((0, vt), 0) % p else self.index_valuation()
+        p, n, w = ring.p, ring.n_digits, self
+        v = 0 if self.terms.get((0, ring._zero_vt), 0) % p else self.index_valuation()
         if v:
             shift = p**m * v
             if shift >= ring.index_cap:
                 return LayerElem(ring, {}, self.lossy)
-            q, s = divmod(shift, e)
-            n -= q
-            # w = self / t^v: a key below v borrows ceil((v-k)/e) factors p
-            terms = {}
-            for (k, _), c in self.terms.items():
-                borrow, k = divmod(k - v, e)
-                terms[(k, vt)] = c // p**-borrow
+            n -= shift // ring.e
+            w = self.divide_by_monomial(v)
         mod = p ** max(1, n - m)
-        y = {key: r for key, c in terms.items() if (r := c % mod)}
+        y = {key: r for key, c in w.terms.items() if (r := c % mod)}
         for k in range(n - m + 1, n + 1):
             y = ring._chain_pow_p(y, p ** max(1, k))
-        y = ring._terms_of(y)
-        if v:
-            # times p^q * t^s; w^(p^m) lies below p^(N-q), so p^q * c only
-            # needs reducing where t^(k+s) folds into one more p
-            low, high, full = p**q, p ** (q + 1), ring.coeff_mod
-            out = {}
-            for (k, _), c in y.items():
-                k += s
-                if k < e:
-                    out[(k, vt)] = c * low
-                elif c := c * high % full:
-                    out[(k - e, vt)] = c
-            y = out
-        return LayerElem(ring, y, self.lossy)
+        y = LayerElem(ring, ring._terms_of(y), self.lossy)
+        return y * ring.monomial(shift) if v else y
 
     def index_valuation(self) -> int | None:
         """The valuation times e, as an absolute t-index; None at zero.

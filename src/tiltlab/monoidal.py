@@ -29,7 +29,8 @@ and the torsion transfer (trivial for the towers in scope).  Their PASS
 is exact except where it rests on seeded samples: the ring-map half of
 check_tilt_quotient_iso (its basis bijection is exact) and the two
 trials, multiplicativity_trial and lift_independence_trial, which have no
-basis reduction because sharp is not additive.
+basis reduction because sharp is not additive.  Both trials run through
+one seeded loop, _sharp_trial, and differ only in what they draw.
 
 check_sharp_reduction and the bijection of check_tilt_quotient_iso are
 decided on the presentation's monomial basis, on keys.  A basis
@@ -423,18 +424,12 @@ def check_pillar_valuation(handle, j, seed=None) -> Verdict:
 
 
 def _unit_ratio(ring, value, monomial_elem):
-    """value / monomial as a unit certificate.
-
-    The divisor's coefficient may carry p-powers (t-index folds at the
-    Eisenstein relation), so the division uses the absolute index and the
-    coefficient's unit part, whose p-power is p^((absolute - t-index) / e).
-    """
-    (k, _), c = next(iter(monomial_elem.terms.items()))
+    """value / monomial as a unit certificate.  The monomial's coefficient
+    may carry p-powers (t^e = p), so both are divided by t to its absolute
+    index, which leaves the divisor a unit constant."""
     idx = monomial_elem.index_valuation()
-    unit = c // ring.p ** ((idx - k) // ring.e)
     try:
-        q = value.divide_by_monomial(idx)
-        q = q * pow(unit, -1, ring.coeff_mod)
+        q = value.divide_by_monomial(idx) * ring.invert(monomial_elem.divide_by_monomial(idx))
         ring.invert(q)
     except (ValueError, NotInvertible):
         return False, ""
@@ -537,66 +532,54 @@ def torsion_bijection(handle, tilt_pillar_override=None) -> Verdict:
     )
 
 
-def multiplicativity_trial(handle, j, m, pairs=500, seed=0) -> Verdict:
-    """sharp(x*y) agrees with sharp(x)*sharp(y) to the measured precision."""
+def _sharp_trial(name, handle, j, m, draws, seed, draw) -> Verdict:
+    """The loop of both trials: draw(handle, pres, rng) gives the two sides'
+    difference, the SharpResults (a, b) whose precisions bound it, and the
+    draw's text as a function, read for the witness only on a failure."""
     if isinstance(handle, ProductTower):
         return per_component(
-            multiplicativity_trial(c, j, m, pairs, seed + i)
+            _sharp_trial(name, c, j, m, draws, seed + i, draw)
             for i, c in enumerate(handle.components)
         )
     rng = random.Random(seed)
     pres = small_tilt(handle, j, m)
-    failures = 0
-    worst = None
-    for _ in range(pairs):
-        x = pres.random_element(rng, max_terms=3)
-        y = pres.random_element(rng, max_terms=3)
-        sx = sharp(handle, x)
-        sy = sharp(handle, y)
-        sxy = sharp(handle, x * y)
-        v = (sxy.value - sx.value * sy.value).valuation()
+    failures, worst = 0, None
+    for _ in range(draws):
+        difference, (a, b), witness = draw(handle, pres, rng)
+        v = difference.valuation()
         # The bound is read only when it decides: a zero difference passes.
-        if v is not ABOVE_PRECISION and v < min(
-            sx.effective_precision, sy.effective_precision
-        ):
+        if v is not ABOVE_PRECISION and v < min(a.effective_precision, b.effective_precision):
             failures += 1
-            worst = f"{pres.text_of(x)} * {pres.text_of(y)}"
-    verdict = PASS if failures == 0 else FAIL
+            worst = witness()
     return Verdict(
-        verdict,
-        name="sharp_multiplicativity",
-        samples=pairs,
+        PASS if failures == 0 else FAIL,
+        name=name,
+        samples=draws,
         witness=worst,
         details={"failures": failures, "layer": j, "depth": m},
     )
+
+
+def multiplicativity_trial(handle, j, m, pairs=500, seed=0) -> Verdict:
+    """sharp(x*y) agrees with sharp(x)*sharp(y) to the measured precision."""
+
+    def draw(handle, pres, rng):
+        x = pres.random_element(rng, max_terms=3)
+        y = pres.random_element(rng, max_terms=3)
+        sx, sy, sxy = sharp(handle, x), sharp(handle, y), sharp(handle, x * y)
+        return (sxy.value - sx.value * sy.value, (sx, sy),
+                lambda: f"{pres.text_of(x)} * {pres.text_of(y)}")
+
+    return _sharp_trial("sharp_multiplicativity", handle, j, m, pairs, seed, draw)
 
 
 def lift_independence_trial(handle, j, m, trials=100, seed=0) -> Verdict:
     """Randomized lifts change sharp by at most its effective precision."""
-    if isinstance(handle, ProductTower):
-        return per_component(
-            lift_independence_trial(c, j, m, trials, seed + i)
-            for i, c in enumerate(handle.components)
-        )
-    rng = random.Random(seed)
-    pres = small_tilt(handle, j, m)
-    failures = 0
-    worst = None
-    for _ in range(trials):
+
+    def draw(handle, pres, rng):
         x = pres.random_element(rng, max_terms=3)
         s0 = sharp(handle, x)
         s1 = sharp(handle, x, rng=rng)
-        v = (s0.value - s1.value).valuation()
-        if v is not ABOVE_PRECISION and v < min(
-            s0.effective_precision, s1.effective_precision
-        ):
-            failures += 1
-            worst = pres.text_of(x)
-    verdict = PASS if failures == 0 else FAIL
-    return Verdict(
-        verdict,
-        name="sharp_lift_independence",
-        samples=trials,
-        witness=worst,
-        details={"failures": failures, "layer": j, "depth": m},
-    )
+        return s0.value - s1.value, (s0, s1), lambda: pres.text_of(x)
+
+    return _sharp_trial("sharp_lift_independence", handle, j, m, trials, seed, draw)

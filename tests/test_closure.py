@@ -24,7 +24,7 @@ from tiltlab.closure import (
 )
 from tiltlab.battery import closure_pair_collection, crafted_negative_pairs
 from tiltlab.core import EnumerationTooLarge, LayerRing
-from tiltlab.towers import TowerSpec, build_tower
+from tiltlab.towers import SpecError, TowerSpec, build_tower
 
 from test_towers import kummer52, pure5
 
@@ -140,6 +140,29 @@ def test_root_closed_rejects_n_below_one():
     for pair in (RingPair.localization(ring, ring.f0()), crafted_negative_pairs()[0]):
         with pytest.raises(ValueError):
             check_root_closed(pair, 0)
+
+
+def test_closure_refuses_an_unknown_mode():
+    # a misspelt mode used to sample and report PASS_SAMPLED
+    ring = LayerRing(p=2, e=2, n_digits=2, ideal_num=2)
+    for pair in (RingPair.localization(ring, ring.f0()), crafted_negative_pairs()[0]):
+        for mode in ("exakt", "Exact", ""):
+            with pytest.raises(ValueError, match="'exact' or 'sampled'"):
+                check_root_closed(pair, 2, mode=mode)
+    # also on a tower with variables, whose root-closure rows never sample
+    for h in (small_pure2(), build_tower(TowerSpec(prime=2, n_digits=2, depth=2, num_vars=1))):
+        with pytest.raises(ValueError, match="'exact' or 'sampled'"):
+            transfer_suite(h, mode="Exact", samples=2)
+
+
+def test_transfer_suite_refuses_product_towers(monkeypatch):
+    # refused before any pair is built
+    part = TowerSpec(prime=2, n_digits=2, depth=2)
+    h = build_tower(TowerSpec(prime=2, n_digits=2, depth=2, kind="product",
+                              components=(part, part)))
+    monkeypatch.setattr(closure, "tower_pairs", None)
+    with pytest.raises(SpecError, match="closure does not take product towers"):
+        transfer_suite(h, mode="exact", samples=2)
 
 
 def test_explicit_negative_power_raises():

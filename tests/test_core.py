@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tiltlab import _backend
@@ -107,6 +107,20 @@ def test_monomial_refuses_a_negative_t_index():
         O().monomial(-1)
     with pytest.raises(ValueError, match="negative t-index"):
         O().quotient_ring().monomial(-1)
+
+
+def test_monomial_refuses_a_negative_variable_index():
+    # (-1,) on a one-variable ring would be x1^{-1/5}, outside the ring,
+    # with no position in the basis
+    ring = O(num_vars=1, var_cap=1)
+    for vt in ((-1,), [-1]):
+        with pytest.raises(ValueError, match="variable indices >= 0"):
+            ring.monomial(0, vt)
+    with pytest.raises(ValueError, match="variable indices >= 0"):
+        O(num_vars=2, var_cap=1).quotient_ring().monomial(1, (2, -1))
+    with pytest.raises(ValueError, match="variable indices >= 0"):
+        ring.monomial(0, (0, 0))
+    assert ring.to_vec(ring.monomial(0, (5,))) == ring.to_vec(ring.var_gen(0))
 
 
 def test_layer_make_rejects_bad_input():
@@ -971,14 +985,98 @@ def test_a_zero_p_power_makes_no_product(monkeypatch):
 @pytest.mark.parametrize("v, q", [(1, 1), (2, 2), (3, 3)])
 def test_a_non_unit_climbs_a_shorter_ladder(monkeypatch, v, q):
     # t^v * w with m = 2 on p = 5, N = 4, e = 25: t^(25 v) = p^q, so the
-    # chain raises w mod p^(4 - q) and never runs a product at p^4
+    # ladder raises w mod p^(4 - q), and every kernel call and ladder
+    # product runs at p^(4 - q) or below.  The one product at p^4 is the
+    # shift back by t^(25 v), last, sparse, with a one-term factor; where
+    # the ladder ends in one term, * takes its one-by-one path instead.
     ring = O(p=5, N=4, e=25)
     x = ring.monomial(v) * _dense_unit(ring, v)
     want = x ** 25
     seen = _record_products(monkeypatch)
+    counted, calls = LayerRing._chain_mul, []
+
+    def sized(ring, a, b, mod):
+        out = counted(ring, a, b, mod)
+        calls.append((mod, len(b), len(ring._terms_of(out))))
+        return out
+
+    monkeypatch.setattr(LayerRing, "_chain_mul", sized)
     got = x.p_power(2)
     _same(got, want, order=False)
-    assert seen["kernel"] and max(seen["chain"] + seen["kernel"]) <= 5 ** (4 - q)
+    low = 5 ** (4 - q)
+    assert seen["kernel"] and max(seen["kernel"]) <= low
+    ladder = [call for call in calls if call[0] <= low]
+    assert calls[: len(ladder)] == ladder and ladder[-1][2] >= 1
+    shift = [(5**4, 1, len(got.terms))] if ladder[-1][2] > 1 else []
+    assert calls[len(ladder) :] == shift
+
+
+def reference_non_unit_p_power(x, m):
+    """p_power of a non-unit x = t^v * w with the division and the shift by
+    hand: w = x / t^v, where a key below v borrows ceil((v - k)/e) factors
+    p; w^(p^m) on the ladder mod p^(N - q) for t^(p^m v) = p^q t^s; then
+    each term times p^q t^s, reduced only where t^(k + s) folds once more."""
+    ring = x.ring
+    p, n, e, vt = ring.p, ring.n_digits, ring.e, ring._zero_vt
+    v = x.index_valuation()
+    assert v and len(x.terms) > 1 and ring.mode == MIXED and not ring.num_vars
+    shift = p**m * v
+    if shift >= ring.index_cap:
+        return LayerElem(ring, {}, x.lossy)
+    q, s = divmod(shift, e)
+    n -= q
+    terms = {}
+    for (k, _), c in x.terms.items():
+        borrow, k = divmod(k - v, e)
+        terms[(k, vt)] = c // p**-borrow
+    mod = p ** max(1, n - m)
+    y = {key: r for key, c in terms.items() if (r := c % mod)}
+    for k in range(n - m + 1, n + 1):
+        y = ring._chain_pow_p(y, p ** max(1, k))
+    low, high, full = p**q, p ** (q + 1), ring.coeff_mod
+    out = {}
+    for (k, _), c in ring._terms_of(y).items():
+        k += s
+        if k < e:
+            out[(k, vt)] = c * low
+        elif c := c * high % full:
+            out[(k - e, vt)] = c
+    return LayerElem(ring, out, x.lossy)
+
+
+@st.composite
+def non_unit_case(draw):
+    """A mixed layer without variables, m and a non-unit x = t^v * w of at
+    least two terms: w a unit constant plus up to e further terms, some
+    coefficients divisible by p, and v below e*N, so x's low keys may carry
+    p's and p^m v may reach the cap (the power is 0).  One x in two is
+    marked lossy."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(min_value=1, max_value=4))
+    e = draw(st.sampled_from([2, p, 3 * p, p * p]))
+    ring = O(p, n, e)
+    m = draw(st.integers(min_value=1, max_value=3))
+    # one v in four may reach the cap; the others keep p^m v below it
+    top = e * n - 1 if draw(st.integers(0, 3)) == 0 else max(1, (e * n - 1) // p**m)
+    v = draw(st.integers(min_value=1, max_value=top))
+    unit = st.integers(min_value=1, max_value=ring.coeff_mod - 1).filter(lambda c: c % p)
+    items = [(0, (), draw(unit))]
+    for _ in range(draw(st.integers(min_value=1, max_value=e))):
+        k = draw(st.integers(min_value=0, max_value=e - 1))
+        c = draw(unit) * p ** draw(st.integers(min_value=0, max_value=n))
+        items.append((k, (), c))
+    x = ring._from_items([(k + v, vt, c) for k, vt, c in items], draw(st.booleans()))
+    assume(len(x.terms) > 1)
+    return x, m
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(non_unit_case())
+def test_non_unit_p_power_matches_the_hand_division_and_shift(case):
+    x, m = case
+    got = x.p_power(m)
+    _same(got, reference_non_unit_p_power(x, m), order=True)
+    _same(got, x ** x.ring.p**m, order=False)
 
 
 @pytest.mark.parametrize("text", [None, "1 + t", "3 + t^2 + 4*t^624"])

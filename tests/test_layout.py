@@ -25,6 +25,16 @@ The p-th power ladder, LayerRing._chain_pow_p, has one caller,
 LayerElem.p_power, which runs it on the unit part of its input: no second
 power routine climbs the ladder beside the one that reads the valuation.
 
+Each routine has one copy.  The one loop over an exponent's bits from
+the right, core._square_and_multiply, is every general ** of LayerElem
+and of closure.ExplicitElem; the ladder's p-th power,
+LayerRing._chain_pow_p, walks the bits of p from the left on chain values
+and is the one loop that does.  LayerElem.p_power divides a non-unit by
+t^v with divide_by_monomial and shifts back with *, so it holds no divmod
+of its own.  multiplicativity_trial and lift_independence_trial differ
+only in their draws: monoidal._sharp_trial is their one loop and builds
+their one Verdict, and each trial's name is spelled only as its argument.
+
 A layer without variables has one product, LayerRing._chain_mul: it alone
 reads the sparse limit and calls either kernel, and only _mul (for *) and
 the ladder's _chain_pow_p call it, so the sparse-or-dense rule and the
@@ -392,3 +402,65 @@ def test_the_kernel_signatures_are_unchanged():
         assert [arg.arg for arg in args.args] == KERNEL_SIGNATURES[name], name
         assert not (args.posonlyargs or args.kwonlyargs or args.vararg or args.kwarg), name
         assert not args.defaults, name
+
+
+def _bit_loops(tree):
+    """(owner, node) of each loop that shifts a name right in place, and of
+    each loop over bin(...): the two ways to walk an exponent's bits."""
+    for owner, node in _methods_and_nodes(tree):
+        if isinstance(node, ast.While) and any(
+            isinstance(n, ast.AugAssign) and isinstance(n.op, ast.RShift) for n in ast.walk(node)
+        ):
+            yield "right", owner
+        elif isinstance(node, ast.For) and any(
+            isinstance(n, ast.Call) and getattr(n.func, "id", None) == "bin"
+            for n in ast.walk(node.iter)
+        ):
+            yield "left", owner
+
+
+def test_src_has_one_square_and_multiply_loop():
+    found = sorted(
+        (way, f"{path.stem}.{owner}")
+        for path in sorted(PACKAGE.glob("*.py"))
+        for way, owner in _bit_loops(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    assert found == [("left", "core.LayerRing._chain_pow_p"),
+                     ("right", "core._square_and_multiply")]
+
+
+TRIAL_NAMES = {"sharp_multiplicativity", "sharp_lift_independence"}
+
+
+def test_both_trials_build_their_verdict_in_one_loop():
+    tree = ast.parse((PACKAGE / "monoidal.py").read_text(encoding="utf-8"))
+    spelled = []
+    for owner, node in _methods_and_nodes(tree):
+        if isinstance(node, ast.Call):
+            for arg in [*node.args, *(kw.value for kw in node.keywords)]:
+                if isinstance(arg, ast.Constant) and arg.value in TRIAL_NAMES:
+                    spelled.append((owner, getattr(node.func, "id", None), arg in node.args))
+    assert sorted(spelled) == [
+        ("lift_independence_trial", "_sharp_trial", True),
+        ("multiplicativity_trial", "_sharp_trial", True),
+    ]
+    elsewhere = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "monoidal.py"
+        and TRIAL_NAMES & set(_references(ast.parse(path.read_text(encoding="utf-8"))))
+    ]
+    assert elsewhere == []
+    helper = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_sharp_trial")
+    builds = [n for n in ast.walk(helper)
+              if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "Verdict"]
+    assert len(builds) == 1
+    assert [kw.value.id for kw in builds[0].keywords if kw.arg == "name"] == ["name"]
+
+
+def test_p_power_divides_and_shifts_through_core():
+    tree = ast.parse((PACKAGE / "core.py").read_text(encoding="utf-8"))
+    nodes = [node for owner, node in _methods_and_nodes(tree) if owner == "LayerElem.p_power"]
+    names = {getattr(n, "id", getattr(n, "attr", None)) for n in nodes}
+    assert "divmod" not in names
+    assert "divide_by_monomial" in names
