@@ -30,6 +30,7 @@ from .core import (
     TorsionReport,
     _square_and_multiply,
     _vp,
+    ring_map_defect,
 )
 from .towers import MethodDisagreement, ProductTower, SpecError
 from .verdict import (
@@ -98,6 +99,10 @@ class ExplicitRing:
         if isinstance(x, int):
             return self.from_int(x)
         raise TypeError(f"cannot coerce {x!r}")
+
+    def generators(self):
+        """The whole basis: a multiplication table is no presentation."""
+        return self.basis_elems()
 
     def basis_elems(self):
         out = []
@@ -276,43 +281,18 @@ class RingPair:
         return cls(A=A, f=f, c_cap=c_cap, label=label)
 
     def _verify_map(self):
-        """Spot-check that map_fn is a unital ring homomorphism, on the
-        triples (x, y, x * y) of _spot_pairs."""
-        if not self.map_fn(self.A.one()).is_one():
-            raise ValueError(f"pair {self.label}: map does not send 1 to 1")
-        for x, y, xy in self._spot_pairs():
-            mx, my = self.map_fn(x), self.map_fn(y)
-            if self.map_fn(xy) != mx * my:
-                raise ValueError(
-                    f"pair {self.label}: map is not multiplicative at "
-                    f"({x.to_text()}, {y.to_text()})"
-                )
-            if self.map_fn(x + y) != mx + my:
-                raise ValueError(f"pair {self.label}: map is not additive")
-
-    def _spot_pairs(self):
-        """(x, y, x * y) for every pair of basis elements of a small
-        explicit ring; otherwise for 20 pairs drawn from Random(0).
-
-        A drawn pair whose product is 0 at precision is drawn again:
-        map(0) = 0, so such a pair tests nothing of map(x * y) but
-        map(x) * map(y) = 0.  The redraw ends, because every layer ring has
-        nonzero constants: random_element draws a pair of unit constants
-        with positive probability, and their product is a unit.
-        """
-        import random
-
-        A = self.A
-        if getattr(A, "rank", 1) <= 12 and hasattr(A, "basis_elems"):
-            gens = A.basis_elems()
-            return [(x, y, x * y) for x in gens for y in gens]
-        rng = random.Random(0)
-        triples = []
-        while len(triples) < 20:
-            x, y = A.random_element(rng, 2), A.random_element(rng, 2)
-            if not (xy := x * y).is_zero():
-                triples.append((x, y, xy))
-        return triples
+        """Decide that map_fn is a unital ring map by A's presentation
+        (core.ring_map_defect).  An additive map out of a quotient of a
+        polynomial ring is one iff it sends 1 to 1 and g * b to
+        map(g) * map(b) for every generator g and basis element b: t and
+        the variables' smallest monomials on a layer ring, the whole basis
+        of an explicit ring.  map_fn must be additive, as tower transitions
+        (a key hook extended linearly) and the crafted pairs' maps (linear
+        in the coordinates) are."""
+        defect, _ = ring_map_defect(self.A, self.map_fn)
+        if defect:
+            reason, witness = defect
+            raise ValueError(f"pair {self.label}: map is {reason} at {witness}")
 
     def check_torsion_free(self):
         rep_a = self.A.torsion_submodule(self.f)
@@ -415,21 +395,15 @@ def _cartesian_crosscheck(pair: RingPair, verdict: Verdict):
         )
 
 
-def _basis_elems(ring):
-    if hasattr(ring, "basis_elems"):
-        return ring.basis_elems()
-    return [ring.monomial(*key) for key in ring.basis_keys()]
-
-
 def _cartesian_dense(pair: RingPair) -> Verdict:
     """Injectivity of A/fA -> B/fB by exact linear algebra over Z/p^N."""
     A, B = pair.A, pair.B
     p, nd = A.p, A.n_digits
-    a_basis = _basis_elems(A)
+    a_basis = A.basis_elems()
     fA_rows = [A.to_vec(pair.f * x) for x in a_basis]
     fA = linalg.RowSpan(fA_rows, p, nd)
     fB_img = pair.map_fn(pair.f)
-    fB_cols = [B.to_vec(fB_img * y) for y in _basis_elems(B)]
+    fB_cols = [B.to_vec(fB_img * y) for y in B.basis_elems()]
     # Solve phi(x) = f*y by stacking [phi | -fB] and projecting kernels to x.
     phi_cols = [B.to_vec(pair.map_fn(x)) for x in a_basis]
     columns = phi_cols + [[-c for c in col] for col in fB_cols]
@@ -489,7 +463,7 @@ def _root_closed_extension(pair, n, mode, samples, seed, prop) -> Verdict:
 
     A, B = pair.A, pair.B
     image = linalg.RowSpan(
-        [B.to_vec(pair.map_fn(x)) for x in _basis_elems(A)], B.p, B.n_digits
+        [B.to_vec(pair.map_fn(x)) for x in A.basis_elems()], B.p, B.n_digits
     )
     if mode == "exact":
         candidates = B.enumerate_elements()

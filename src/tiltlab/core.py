@@ -122,6 +122,41 @@ def _square_and_multiply(base, n: int, one):
     return result
 
 
+def ring_map_defect(src, phi):
+    """(defect, checks): defect is None when phi, an additive map out of
+    src, is a unital ring map, else (reason, witness text); checks counts
+    the products compared.
+
+    src is a quotient of a polynomial ring over Z/coeff_mod in
+    src.generators(), spanned by src.basis_elems().  An additive phi with
+    phi(1) = 1 is a ring map iff phi(g * b) = phi(g) * phi(b) for every
+    generator g and basis element b: by additivity and induction on
+    monomials in the generators, phi(x * y) = phi(x) * phi(y) follows for
+    all x and y.  The relations (t^e = p, the variable caps, an explicit
+    table) are covered, because g * b is computed in src.
+
+    Additivity is the caller's: phi must extend its basis images linearly
+    over src's coordinates mod coeff_mod.  With phi(1) = 1 that is additive
+    iff the codomain's characteristic divides coeff_mod, checked as
+    coeff_mod * phi(1) = 0.
+    """
+    one = phi(src.one())
+    if not one.is_one():
+        return ("not unital", "1"), 0
+    if not (one * src.coeff_mod).is_zero():
+        return ("not additive", f"{src.coeff_mod} * 1"), 0
+    basis = src.basis_elems()
+    images = [phi(b) for b in basis]
+    checks = 0
+    for g in src.generators():
+        image = phi(g)
+        for b, image_b in zip(basis, images):
+            checks += 1
+            if phi(g * b) != image * image_b:
+                return ("not multiplicative", f"{g.to_text()} * {b.to_text()}"), checks
+    return None, checks
+
+
 class LayerRing:
     """One layer of a tower, truncated to finite precision.
 
@@ -579,6 +614,15 @@ class LayerRing:
         if index is None:
             index = self._vt_index = {v: i for i, v in enumerate(self.var_monomials())}
         return k * len(index) + index[vt]
+
+    def basis_elems(self) -> list:
+        return [self.monomial(*key) for key in self.basis_keys()]
+
+    def generators(self) -> list:
+        """t and the variables' smallest monomials x_i^(1/var_den), of which
+        every basis monomial is a product: (1 + num_vars) of them, unless
+        the cap leaves no variable monomial but 1."""
+        return [self.t_gen()] + [self.monomial(0, vt) for vt in self.var_monomials() if sum(vt) == 1]
 
     @property
     def rank(self) -> int:

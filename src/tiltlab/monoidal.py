@@ -26,23 +26,24 @@ commutation of sharp with reduction mod the ideal, the induced ring
 isomorphism between the tilt modulo its pillar and the layer quotient,
 the valuation identity for pillar generators, the idempotent bijection,
 and the torsion transfer (trivial for the towers in scope).  Their PASS
-is exact except where it rests on seeded samples: the ring-map half of
-check_tilt_quotient_iso (its basis bijection is exact) and the two
-trials, multiplicativity_trial and lift_independence_trial, which have no
-basis reduction because sharp is not additive.  Both trials run through
-one seeded loop, _sharp_trial, and differ only in what they draw.
+is exact except where it rests on seeded samples: the two trials,
+multiplicativity_trial and lift_independence_trial, which have no basis
+reduction because sharp is not additive.  Both trials run through one
+seeded loop, _sharp_trial, and differ only in what they draw.
 
-check_sharp_reduction and the bijection of check_tilt_quotient_iso are
-decided on the presentation's monomial basis, on keys.  A basis
-monomial's lift has one term with coefficient 1, so its p^m-th power is
-one key: TowerHandle.sharp_key, the key times p^m folded through t^e = p.
+check_sharp_reduction and check_tilt_quotient_iso are decided on the
+presentation's monomial basis, on keys.  A basis monomial's lift has one
+term with coefficient 1, so its p^m-th power is one key:
+TowerHandle.sharp_key, the key times p^m folded through t^e = p.
 Reduced mod the ideal it is the key times p^m, or 0 where a fold leaves a
 factor p or the index reaches the ideal.  The reduction diagram compares
 that with m frob_key steps down and m tbar_key steps up; the iso divides
-it by p^m.  Neither pass builds an element.  Element sharp stays as the
-oracle of both: check_sharp_reduction's seeded multi-term inputs and the
-iso's seeded basis monomials and sampled pairs go through it, and a
-mismatch with the key path is a MethodDisagreement.
+it by p^m, and decides that the linear extension of those images is a
+ring map on every generator times basis monomial (core.ring_map_defect).
+Neither check calls an element map of the tower.  Element sharp stays as
+the oracle of both: check_sharp_reduction's seeded multi-term inputs and
+the iso's seeded basis monomials go through it, and a mismatch with the
+key path is a MethodDisagreement.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .core import ABOVE_PRECISION, Fraction, NotInvertible, ProductElem
+from .core import ABOVE_PRECISION, Fraction, NotInvertible, ProductElem, ring_map_defect
 from .tilts import SmallTiltElem, ZeroDepth, f_flat_generator, small_tilt
 from .towers import MethodDisagreement, ProductTower
 from .verdict import FAIL, PASS, TRIVIAL_CASE, Verdict, per_component
@@ -277,112 +278,79 @@ def _past_cap(dom, vt, scale) -> bool:
     return sum(vt) * scale > dom.var_cap_index
 
 
-def check_tilt_quotient_iso(handle, j, m, samples=100, seed=0) -> Verdict:
+def check_tilt_quotient_iso(handle, j, m) -> Verdict:
     """The map induced by sharp: tilt mod pillar -> layer quotient.
 
-    Checked as a ring isomorphism: bijective on the monomial basis
-    (exact), and multiplicative and additive on `samples` seeded pairs (so
-    a PASS rests on samples for its ring-map half).  With variables
-    the domain is restricted to the sub-window whose Frobenius images
-    stay below the degree cap (recorded in the details).
+    Decided as a ring isomorphism: bijective on the monomial basis, and a
+    ring map by core.ring_map_defect on the linear extension of the basis
+    images.  With variables the bijection is restricted to the sub-window
+    whose Frobenius images stay below the degree cap (recorded in the
+    details); the monomials past it map to 0.
 
-    The bijection is decided on keys and builds no element.  A basis key's
-    image is its reduced sharp_key image (_reduced_sharp_keys) with every
-    index divided by p^m, which inverts tbar_multi on its image.  The
-    first basis monomial whose image is not one key, or is a key already
-    hit, is the FAIL witness, and so is the first quotient monomial not
-    hit.  Element sharp is the oracle: after a bijection, _ORACLE_KEYS of
-    the compared basis monomials, drawn at _ORACLE_SEED, go through it,
-    and one whose element image differs from its key image is a
-    MethodDisagreement.  The sampled pairs go through element sharp too.
+    Both halves run on keys and call no element map.  A basis key's image
+    is its reduced sharp_key image (_reduced_sharp_keys) with every index
+    divided by p^m, which inverts tbar_multi on its image.  The first basis
+    monomial whose image is not one key, or is a key already hit, is the
+    FAIL witness, and so is the first quotient monomial not hit.  The
+    induced map is additive, as x -> x_m^(p^m) is into a characteristic-p
+    quotient (check_sharp_reduction), so it is a ring map iff it sends 1 to
+    1, the quotient's characteristic is p, and it is multiplicative on
+    every generator times basis monomial; a PASS records ring_map_checks,
+    the products compared.  Element sharp is the oracle: after the
+    bijection, _ORACLE_KEYS of the compared basis monomials, drawn at
+    _ORACLE_SEED, go through it, and one whose element image differs from
+    its key image is a MethodDisagreement.
     """
     if isinstance(handle, ProductTower):
-        return per_component(
-            check_tilt_quotient_iso(c, j, m, samples, seed + i)
-            for i, c in enumerate(handle.components)
-        )
-    rng = random.Random(seed)
+        return per_component(check_tilt_quotient_iso(c, j, m) for c in handle.components)
     pres = small_tilt(handle, j, m)
     quot = handle.quotient(j)
-    dom = pres.ring
-    c_j = handle.ideal_index(j)
+    dom = pres.ring.quotient_ring()  # the pillar ideal is dom's: ideal_num == c_j
     scale = handle.p**m
     sharp_side = _reduced_sharp_keys(handle, j, m)
 
-    def induced(pres_elem):
-        red = sharp(handle, pres.from_presentation(pres_elem)).reduced
-        return quot.rescale(red, div=scale)  # invert tbar_multi on its image
+    def fail(witness, reason):
+        return Verdict(FAIL, name="tilt_quotient_iso", witness=witness,
+                       details={"layer": j, "reason": reason})
 
     images, hit = {}, set()
-    restricted = 0
     for k, vt in dom.basis_keys():
-        if k >= c_j:
-            continue
+        img = images[(k, vt)] = {}
         if _past_cap(dom, vt, scale):
-            restricted += 1
             continue
-        img = {}
         for (ki, vi), c in sharp_side((k, vt))[0].items():
             ki, vi = ki // scale, tuple([v // scale for v in vi])
             if quot.keeps_key(ki, vi):
                 img[(ki, vi)] = c
         if len(img) != 1:
-            reason = "monomial image not a monomial"
-        elif next(iter(img)) in hit:
-            reason = "not injective"
-        else:
-            hit.update(img)
-            images[(k, vt)] = img
-            continue
-        return Verdict(
-            FAIL,
-            name="tilt_quotient_iso",
-            witness=dom.monomial(k, vt).to_text(),
-            details={"layer": j, "reason": reason},
-        )
+            return fail(dom.monomial(k, vt).to_text(), "monomial image not a monomial")
+        if next(iter(img)) in hit:
+            return fail(dom.monomial(k, vt).to_text(), "not injective")
+        hit.update(img)
     missing = [key for key in quot.basis_keys() if key not in hit]
     if missing:
-        return Verdict(
-            FAIL,
-            name="tilt_quotient_iso",
-            witness=quot.monomial(*missing[0]).to_text(),
-            details={"layer": j, "reason": "not surjective"},
-        )
-    compared = list(images)
+        return fail(quot.monomial(*missing[0]).to_text(), "not surjective")
+    compared = [key for key, img in images.items() if img]
     for key in random.Random(_ORACLE_SEED).sample(compared, min(_ORACLE_KEYS, len(compared))):
-        mono = dom.monomial(*key)
-        if induced(mono).terms != images[key]:
+        mono = pres.ring.monomial(*key)
+        red = sharp(handle, pres.from_presentation(mono)).reduced
+        if quot.rescale(red, div=scale).terms != images[key]:
             raise MethodDisagreement(
                 f"sharp and sharp_key disagree on {mono.to_text()} mod the ideal"
             )
-    checked = 0
-    for _ in range(samples):
-        a = dom.random_element(rng, max_terms=3)
-        b = dom.random_element(rng, max_terms=3)
-        # representatives below the pillar ideal (dom.ideal_num == c_j)
-        a = dom.lift(dom.reduce_mod_ideal(a))
-        b = dom.lift(dom.reduce_mod_ideal(b))
-        prod = dom.lift(dom.reduce_mod_ideal(a * b))
-        image_a, image_b = induced(a), induced(b)
-        if induced(prod) != image_a * image_b:
-            return Verdict(
-                FAIL,
-                name="tilt_quotient_iso",
-                witness=f"{a.to_text()} * {b.to_text()}",
-                details={"layer": j, "reason": "not multiplicative"},
-            )
-        if induced(a + b) != image_a + image_b:
-            return Verdict(
-                FAIL,
-                name="tilt_quotient_iso",
-                witness=f"{a.to_text()} + {b.to_text()}",
-                details={"layer": j, "reason": "not additive"},
-            )
-        checked += 1
-    details = {"layer": j, "depth": m, "basis_dim": len(hit)}
-    if restricted:
-        details["window_restricted_monomials"] = restricted
-    return Verdict(PASS, name="tilt_quotient_iso", samples=checked, details=details)
+
+    def induced(x):  # the linear extension of the basis images
+        return sum((quot.monomial(*key, c * d) for dom_key, c in x.terms.items()
+                    for key, d in images[dom_key].items()), quot.zero())
+
+    defect, checks = ring_map_defect(dom, induced)
+    if defect:
+        reason, witness = defect
+        return fail(witness, reason)
+    details = {"layer": j, "depth": m, "basis_dim": len(hit), "ring_map_checks": checks}
+    if len(hit) < len(images):
+        details["window_restricted_monomials"] = len(images) - len(hit)
+    return Verdict(PASS, name="tilt_quotient_iso", details=details)
 
 
 def check_pillar_valuation(handle, j, seed=None) -> Verdict:

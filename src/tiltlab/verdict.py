@@ -3,11 +3,10 @@
 Tower axioms, the checks on the monoidal map and the closure checks all
 return a Verdict.  The words are part of the report bytes:
 
-- PASS: exact pass (axioms and monoidal checks); check_sharp_reduction is
-  decided on the tilt presentation's monomial basis.  Not yet exact, and
-  still PASS on seeded samples: the ring-map half of
-  check_tilt_quotient_iso (its basis bijection is exact) and the two
-  trials, multiplicativity_trial and lift_independence_trial.
+- PASS: exact pass (axioms and monoidal checks); check_sharp_reduction and
+  check_tilt_quotient_iso are decided on the tilt presentation's monomial
+  basis.  Not yet exact, and still PASS on seeded samples: the two trials,
+  multiplicativity_trial and lift_independence_trial.
 - PASS_EXACT: exact pass (closure checks).  Root closure on a monogenic
   layer's localization is decided by the valuation, with multiplicativity
   checked at every absolute index below the cap; on an extension pair it

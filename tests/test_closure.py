@@ -1,6 +1,7 @@
 """Closure checks against brute-force oracles, the crafted negative
 controls, and the cross-checks tying the modes together."""
 
+import itertools
 import random
 import signal
 from fractions import Fraction
@@ -23,7 +24,7 @@ from tiltlab.closure import (
     transfer_suite,
 )
 from tiltlab.battery import closure_pair_collection, crafted_negative_pairs
-from tiltlab.core import EnumerationTooLarge, LayerRing
+from tiltlab.core import EnumerationTooLarge, LayerRing, ring_map_defect
 from tiltlab.towers import SpecError, TowerSpec, build_tower
 
 from test_towers import kummer52, pure5
@@ -230,15 +231,15 @@ def test_cartesian_on_tower_pairs():
         assert is_cartesian_mod_f(pair).verdict == PASS_EXACT
 
 
-def _battery_tower_pairs():
-    """The extension pairs of consecutive layers the battery builds: the
-    closure oracles' pure p = 2 tower and tilt, and the transfer suite's
-    pure p = 5 and Kummer 5/2 towers with their depth-1 tilts."""
+def _battery_handles():
+    """The towers whose consecutive layers the battery pairs: the closure
+    oracles' pure p = 2 tower and tilt, and the transfer suite's pure p = 5
+    and Kummer 5/2 towers with their depth-1 tilts."""
     from tiltlab.battery import kummer_tower_5_2, pure_tower
     from tiltlab.tilts import tilt_tower
 
     h3, kummer = pure_tower(5, 6, 3), kummer_tower_5_2(7)[3]
-    handles = [
+    return [
         small_pure2(),
         tilt_tower(build_tower(TowerSpec(prime=2, n_digits=2, depth=3)), 1),
         h3,
@@ -246,34 +247,87 @@ def _battery_tower_pairs():
         kummer,
         tilt_tower(kummer, 1),
     ]
-    return [pair for h in handles for pair in tower_pairs(h)]
 
 
-def test_map_spot_checks_draw_no_vacuous_pair(monkeypatch):
-    # a pair with x * y = 0 maps 0 to 0 and is drawn again, so the map
-    # meets an empty element only where a pair sums to 0: 17 of the 280
-    # pairs, 16 of them at p = 2, where x + x = 0
-    from tiltlab.towers import TowerHandle
+def _tampered_transition(h, n):
+    """h's transition n -> n+1 with t sent to t^p * (1 + t) in place of t^p,
+    extended additively.  t^e = p then fails on a mixed layer with e > 1;
+    on level 0 (e = 1) and on a characteristic-p layer, whose window the
+    transition scales by p, the substitution is a ring map."""
+    A, B = h.layer(n), h.layer(n + 1)
+    u = B.t_gen() ** h.transition_scale() * (1 + B.t_gen())
 
-    pairs = _battery_tower_pairs()
-    empty, map_terms = [], TowerHandle._map_terms
+    def phi(x):
+        acc = B.zero()
+        for (k, vt), c in x.terms.items():
+            acc = acc + u**k * h.transition(n, A.monomial(0, vt)) * c
+        return acc
 
-    def counted(self, hook, n, dst, terms, lossy):
-        if not terms:
-            empty.append(n)
-        return map_terms(self, hook, n, dst, terms, lossy)
+    return phi
 
-    monkeypatch.setattr(TowerHandle, "_map_terms", counted)
-    vacuous, zero_sums = 0, 0
-    for pair in pairs:
-        spots = pair._spot_pairs()
-        assert len(spots) == 20
-        assert all(xy == x * y for x, y, xy in spots)
-        vacuous += sum(xy.is_zero() for _, _, xy in spots)
-        zero_sums += sum((x + y).is_zero() for x, y, _ in spots)
-        pair._verify_map()
-    assert len(pairs) == 14 and vacuous == 0
-    assert len(empty) == zero_sums == 17
+
+def _binding(ring):
+    """Whether t^e = p binds t: a mixed layer with e > 1."""
+    return ring.mode == "mixed" and ring.e > 1
+
+
+def test_map_decision_checks_each_generator_times_basis(monkeypatch):
+    # RingPair.extension decides its map on A's presentation: one product
+    # per generator (t, and each variable's smallest monomial) and basis
+    # monomial of A, never a drawn pair
+    seen = []
+    real = closure.ring_map_defect
+
+    def counted(src, phi):
+        defect, checks = real(src, phi)
+        seen.append(checks)
+        return defect, checks
+
+    monkeypatch.setattr(closure, "ring_map_defect", counted)
+    handles = _battery_handles() + [
+        build_tower(TowerSpec(prime=3, n_digits=2, depth=2, num_vars=1,
+                              var_degree_cap=Fraction(1)))
+    ]
+    pairs = [pair for h in handles for pair in tower_pairs(h)]
+    assert len(pairs) == 16 and pairs[-1].A.num_vars == 1
+    assert seen == [(1 + pair.A.num_vars) * pair.A.rank for pair in pairs]
+    # the tampered substitution is refused exactly where t^e = p binds; the
+    # Kummer 4 -> 5 pair is left out, because its refusal powers t^p * (1 + t)
+    # to every index below e = 1250 in a dense rank-6250 layer (about 20 s)
+    tampered = [(h, n) for h in handles for n in range(h.start, h.top)
+                if h.layer(n).rank <= 250]
+    refused = 0
+    for h, n in tampered:
+        try:
+            RingPair.extension(h.layer(n), h.layer(n + 1), _tampered_transition(h, n), h.f0(n))
+        except ValueError as exc:
+            assert _binding(h.layer(n)) and "map is not multiplicative at t" in str(exc)
+            refused += 1
+        else:
+            assert not _binding(h.layer(n)), (h.label, n)
+    assert (len(tampered), refused) == (15, 6)
+
+
+def test_map_decisions_draw_no_random_element(monkeypatch):
+    # neither the closure pairs' map check nor the quotient iso samples:
+    # with random_element refusing on every ring, the battery's tower pairs
+    # still build and the battery's seven iso rows still pass
+    from tiltlab.battery import pure_tower
+    from tiltlab.closure import ExplicitRing
+    from tiltlab.monoidal import check_tilt_quotient_iso
+
+    handles, h4 = _battery_handles(), pure_tower(5, 6, 4)
+    kummer = handles[4]
+    rows = [(h4, j, min(2, 4 - j)) for j in range(4)]
+    rows += [(kummer, j, kummer.top - j) for j in range(kummer.start, kummer.top)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a decision drew a random element")
+
+    for cls in (LayerRing, ExplicitRing):
+        monkeypatch.setattr(cls, "random_element", refuse)
+    assert len([pair for h in handles for pair in tower_pairs(h)]) == 14
+    assert [check_tilt_quotient_iso(*row).verdict for row in rows] == ["PASS"] * 7
 
 
 def test_cartesian_identity_pair():
@@ -333,26 +387,38 @@ def _substitution(ring, images):
     return phi
 
 
+_SHAPES = [{"n_digits": 2}, {"window": 3}]
+
+
+def _substitution_ring(shape):
+    return LayerRing(p=2, e=2, ideal_num=2, num_vars=2, var_cap=1, **shape)
+
+
+def _substitution_cases(ring):
+    """Three substitutions of x1, by the cartesian walk's outcome (a FAIL
+    reason, or None), with their images and expected witnesses."""
+    t, x1, x2 = ring.t_gen(), ring.var_gen(0), ring.var_gen(1)
+    return {
+        "monomial maps into fB": ((t * x1, x2), x1),
+        "collision mod fB": ((x2, x2), x1 - x2),
+        None: ((x1 + x2, x2), None),
+    }
+
+
 def _unit_multiple(ring, a, b):
     return any(a * u == b for u in range(1, ring.coeff_mod) if u % ring.p)
 
 
-@pytest.mark.parametrize("shape", [{"n_digits": 2}, {"window": 3}])
+@pytest.mark.parametrize("shape", _SHAPES)
 def test_cartesian_index_walk_branches_agree_with_linear_algebra(shape):
     # A = B = (Z/4)[t]/(t^2 - 2) or F_2[T]/(T^3), with variables x1, x2 of
     # total degree <= 1, and f = t.
     # x1 -> t*x1 sends the monomial x1 into fB; x1 -> x2 makes x1 and x2
     # collide mod fB; x1 -> x1 + x2 sends x1 to two terms, where the walk
     # hands over to linear algebra.
-    ring = LayerRing(p=2, e=2, ideal_num=2, num_vars=2, var_cap=1, **shape)
-    t, x1, x2 = ring.t_gen(), ring.var_gen(0), ring.var_gen(1)
-    cases = {
-        "monomial maps into fB": ((t * x1, x2), x1),
-        "collision mod fB": ((x2, x2), x1 - x2),
-        None: ((x1 + x2, x2), None),
-    }
-    for reason, (images, witness) in cases.items():
-        pair = RingPair.extension(ring, ring, _substitution(ring, images), t)
+    ring = _substitution_ring(shape)
+    for reason, (images, witness) in _substitution_cases(ring).items():
+        pair = RingPair.extension(ring, ring, _substitution(ring, images), ring.t_gen())
         walk = _cartesian_monomial(pair)
         dense = _cartesian_dense(pair)
         if reason is None:
@@ -367,6 +433,72 @@ def test_cartesian_index_walk_branches_agree_with_linear_algebra(shape):
         # both span the same line of the kernel
         assert ring.parse(walk.witness) == witness
         assert _unit_multiple(ring, witness, ring.parse(dense.witness))
+
+
+def _ring_map_by_all_pairs(src, phi):
+    """Ground truth for a map extended linearly over src's coordinates,
+    without the generators: phi is additive iff phi(-b) = -phi(b) for every
+    basis element b, and then a ring map iff it sends 1 to 1 and is
+    multiplicative on every pair of basis elements."""
+    basis = src.basis_elems()
+    images = [phi(b) for b in basis]
+    return phi(src.one()).is_one() and all(
+        phi(-x) == -fx
+        and all(phi(x * y) == fx * fy and phi(x + y) == fx + fy for y, fy in zip(basis, images))
+        for x, fx in zip(basis, images)
+    )
+
+
+def _linear_map(src, images):
+    """The map sending src's basis_elems() to images, extended linearly
+    over the coordinates."""
+
+    def phi(x):
+        acc = images[0] * 0
+        for c, image in zip(src.to_vec(x), images):
+            if c:
+                acc = acc + image * c
+        return acc
+
+    return phi
+
+
+def _every_unital_linear_map(src, dst):
+    one = dst.one()
+    for rest in itertools.product(list(dst.enumerate_elements()), repeat=src.rank - 1):
+        yield _linear_map(src, [one, *rest])
+
+
+def test_map_decision_agrees_with_all_pairs_on_small_rings():
+    # every map the closure and iso decisions meet on a ring of rank <= 12,
+    # plus every unital linear map between three tiny rings and two maps
+    # into a codomain of the wrong characteristic
+    from tiltlab.closure import ExplicitRing
+
+    maps = []
+    for h in _battery_handles()[:2]:  # the p = 2 tower and its tilt
+        for n in range(h.start, h.top):
+            maps.append((h.layer(n), lambda x, h=h, n=n: h.transition(n, x)))
+            maps.append((h.layer(n), _tampered_transition(h, n)))
+    maps += [(pair.A, pair.map_fn) for pair in crafted_negative_pairs()]
+    for shape in _SHAPES:
+        ring = _substitution_ring(shape)
+        maps += [(ring, _substitution(ring, images)) for images, _ in _substitution_cases(ring).values()]
+    wide = LayerRing(p=2, e=1, ideal_num=1, n_digits=2)
+    narrow = ExplicitRing(p=2, n_digits=1, basis_names=("1",), table={(0, 0): (1,)})
+    maps.append((LayerRing(p=2, e=1, ideal_num=1, window=1), wide.lift))
+    maps.append((narrow, lambda x: wide.from_int(x.vec[0])))
+    cells = [
+        LayerRing(p=2, e=4, ideal_num=4, window=3),
+        LayerRing(p=2, e=2, ideal_num=2, n_digits=2),
+        crafted_negative_pairs()[2].A,  # F_2-span{1, T^2, T^3} in F_2[T]/(T^4)
+    ]
+    for ring in cells:
+        maps += [(ring, phi) for phi in _every_unital_linear_map(ring, ring)]
+    decided = [ring_map_defect(src, phi)[0] is None for src, phi in maps]
+    assert decided == [_ring_map_by_all_pairs(src, phi) for src, phi in maps]
+    assert all(src.rank <= 12 for src, _ in maps)
+    assert (len(maps), sum(decided)) == (163, 40)
 
 
 def test_cartesian_detects_collapse():

@@ -250,7 +250,7 @@ def test_basis_passes_make_no_element_call(monkeypatch, make):
         assert check_sharp_reduction(h, j).ok()
         assert calls == {"sharp_key": len(in_window)}
         calls.clear()
-        iso = check_tilt_quotient_iso(h, j, m, samples=0, seed=0)
+        iso = check_tilt_quotient_iso(h, j, m)
         assert iso.ok() and calls == {"sharp_key": iso.details["basis_dim"]}
         calls.clear()
 
@@ -333,10 +333,9 @@ def test_sharp_reduction_oracle_draws_inside_the_cap_window(monkeypatch):
         assert all(not monoidal._past_cap(dom, vt, scale) for keys in draws for _, vt in keys)
 
 
-def test_tilt_quotient_iso_maps_each_sampled_pair_once(monkeypatch):
-    # per sample: induced(a), induced(b), induced(a*b) and induced(a+b);
-    # the bijection runs on keys, and element sharp sees only the
-    # oracle's _ORACLE_KEYS basis monomials
+def test_tilt_quotient_iso_calls_element_sharp_on_its_oracle_keys_only(monkeypatch):
+    # the bijection and the ring-map decision run on keys, and element
+    # sharp sees only the oracle's _ORACLE_KEYS basis monomials per row
     calls = []
     real_sharp = monoidal.sharp
 
@@ -345,21 +344,28 @@ def test_tilt_quotient_iso_maps_each_sampled_pair_once(monkeypatch):
         return real_sharp(*args, **kwargs)
 
     monkeypatch.setattr(monoidal, "sharp", counted_sharp)
-    res = check_tilt_quotient_iso(pure5(), 1, 2, samples=10, seed=0)
-    assert res.verdict == "PASS" and res.details["basis_dim"] == 5
     assert monoidal._ORACLE_KEYS == 3
-    assert len(calls) == 3 + 4 * 10
+    h4, hk = pure5(depth=4), kummer52()
+    rows = [(h4, j, min(2, 4 - j)) for j in range(4)]
+    rows += [(hk, j, hk.top - j) for j in range(hk.start, hk.top)]
+    for row in rows:
+        calls.clear()
+        res = check_tilt_quotient_iso(*row)
+        assert res.verdict == "PASS" and res.samples is None
+        assert len(calls) == min(3, res.details["basis_dim"]), row[1:]
 
 
 def test_tilt_quotient_iso():
     h = pure5(depth=4)
     # worked instances: j=0 collapses to F_5, j=1 is F_5[T]/(T^5) -> F_5[t]/(t^5)
-    assert check_tilt_quotient_iso(h, 0, 2, samples=40, seed=0).verdict == "PASS"
-    r1 = check_tilt_quotient_iso(h, 1, 2, samples=40, seed=0)
+    assert check_tilt_quotient_iso(h, 0, 2).verdict == "PASS"
+    r1 = check_tilt_quotient_iso(h, 1, 2)
     assert r1.verdict == "PASS" and r1.details["basis_dim"] == 5
+    assert r1.details["ring_map_checks"] == 5  # T times each T^k, k < 5
     hk = kummer52()
-    r2 = check_tilt_quotient_iso(hk, 2, 2, samples=40, seed=0)
+    r2 = check_tilt_quotient_iso(hk, 2, 2)
     assert r2.verdict == "PASS" and r2.details["basis_dim"] == 6
+    assert r2.details["ring_map_checks"] == 6
 
 
 def test_pillar_valuation_identity():
@@ -421,8 +427,9 @@ def test_torsion_bijection_trivial_cases():
 def test_monoidal_checks_on_product_towers():
     h = _product_tower(2)
     assert check_sharp_reduction(h, 0).verdict == "PASS"
-    iso = check_tilt_quotient_iso(h, 1, 1, samples=20, seed=0)
-    assert (iso.verdict, iso.samples) == ("PASS", 40)
+    iso = check_tilt_quotient_iso(h, 1, 1)
+    assert (iso.verdict, iso.samples) == ("PASS", None)
+    assert [part["ring_map_checks"] for part in iso.details.values()] == [5, 5]
     assert sorted(iso.details) == ["component_0", "component_1"]
     val = check_pillar_valuation(h, 0)
     assert val.verdict == "PASS" and val.details["component_1"]["unit"] == "1"
@@ -541,6 +548,15 @@ class _MovedSharpKey(TowerHandle):
         return super().sharp_key(j, m, key, lossy)
 
 
+class _SwappedSharpKey(TowerHandle):
+    """At layer 1, sharp_key swaps the keys of T^{1/5} and T^{2/5}."""
+
+    def sharp_key(self, j, m, key, lossy=False):
+        if j == 1:
+            key = {(1, ()): (2, ()), (2, ()): (1, ())}.get(key, key)
+        return super().sharp_key(j, m, key, lossy)
+
+
 class _ShiftedSharpKey(TowerHandle):
     """sharp_key adds one to every t-index of its image, which leaves the
     image of the mod-ideal quotient's p^m-th powers."""
@@ -566,35 +582,64 @@ def test_broken_sharp_key_fails_both_basis_passes():
     # the first basis monomial the broken hook moves is the witness
     moved = _clone(pure5(), _MovedSharpKey)
     _fails(check_sharp_reduction(moved, 1), "T^{1/5}", layer=1, depth=2)
-    _fails(check_tilt_quotient_iso(moved, 1, 2, samples=5, seed=0), "T^{1/5}",
-           reason="not injective")
+    _fails(check_tilt_quotient_iso(moved, 1, 2), "T^{1/5}", reason="not injective")
     assert check_sharp_reduction(moved, 0).ok() and check_sharp_reduction(moved, 2).ok()
     # an image off the p^m lattice fails sharp's membership invariant
     shifted = _clone(pure5(), _ShiftedSharpKey)
     with pytest.raises(MethodDisagreement, match="membership invariant on the key"):
         check_sharp_reduction(shifted, 1)
     with pytest.raises(MethodDisagreement, match="membership invariant on the key"):
-        check_tilt_quotient_iso(shifted, 1, 2, samples=5, seed=0)
+        check_tilt_quotient_iso(shifted, 1, 2)
 
 
 def test_tilt_quotient_iso_negative_controls():
     iso = check_tilt_quotient_iso
     narrow = _clone(pure5(), _NarrowIdeal)
-    _fails(iso(narrow, 1, 2, samples=5, seed=0), "T^{4/5}", reason="not surjective")
+    _fails(iso(narrow, 1, 2), "T^{4/5}", reason="not surjective")
     # T^{6/50} is past the deepest window, so its image is 0
     wide = _clone(kummer52(), _WideIdeal)
-    _fails(iso(wide, 3, 1, samples=5, seed=0), "T^{3/25}",
-           reason="monomial image not a monomial")
+    _fails(iso(wide, 3, 1), "T^{3/25}", reason="monomial image not a monomial")
     # a product returns its first failing component's verdict, witness prefixed
-    alone = iso(narrow, 1, 2, samples=5, seed=1)
-    failed = iso(ProductTower((pure5(), narrow)), 1, 2, samples=5, seed=0)
+    alone = iso(narrow, 1, 2)
+    failed = iso(ProductTower((pure5(), narrow)), 1, 2)
     _fails(failed, "component 1: " + alone.witness, **alone.details)
     assert failed.name == "tilt_quotient_iso"
-    # the base quotient read mod p^N: 4 * 4 = 16, not 1; 1 + 1 = 2, not 0
+    # the base quotient read mod p^N: the bijection holds, and p * 1 = p,
+    # not 0, so the induced map out of the characteristic-p tilt quotient
+    # is not additive
     unreduced = _clone(pure5(), _UnreducedBase)
-    _fails(iso(unreduced, 0, 2, samples=20, seed=5), "4 * 4", reason="not multiplicative")
+    _fails(iso(unreduced, 0, 2), "5 * 1", reason="not additive")
     unreduced2 = _clone(_pure(2, n=2, depth=3), _UnreducedBase)
-    _fails(iso(unreduced2, 0, 2, samples=20, seed=0), "1 + 1", reason="not additive")
+    _fails(iso(unreduced2, 0, 2), "2 * 1", reason="not additive")
+    # a sharp_key that swaps two keys keeps the bijection and breaks
+    # T * T = T^2 in the ring-map decision
+    swapped = _clone(pure5(), _SwappedSharpKey)
+    _fails(iso(swapped, 1, 2), "T^{1/5} * T^{1/5}", reason="not multiplicative")
+
+
+def test_iso_ring_map_decision_agrees_with_all_pairs(monkeypatch):
+    # every induced map the iso decides on a domain of rank <= 12, on honest
+    # and broken handles, against the all-basis-pairs reference
+    from test_closure import _ring_map_by_all_pairs
+
+    seen = []
+    real = monoidal.ring_map_defect
+
+    def recording(src, phi):
+        defect, checks = real(src, phi)
+        seen.append((src, phi, defect is None))
+        return defect, checks
+
+    monkeypatch.setattr(monoidal, "ring_map_defect", recording)
+    h2 = _pure(2, n=2, depth=3)
+    handles = [h2, pure5(), _clone(h2, _UnreducedBase), _clone(pure5(), _UnreducedBase),
+               _clone(pure5(), _SwappedSharpKey)]
+    for h in handles:
+        for j in range(h.start, h.top):
+            check_tilt_quotient_iso(h, j, h.top - j)
+    small = [(src, phi, decided) for src, phi, decided in seen if src.rank <= 12]
+    assert [decided for *_, decided in small] == [_ring_map_by_all_pairs(src, phi) for src, phi, _ in small]
+    assert (len(small), sum(decided for *_, decided in small)) == (12, 9)
 
 
 def test_pillar_valuation_negative_controls():
@@ -625,7 +670,7 @@ def test_unreachable_mismatches_raise_with_a_broken_sharp(monkeypatch):
     # the element oracle's first basis monomial T^{3/5} disagrees with it
     monkeypatch.setattr(monoidal, "sharp", broken(lambda ring, v: ring.one()))
     with pytest.raises(MethodDisagreement, match=r"sharp and sharp_key disagree on T\^\{3/5\}"):
-        check_tilt_quotient_iso(pure5(), 1, 2, samples=5, seed=0)
+        check_tilt_quotient_iso(pure5(), 1, 2)
     # 0 goes to p, which is not idempotent
     monkeypatch.setattr(monoidal, "sharp", broken(lambda ring, v: v + ring.f0()))
     with pytest.raises(MethodDisagreement, match="not an unmatched layer idempotent"):
@@ -938,7 +983,7 @@ def test_monoidal_checks_pass_at_primes_past_5(p, n, depth, vars):
     for j in range(h.start, h.top):
         m = h.top - j
         assert check_sharp_reduction(h, j).verdict == "PASS", j
-        assert check_tilt_quotient_iso(h, j, m, samples=20, seed=0).verdict == "PASS", j
+        assert check_tilt_quotient_iso(h, j, m).verdict == "PASS", j
         if not vars:
             assert check_pillar_valuation(h, j).verdict == "PASS", j
     assert multiplicativity_trial(h, h.start, depth, pairs=20, seed=0).verdict == "PASS"
